@@ -9,15 +9,6 @@ sampler, and the weight-of-evidence ratios used to quantify the effect of
 the correction on two-contributor DNA-mixture match probabilities.
 """
 
-from .dirmult import (
-    ProfileCounts,
-    beta_binomial_step,
-    binomial_chain_log_pmf,
-    chain_log_pmf,
-    dirmult_collapsed_log_pmf,
-    dirmult_log_pmf,
-    multinomial_log_pmf,
-)
 from .evidence import (
     GenotypePair,
     MultiplicityClass,
@@ -32,7 +23,7 @@ from .evidence import (
     woe_margin_grid,
     woe_step,
 )
-from .logspace import LOG_ZERO, log_binomial, log_factorial, log_sum_exp
+from .logspace import LOG_ZERO, log_binomial, log_factorial
 from .mdm import (
     MdmParams,
     conditional_over_alleles,
@@ -43,7 +34,6 @@ from .mdm import (
     marginal_over_profiles,
     mdm_chain_log_pmf,
     mdm_log_pmf,
-    sufficient_statistics,
 )
 from .model import (
     AlleleFrequencies,
@@ -54,12 +44,12 @@ from .model import (
     MarginState,
     MdmixError,
     ParameterError,
+    ProfileCounts,
     SizeGuardError,
     SubsetSpec,
     TableError,
     read_frequency_csv,
     theta_to_alpha,
-    validate_table,
 )
 from .moments import (
     FactorialOrder,
@@ -102,16 +92,11 @@ __all__ = [
     "SizeGuardError",
     "SubsetSpec",
     "TableError",
-    "beta_binomial_step",
-    "binomial_chain_log_pmf",
-    "chain_log_pmf",
     "conditional_over_alleles",
     "conditional_over_profiles",
     "count_tables",
     "covariance",
     "covariance_matrix",
-    "dirmult_collapsed_log_pmf",
-    "dirmult_log_pmf",
     "enumerate_genotype_pairs",
     "enumerate_tables",
     "enumerate_tables_with_margins",
@@ -122,13 +107,11 @@ __all__ = [
     "joint_step_conditional",
     "log_binomial",
     "log_factorial",
-    "log_sum_exp",
     "marginal_over_alleles",
     "marginal_over_profiles",
     "mdm_chain_log_pmf",
     "mdm_log_pmf",
     "mean_matrix",
-    "multinomial_log_pmf",
     "multiplicity_class",
     "oracle_marginal_over_alleles",
     "oracle_marginal_over_profiles",
@@ -140,9 +123,7 @@ __all__ = [
     "pair_ratio_via_steps",
     "read_frequency_csv",
     "sequential_sample",
-    "sufficient_statistics",
     "theta_to_alpha",
-    "validate_table",
     "woe_curve",
     "woe_margin_grid",
     "woe_step",

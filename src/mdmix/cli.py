@@ -38,20 +38,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+def _typed(name: str, value, kind, many: bool = False):
+    """Coerce an option value to kind, or to a tuple of kind when many
+    (from a list or a comma-separated string); a value that does not
+    convert is a ParameterError naming the option."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParameterError(f"{what} must be comma-separated integers, "
-                             f"got {text!r}") from None
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ParameterError(f"{what} must be comma-separated numbers, "
-                             f"got {text!r}") from None
+        if not many:
+            return kind(value)
+        parts = value.split(",") if isinstance(value, str) else value
+        return tuple(kind(v) for v in parts)
+    except (TypeError, ValueError, OverflowError):
+        shape = "a list of " if many else ""
+        raise ParameterError(f"{name}: expected {shape}{kind.__name__}, "
+                             f"got {value!r}") from None
 
 
 def default_theta_grid() -> tuple[float, ...]:
@@ -76,7 +75,7 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
         grid = tuple(start + k * step for k in range(n + 1)
                      if start + k * step <= stop + 1e-12)
     else:
-        grid = _parse_floats(spec, "theta grid")
+        grid = _typed("theta grid", spec, float, many=True)
     for t in grid:
         if not 0.0 <= t < 1.0:
             raise ParameterError(f"theta grid value {t} outside [0, 1)")
@@ -197,27 +196,28 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     cfg.table = pick("table")
     cfg.locus = pick("locus")
     theta = pick("theta")
-    cfg.theta = None if theta is None else float(theta)
+    if theta is not None:
+        cfg.theta = _typed("theta", theta, float)
     grid = pick("theta_grid")
     if grid is None:
         cfg.theta_grid = default_theta_grid()
     elif isinstance(grid, str):
         cfg.theta_grid = parse_theta_grid(grid)
     else:
-        cfg.theta_grid = tuple(float(t) for t in grid)
+        cfg.theta_grid = _typed("theta_grid", grid, float, many=True)
     rows = pick("rows")
     if rows is not None:
-        cfg.rows = (_parse_ints(rows, "--rows")
-                    if isinstance(rows, str) else tuple(int(r) for r in rows))
-    cfg.seed = int(pick("seed", 0))
+        cfg.rows = _typed("rows", rows, int, many=True)
+    cfg.seed = _typed("seed", pick("seed", 0), int)
+    if cfg.seed < 0:
+        raise ParameterError(
+            f"seed: expected a non-negative int, got {cfg.seed}")
     cfg.out = pick("out")
     q_values = pick("q_values")
     if q_values is not None:
-        cfg.q_values = (_parse_floats(q_values, "--q-values")
-                        if isinstance(q_values, str)
-                        else tuple(float(q) for q in q_values))
-    cfg.contributors = int(pick("contributors", 2))
-    cfg.tail_mass = float(pick("tail_mass", 1.0))
+        cfg.q_values = _typed("q_values", q_values, float, many=True)
+    cfg.contributors = _typed("contributors", pick("contributors", 2), int)
+    cfg.tail_mass = _typed("tail_mass", pick("tail_mass", 1.0), float)
     return cfg
 
 

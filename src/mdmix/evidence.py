@@ -28,14 +28,14 @@ from math import lgamma
 
 import numpy as np
 
-from .dirmult import ProfileCounts, multinomial_log_pmf
-from .mdm import MdmParams, mdm_log_pmf
+from .mdm import MdmParams, _suffix_sums, mdm_log_pmf
 from .model import (
     AlleleFrequencies,
     CountTable,
     MarginState,
     MdmixError,
     ParameterError,
+    ProfileCounts,
     theta_to_alpha,
 )
 
@@ -223,12 +223,11 @@ def pair_ratio_via_pmfs(pair: GenotypePair, freqs: AlleleFrequencies,
     _check_pair_width(pair, freqs)
     if theta == 0.0:
         return 1.0
-    model = theta_to_alpha(freqs, theta)
-    params = MdmParams(row_sums=(GENOTYPE_SIZE, GENOTYPE_SIZE), model=model)
+    rows = (GENOTYPE_SIZE, GENOTYPE_SIZE)
     table = CountTable((pair.first.counts, pair.second.counts))
-    log_num = (multinomial_log_pmf(pair.first, freqs)
-               + multinomial_log_pmf(pair.second, freqs))
-    return math.exp(log_num - mdm_log_pmf(table, params))
+    log_num = mdm_log_pmf(table, MdmParams(rows, theta_to_alpha(freqs, 0.0)))
+    log_den = mdm_log_pmf(table, MdmParams(rows, theta_to_alpha(freqs, theta)))
+    return math.exp(log_num - log_den)
 
 
 def pair_ratio_via_steps(pair: GenotypePair, freqs: AlleleFrequencies,
@@ -238,14 +237,11 @@ def pair_ratio_via_steps(pair: GenotypePair, freqs: AlleleFrequencies,
     if theta == 0.0:
         return 1.0
     q = freqs.extended_probs
-    width = len(q)
-    suffix = [0.0] * (width + 1)
-    for a in range(width - 1, -1, -1):
-        suffix[a] = suffix[a + 1] + q[a]
+    suffix = _suffix_sums(q)
     pooled = pair.pooled
     acc = 1.0
     s_prev = 0
-    for a in range(width - 1):
+    for a in range(len(q) - 1):
         margin = MarginState(n_col=pooled[a], s_prev=s_prev, n_contributors=2)
         acc *= woe_step(margin, q[a] / suffix[a], theta,
                         tail_mass=min(suffix[a], 1.0))
@@ -274,37 +270,26 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     """One ratio curve per multiplicity class over the theta grid.
 
     The emitted curve for a class places its multiplicities on the
-    lowest-index alleles.  Pairs that share both the class and the
-    multiplicity-bearing alleles must agree exactly (singleton identities
-    cancel); that is enforced here over every genotype pair.
+    lowest-index alleles; relabelling any pair of the class gives such a
+    pair, so it always occurs in the enumeration.  Pairs that share both
+    the class and the multiplicity-bearing alleles must agree exactly
+    (singleton identities cancel); that is enforced here over every
+    genotype pair.
     """
     grid = [float(t) for t in theta_grid]
     width = freqs.n_categories
     probe = max((t for t in grid if t > 0.0), default=0.3)
-    by_signature: dict[tuple, float] = {}
-    rep_pair: dict[tuple, GenotypePair] = {}
+    reps: dict[tuple, tuple[float, GenotypePair]] = {}
     for pair in enumerate_genotype_pairs(width):
         sig = _signature(pair)
         value = pair_ratio(pair, freqs, probe)
-        if sig in by_signature:
-            if value != by_signature[sig]:
-                raise MdmixError(
-                    f"pairs with signature {sig} disagree: {value} vs "
-                    f"{by_signature[sig]}"
-                )
-        else:
-            by_signature[sig] = value
-            rep_pair[sig] = pair
+        first = reps.setdefault(sig, (value, pair))[0]
+        if value != first:
+            raise MdmixError(
+                f"pairs with signature {sig} disagree: {value} vs {first}")
     curves: dict[MultiplicityClass, np.ndarray] = {}
-    seen_classes = {}
-    for sig in by_signature:
-        cls = MultiplicityClass(tuple(m for m, _ in sig))
-        canonical = tuple((m, k) for k, (m, _) in enumerate(sig))
-        if cls not in seen_classes or sig == canonical:
-            if cls in seen_classes and seen_classes[cls] == "canonical":
-                continue
-            seen_classes[cls] = "canonical" if sig == canonical else "fallback"
-            pair = rep_pair[sig]
-            curves[cls] = np.asarray(
+    for sig, (_, pair) in reps.items():
+        if sig == tuple((m, k) for k, (m, _) in enumerate(sig)):
+            curves[MultiplicityClass(tuple(m for m, _ in sig))] = np.asarray(
                 [pair_ratio(pair, freqs, t) for t in grid])
     return curves

@@ -36,20 +36,6 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
-def log_multinomial(total: int, parts) -> float:
-    """log of the multinomial coefficient total! / prod_k parts[k]!."""
-    acc = log_factorial(total)
-    seen = 0
-    for p in parts:
-        if p < 0:
-            return LOG_ZERO
-        seen += p
-        acc -= log_factorial(p)
-    if seen != total:
-        raise ValueError(f"parts sum to {seen}, expected {total}")
-    return acc
-
-
 def log_rising(x: float, n: int) -> float:
     """log of x (x+1) ... (x+n-1); 0.0 for n = 0."""
     if n < 0:
@@ -57,14 +43,3 @@ def log_rising(x: float, n: int) -> float:
     if x <= 0.0:
         raise ValueError(f"rising product needs x > 0, got {x}")
     return math.fsum(math.log(x + k) for k in range(n))
-
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) with the usual max shift; LOG_ZERO for empty input."""
-    vals = [v for v in values if v != LOG_ZERO]
-    if not vals:
-        return LOG_ZERO
-    m = max(vals)
-    if m == float("inf"):
-        return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))

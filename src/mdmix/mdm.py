@@ -11,6 +11,18 @@ column sums, tables follow the exact multivariate hypergeometric law
 (which is free of alpha).  At theta = 0 rows are independent multinomials
 and the entry points below dispatch to that product.
 
+A single profile is the one-row case I = 1: for counts (n_1 .. n_A) with
+total n the law is the Dirichlet-multinomial
+
+    P(n) = n! Gamma(a.) / Gamma(n + a.)
+           * prod_b Gamma(n_b + a_b) / (n_b! Gamma(a_b)),
+
+where a. = sum(alpha).  The same mass factors into a chain of
+beta-binomial conditionals over the cumulative sums (joint_step_conditional
+with one contributor), and in the theta = 0 limit into a chain of plain
+binomials with tail-scaled success probabilities Q_a = q_a / sum_{b >= a} q_b,
+which multiplies out to the multinomial pmf.
+
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
 """
@@ -21,7 +33,6 @@ import math
 from dataclasses import dataclass
 from math import lgamma
 
-from .dirmult import ProfileCounts, multinomial_log_pmf
 from .logspace import log_binomial, log_factorial
 from .model import (
     AlleleFrequencies,
@@ -83,15 +94,52 @@ def _check_table(table: CountTable, params: MdmParams) -> None:
         )
 
 
+def _suffix_sums(values) -> list[float]:
+    """suffix[a] = values[a] + ... + values[-1], and suffix[len] = 0.0."""
+    suffix = [0.0] * (len(values) + 1)
+    for a in range(len(values) - 1, -1, -1):
+        suffix[a] = suffix[a + 1] + values[a]
+    return suffix
+
+
+def _multinomial_row_log_pmf(row, q) -> float:
+    """Log multinomial pmf of one row over the extended probabilities q."""
+    terms = [log_factorial(sum(row))]
+    for n_a, q_a in zip(row, q):
+        terms.append(-log_factorial(n_a))
+        if n_a > 0:
+            terms.append(n_a * math.log(q_a))
+    return math.fsum(terms)
+
+
+def _binomial_chain_row_log_pmf(row, q) -> float:
+    """Log pmf of one row as the theta = 0 chain of binomials.
+
+    Step a draws n_a of the remaining counts with Q_a = q_a / tail_a; the
+    product multiplies out to _multinomial_row_log_pmf.
+    """
+    suffix = _suffix_sums(q)
+    terms = []
+    rem = sum(row)
+    for a in range(len(q) - 1):
+        n_a = row[a]
+        terms.append(log_binomial(rem, n_a))
+        if n_a > 0:
+            terms.append(n_a * math.log(q[a] / suffix[a]))
+        rem -= n_a
+        if rem > 0:
+            terms.append(rem * math.log(suffix[a + 1] / suffix[a]))
+    return math.fsum(terms)
+
+
 def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     """Log pmf of the joint table; independent multinomials at theta = 0."""
     _check_table(table, params)
     model = params.model
     if model.theta == 0.0:
-        return math.fsum(
-            multinomial_log_pmf(ProfileCounts(row), model.freqs)
-            for row in table.counts
-        )
+        q = model.freqs.extended_probs
+        return math.fsum(_multinomial_row_log_pmf(row, q)
+                         for row in table.counts)
     terms = [lgamma(model.alpha_total),
              -lgamma(table.total + model.alpha_total)]
     for i, row in enumerate(table.counts):
@@ -175,17 +223,12 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     _check_table(table, params)
     model = params.model
     if model.theta == 0.0:
-        from .dirmult import binomial_chain_log_pmf
-
-        return math.fsum(
-            binomial_chain_log_pmf(ProfileCounts(row), model.freqs)
-            for row in table.counts
-        )
+        q = model.freqs.extended_probs
+        return math.fsum(_binomial_chain_row_log_pmf(row, q)
+                         for row in table.counts)
     alpha = model.alpha
     width = table.n_categories
-    suffix = [0.0] * (width + 1)
-    for a in range(width - 1, -1, -1):
-        suffix[a] = suffix[a + 1] + alpha[a]
+    suffix = _suffix_sums(alpha)
     capacity = table.total
     s_rows = [0] * table.n_profiles
     terms = []
@@ -328,9 +371,3 @@ def hypergeometric_log_pmf(table: CountTable) -> float:
         for x in row:
             terms.append(-log_factorial(x))
     return math.fsum(terms)
-
-
-def sufficient_statistics(table: CountTable):
-    """(row_sums, col_sums, total): all the pmf depends on besides the
-    within-row multinomial coefficients."""
-    return table.row_sums, table.col_sums, table.total

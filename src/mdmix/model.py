@@ -227,14 +227,29 @@ class CountTable:
         return len(self.counts[0])
 
 
-def validate_table(table: CountTable) -> None:
-    """Re-derive and check every CountTable invariant; raises TableError."""
-    if not isinstance(table, CountTable):
-        raise TableError(f"expected CountTable, got {type(table).__name__}")
-    # Reconstructing from raw counts re-runs every check in __post_init__
-    # against the stored margins.
-    CountTable(table.counts, row_sums=table.row_sums,
-               col_sums=table.col_sums, total=table.total)
+@dataclass(frozen=True)
+class ProfileCounts:
+    """Allele counts for a single profile: one row of a CountTable."""
+
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        counts = tuple(_as_int(x, f"counts[{a}]")
+                       for a, x in enumerate(self.counts))
+        if not counts:
+            raise TableError("a profile needs at least one allele category")
+        for a, x in enumerate(counts):
+            if x < 0:
+                raise TableError(f"counts[{a}] = {x} is negative")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def n_total(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def n_categories(self) -> int:
+        return len(self.counts)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dirmult import ProfileCounts, multinomial_log_pmf
 from .evidence import (
     enumerate_genotype_pairs,
     pair_ratio,
@@ -100,9 +99,8 @@ def suite_chain_equivalence(tol: float = 1e-10) -> SuiteResult:
     freqs = AlleleFrequencies((0.2, 0.3, 0.5))
     params0 = MdmParams(row_sums=(2, 2), model=theta_to_alpha(freqs, 0.0))
     for t in enumerate_tables(params0.row_sums, 3):
-        direct = math.fsum(multinomial_log_pmf(ProfileCounts(r), freqs)
-                           for r in t.counts)
-        worst = max(worst, abs(mdm_chain_log_pmf(t, params0) - direct))
+        worst = max(worst, abs(mdm_chain_log_pmf(t, params0)
+                               - mdm_log_pmf(t, params0)))
         checks += 1
     return SuiteResult("chain-equivalence", worst <= tol, checks, worst, tol)
 

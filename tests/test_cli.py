@@ -251,3 +251,25 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
                  "--theta", "0.1", "--rows", "2,2"])
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("moments", "theta", "abc"),
+    ("moments", "theta", [0.1]),
+    ("sample", "seed", "x"),
+    ("sample", "seed", 1e400),
+    ("sample", "seed", -1),
+    ("moments", "rows", ["two", 2]),
+    ("moments", "rows", 4),
+    ("woe-curve", "q_values", ["0.1", "high"]),
+    ("woe-curve", "contributors", "two"),
+    ("woe-curve", "tail_mass", "heavy"),
+    ("woe-curve", "theta_grid", [0.0, None]),
+])
+def test_config_value_of_the_wrong_type_is_a_usage_error(
+        tmp_path, capsys, command, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdmix {command}: error: {field}: expected")

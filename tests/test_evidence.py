@@ -242,6 +242,23 @@ def test_pair_ratio_curves_cover_all_classes():
     for cls, values in curves.items():
         assert values.shape == (len(THETA_GRID),)
         assert values[0] == 1.0  # theta = 0 column
+    # each curve is the class's pair with multiplicities on the
+    # lowest-index alleles; a class shows up once A has room for it
+    canonical = {"(4)": ((0, 0), (0, 0)), "(3)": ((0, 0), (0, 1)),
+                 "(2,2)": ((0, 0), (1, 1)), "(2)": ((0, 0), (1, 2)),
+                 "()": ((0, 1), (2, 3))}
+    expected = {1: {"(4)"}, 2: {"(2,2)", "(3)", "(4)"},
+                3: {"(2)", "(2,2)", "(3)", "(4)"}}
+    grid = (0.0, 0.01, 0.1, 0.3)
+    for width in range(1, 7):
+        weights = tuple(range(1, width + 1))
+        freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
+        curves = {cls.label: values
+                  for cls, values in pair_ratio_curves(freqs, grid).items()}
+        assert set(curves) == expected.get(width, set(canonical))
+        for label, values in curves.items():
+            pair = pair_of(*canonical[label], width=width)
+            assert list(values) == [pair_ratio(pair, freqs, t) for t in grid]
 
 
 def test_pair_ratio_curves_order_by_sharing():

@@ -8,8 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mdmix.logspace import (LOG_ZERO, log_binomial, log_factorial,
-                            log_multinomial, log_rising, log_sum_exp)
+from mdmix.logspace import LOG_ZERO, log_binomial, log_factorial, log_rising
 
 
 def test_log_factorial_matches_exact_integers():
@@ -41,28 +40,7 @@ def test_log_binomial_out_of_range_is_log_zero():
     assert log_binomial(3, -1) == LOG_ZERO
 
 
-def test_log_multinomial_trinomial():
-    # 4! / (2! 1! 1!) = 12
-    assert log_multinomial(4, (2, 1, 1)) == pytest.approx(math.log(12))
-
-
-def test_log_multinomial_requires_matching_total():
-    with pytest.raises(ValueError):
-        log_multinomial(3, (2, 2))
-
-
 def test_log_rising_small_cases():
     # 2.5 * 3.5 * 4.5 = 39.375
     assert log_rising(2.5, 3) == pytest.approx(math.log(39.375), rel=1e-14)
     assert log_rising(7.0, 0) == 0.0
-
-
-@given(st.lists(st.floats(-30, 30), min_size=1, max_size=12))
-def test_log_sum_exp_matches_direct_sum(values):
-    direct = math.log(math.fsum(math.exp(v) for v in values))
-    assert log_sum_exp(values) == pytest.approx(direct, abs=1e-12)
-
-
-def test_log_sum_exp_handles_log_zero_entries():
-    assert log_sum_exp([LOG_ZERO, 0.0]) == pytest.approx(0.0)
-    assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO

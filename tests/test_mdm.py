@@ -5,21 +5,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from math import lgamma
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MarginState, MdmParams, ParameterError, ProfileCounts,
-                   SubsetSpec, TableError, conditional_over_alleles,
-                   conditional_over_profiles, dirmult_log_pmf,
-                   enumerate_tables, hypergeometric_log_pmf,
-                   joint_step_conditional, marginal_over_alleles,
-                   marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
-                   multinomial_log_pmf, oracle_marginal_over_alleles,
-                   oracle_marginal_over_profiles, sufficient_statistics,
-                   theta_to_alpha)
+                   MarginState, MdmParams, ParameterError, SubsetSpec,
+                   TableError, conditional_over_alleles,
+                   conditional_over_profiles, enumerate_tables,
+                   hypergeometric_log_pmf, joint_step_conditional,
+                   marginal_over_alleles, marginal_over_profiles,
+                   mdm_chain_log_pmf, mdm_log_pmf,
+                   oracle_marginal_over_alleles,
+                   oracle_marginal_over_profiles, theta_to_alpha)
 
 
 def flat(alpha=1.0, width=2):
@@ -40,12 +40,25 @@ def test_mdm_pmf_two_flat_profiles():
         pytest.approx(1.0 / 5.0, abs=1e-14)
 
 
+def rising(x, n):
+    """x (x+1) ... (x+n-1), exact for rational x."""
+    return math.prod((x + k for k in range(n)), start=Fraction(1))
+
+
 def test_single_row_table_reduces_to_dirmult():
-    model = DispersionModel.from_alpha((0.5, 1.5, 3.0))
-    params = MdmParams((3,), model)
+    # exact Dirichlet-multinomial mass
+    #   n! / prod n_b! * prod rising(a_b, n_b) / rising(a., n)
+    alpha = (Fraction(1, 2), Fraction(3, 2), Fraction(3))
+    params = MdmParams((3,), DispersionModel.from_alpha(map(float, alpha)))
     for t in enumerate_tables((3,), 3):
-        assert mdm_log_pmf(t, params) == pytest.approx(
-            dirmult_log_pmf(ProfileCounts(t.counts[0]), model), abs=1e-13)
+        row = t.counts[0]
+        coef = math.factorial(3)
+        for n_b in row:
+            coef //= math.factorial(n_b)
+        exact = coef * math.prod(rising(a, n) for a, n in zip(alpha, row)) \
+            / rising(sum(alpha), 3)
+        assert math.exp(mdm_log_pmf(t, params)) == pytest.approx(
+            float(exact), rel=1e-13)
 
 
 def test_mdm_pmf_normalizes():
@@ -59,9 +72,9 @@ def test_theta_zero_rows_are_independent_multinomials():
     freqs = AlleleFrequencies((0.2, 0.3, 0.5))
     params = MdmParams((2, 2), theta_to_alpha(freqs, 0.0))
     t = CountTable(((1, 1, 0), (0, 1, 1)))
-    expected = math.fsum(
-        multinomial_log_pmf(ProfileCounts(row), freqs) for row in t.counts)
-    assert mdm_log_pmf(t, params) == expected
+    # 2 q_1 q_2 times 2 q_2 q_3
+    expected = math.log(2 * 0.2 * 0.3 * 2 * 0.3 * 0.5)
+    assert mdm_log_pmf(t, params) == pytest.approx(expected, abs=1e-14)
 
 
 def test_row_sum_mismatch_raises():
@@ -261,8 +274,3 @@ def test_margins_are_sufficient():
     gaps = {mdm_log_pmf(t, params) - hypergeometric_log_pmf(t)
             for t in enumerate_tables_with_margins((2, 2), (2, 2))}
     assert max(gaps) - min(gaps) < 1e-12
-
-
-def test_sufficient_statistics_returns_margins():
-    t = CountTable(((1, 1), (2, 0)))
-    assert sufficient_statistics(t) == ((2, 2), (3, 1), 4)

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    FrequencyFileError, MarginState, ParameterError,
-                   SubsetSpec, TableError, read_frequency_csv,
-                   theta_to_alpha, validate_table)
+                   ProfileCounts, SubsetSpec, TableError, read_frequency_csv,
+                   theta_to_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,20 @@ def test_count_table_margins():
     assert t.total == 5
     assert t.n_profiles == 2
     assert t.n_categories == 3
-    validate_table(t)
+    # the computed margins are accepted back as declarations
+    CountTable(t.counts, row_sums=t.row_sums, col_sums=t.col_sums,
+               total=t.total)
+
+
+def test_profile_counts_totals_and_width():
+    p = ProfileCounts((1, 0, 2))
+    assert p.counts == (1, 0, 2)
+    assert p.n_total == 3
+    assert p.n_categories == 3
+    with pytest.raises(TableError):
+        ProfileCounts((1, -1))
+    with pytest.raises(TableError):
+        ProfileCounts(())
 
 
 def test_count_table_rejects_ragged_rows():
