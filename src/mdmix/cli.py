@@ -38,15 +38,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _convert(value, kind):
+    """kind(value), refusing what kind() would silently truncate or
+    reinterpret: a bool as either kind, and a float as an int."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        raise TypeError(value)
+    return kind(value)
+
+
 def _typed(name: str, value, kind, many: bool = False):
     """Coerce an option value to kind, or to a tuple of kind when many
     (from a list or a comma-separated string); a value that does not
     convert is a ParameterError naming the option."""
     try:
         if not many:
-            return kind(value)
+            return _convert(value, kind)
         parts = value.split(",") if isinstance(value, str) else value
-        return tuple(kind(v) for v in parts)
+        return tuple(_convert(v, kind) for v in parts)
     except (TypeError, ValueError, OverflowError):
         shape = "a list of " if many else ""
         raise ParameterError(f"{name}: expected {shape}{kind.__name__}, "
@@ -56,6 +64,17 @@ def _typed(name: str, value, kind, many: bool = False):
 def default_theta_grid() -> tuple[float, ...]:
     """theta = 0, 0.01, ..., 0.5."""
     return tuple(k / 100.0 for k in range(51))
+
+
+# most points a range-form theta grid may have: step 1e-4 over [0, 1)
+MAX_THETA_GRID_POINTS = 10_001
+
+
+def _checked_grid(name: str, grid: tuple[float, ...]) -> tuple[float, ...]:
+    for t in grid:
+        if not 0.0 <= t < 1.0:
+            raise ParameterError(f"{name} value {t} outside [0, 1)")
+    return grid
 
 
 def parse_theta_grid(spec: str) -> tuple[float, ...]:
@@ -69,17 +88,21 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
         except ValueError:
             raise ParameterError(f"theta grid {spec!r} has non-numeric "
                                  "fields") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ParameterError(f"theta grid {spec!r} has non-finite fields")
         if step <= 0 or stop < start:
             raise ParameterError(f"theta grid {spec!r} is not increasing")
-        n = int(round((stop - start) / step))
+        # compare before rounding: a tiny step overflows the point count
+        span = (stop - start) / step
+        if not span < MAX_THETA_GRID_POINTS - 0.5:
+            raise ParameterError(f"theta grid {spec!r} has more than "
+                                 f"{MAX_THETA_GRID_POINTS} points")
+        n = int(round(span))
         grid = tuple(start + k * step for k in range(n + 1)
                      if start + k * step <= stop + 1e-12)
     else:
         grid = _typed("theta grid", spec, float, many=True)
-    for t in grid:
-        if not 0.0 <= t < 1.0:
-            raise ParameterError(f"theta grid value {t} outside [0, 1)")
-    return grid
+    return _checked_grid("theta grid", grid)
 
 
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
@@ -204,7 +227,8 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     elif isinstance(grid, str):
         cfg.theta_grid = parse_theta_grid(grid)
     else:
-        cfg.theta_grid = _typed("theta_grid", grid, float, many=True)
+        cfg.theta_grid = _checked_grid(
+            "theta_grid", _typed("theta_grid", grid, float, many=True))
     rows = pick("rows")
     if rows is not None:
         cfg.rows = _typed("rows", rows, int, many=True)

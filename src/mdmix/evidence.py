@@ -33,7 +33,6 @@ from .model import (
     AlleleFrequencies,
     CountTable,
     MarginState,
-    MdmixError,
     ParameterError,
     ProfileCounts,
     theta_to_alpha,
@@ -259,37 +258,31 @@ def enumerate_genotype_pairs(n_categories: int):
             yield GenotypePair(genotypes[gi], genotypes[gj])
 
 
-def _signature(pair: GenotypePair) -> tuple[tuple[int, int], ...]:
-    # which alleles carry the multiplicities: ((mult, allele), ...) with
-    # larger multiplicities first
-    return tuple(sorted(((c, a) for a, c in enumerate(pair.pooled) if c >= 2),
-                        key=lambda t: (-t[0], t[1])))
+_CANONICAL_PAIRS = (
+    ((4,), ((0, 0), (0, 0))),
+    ((3,), ((0, 0), (0, 1))),
+    ((2, 2), ((0, 0), (1, 1))),
+    ((2,), ((0, 0), (1, 2))),
+    ((), ((0, 1), (2, 3))),
+)
 
 
 def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     """One ratio curve per multiplicity class over the theta grid.
 
-    The emitted curve for a class places its multiplicities on the
-    lowest-index alleles; relabelling any pair of the class gives such a
-    pair, so it always occurs in the enumeration.  Pairs that share both
-    the class and the multiplicity-bearing alleles must agree exactly
-    (singleton identities cancel); that is enforced here over every
-    genotype pair.
+    Each class is evaluated on its canonical pair, which puts its
+    multiplicities on the lowest-index alleles and its singletons on the
+    next ones; a class that needs more alleles than there are is left out.
+    Singletons cancel, so every pair with the same multiplicity-bearing
+    alleles gives the same bits; `validate` checks this.
     """
     grid = [float(t) for t in theta_grid]
     width = freqs.n_categories
-    probe = max((t for t in grid if t > 0.0), default=0.3)
-    reps: dict[tuple, tuple[float, GenotypePair]] = {}
-    for pair in enumerate_genotype_pairs(width):
-        sig = _signature(pair)
-        value = pair_ratio(pair, freqs, probe)
-        first = reps.setdefault(sig, (value, pair))[0]
-        if value != first:
-            raise MdmixError(
-                f"pairs with signature {sig} disagree: {value} vs {first}")
     curves: dict[MultiplicityClass, np.ndarray] = {}
-    for sig, (_, pair) in reps.items():
-        if sig == tuple((m, k) for k, (m, _) in enumerate(sig)):
-            curves[MultiplicityClass(tuple(m for m, _ in sig))] = np.asarray(
-                [pair_ratio(pair, freqs, t) for t in grid])
+    for mult, alleles in _CANONICAL_PAIRS:
+        if max(map(max, alleles)) >= width:
+            continue
+        pair = GenotypePair(*(genotype_from_alleles(g, width) for g in alleles))
+        curves[MultiplicityClass(mult)] = np.asarray(
+            [pair_ratio(pair, freqs, t) for t in grid])
     return curves

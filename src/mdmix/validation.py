@@ -262,13 +262,19 @@ def suite_woe(tol: float = 1e-10) -> SuiteResult:
                     note = note or "single-count step below 1"
                 checks += 1
     freqs = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+    # relabelling check: pairs alike but for their singletons agree bitwise
+    seen: dict[tuple, float] = {}
     for pair in enumerate_genotype_pairs(4):
+        sig = tuple(c if c >= 2 else 0 for c in pair.pooled)
         for theta in (0.01, 0.1, 0.3):
             a = pair_ratio_via_pmfs(pair, freqs, theta)
             b = pair_ratio_via_steps(pair, freqs, theta)
             c = pair_ratio(pair, freqs, theta)
             worst = max(worst, abs(a - b), abs(a - c))
-            checks += 3
+            if seen.setdefault((sig, theta), c) != c:
+                worst = float("inf")
+                note = note or f"relabelling check: {sig} at theta {theta}"
+            checks += 4
     return SuiteResult("woe-properties", worst <= tol, checks, worst, tol, note)
 
 

@@ -283,7 +283,7 @@ def test_07_pair_ratio_curves():
         assert values[0] == 1.0
 
     # every pair with the same multiplicity signature yields the same value
-    # (pair_ratio_curves raises if not); check the exactness independently
+    # (validate checks this too); check the exactness independently
     groups: dict[tuple, set[float]] = {}
     for pair in enumerate_genotype_pairs(PANEL.n_categories):
         sig = tuple(sorted((c, a) for a, c in enumerate(pair.pooled)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -265,6 +266,11 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     ("woe-curve", "contributors", "two"),
     ("woe-curve", "tail_mass", "heavy"),
     ("woe-curve", "theta_grid", [0.0, None]),
+    ("moments", "rows", [2.5, 2]),
+    ("sample", "seed", 1.7),
+    ("sample", "seed", True),
+    ("woe-curve", "contributors", 2.9),
+    ("woe-curve", "tail_mass", True),
 ])
 def test_config_value_of_the_wrong_type_is_a_usage_error(
         tmp_path, capsys, command, field, value):
@@ -273,3 +279,22 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"mdmix {command}: error: {field}: expected")
+
+
+@pytest.mark.parametrize("flags, config", [
+    pytest.param(["--theta-grid", "0:inf:0.1"], None, id="inf-stop"),
+    pytest.param(["--theta-grid", "0:nan:0.1"], None, id="nan-stop"),
+    pytest.param(["--theta-grid", "0:0.5:nan"], None, id="nan-step"),
+    pytest.param(["--theta-grid", "nan:0.5:0.1"], None, id="nan-start"),
+    pytest.param(["--theta-grid", "0:0.5:1e-9"], None, id="5e8-points"),
+    pytest.param([], {"theta_grid": [0.0, 2.0]}, id="config-list-above-1"),
+])
+def test_bad_theta_grid_is_a_usage_error(tmp_path, capsys, flags, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--config", str(cfg)]
+    assert main(["woe-curve", *flags]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: theta[ _]grid", err)
+    assert "Traceback" not in err

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import mdmix.evidence
+import mdmix.validation
 from mdmix import (AlleleFrequencies, GenotypePair, MarginState,
                    MultiplicityClass, ParameterError, ProfileCounts,
                    enumerate_genotype_pairs, genotype_from_alleles,
@@ -259,6 +261,36 @@ def test_pair_ratio_curves_cover_all_classes():
         for label, values in curves.items():
             pair = pair_of(*canonical[label], width=width)
             assert list(values) == [pair_ratio(pair, freqs, t) for t in grid]
+
+
+def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
+    # the curves cost 5 pair ratios per grid point, whatever the width
+    calls = []
+
+    def counting(pair, freqs, theta):
+        calls.append(theta)
+        return pair_ratio(pair, freqs, theta)
+
+    monkeypatch.setattr(mdmix.evidence, "pair_ratio", counting)
+    weights = tuple(range(1, 13))
+    freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
+    assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
+    assert len(calls) == 5 * len(THETA_GRID)
+
+
+def test_validate_catches_a_ratio_that_depends_on_singleton_positions(
+        monkeypatch):
+    # a few ulps per singleton index: far below the 1e-10 path comparisons,
+    # so only the bit-exact relabelling check can see it
+    def perturbed(pair, freqs, theta):
+        k = next((a for a, c in enumerate(pair.pooled) if c == 1), 0)
+        return pair_ratio(pair, freqs, theta) * (1.0 + k * 2.0 ** -50)
+
+    assert mdmix.validation.suite_woe().passed
+    monkeypatch.setattr(mdmix.validation, "pair_ratio", perturbed)
+    result = mdmix.validation.suite_woe()
+    assert not result.passed
+    assert "relabelling check" in result.note
 
 
 def test_pair_ratio_curves_order_by_sharing():
