@@ -69,6 +69,9 @@ def default_theta_grid() -> tuple[float, ...]:
 # most points a range-form theta grid may have: step 1e-4 over [0, 1)
 MAX_THETA_GRID_POINTS = 10_001
 
+# most contributors woe-curve takes: 231 states, 58,905 rows by default
+MAX_WOE_CONTRIBUTORS = 10
+
 
 def _checked_grid(name: str, grid: tuple[float, ...]) -> tuple[float, ...]:
     for t in grid:
@@ -241,6 +244,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if q_values is not None:
         cfg.q_values = _typed("q_values", q_values, float, many=True)
     cfg.contributors = _typed("contributors", pick("contributors", 2), int)
+    if cfg.contributors > MAX_WOE_CONTRIBUTORS:
+        raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
+                             f"got {cfg.contributors}")
     cfg.tail_mass = _typed("tail_mass", pick("tail_mass", 1.0), float)
     return cfg
 

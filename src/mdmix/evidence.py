@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 
@@ -122,6 +121,8 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     pooled Dirichlet mass for interior chain steps (1.0 is the first-step
     convention).  Exactly 1 at theta = 0, and exactly 1 with at most one
     draw remaining, where the beta-binomial collapses to Bernoulli(Q).
+    Q^n (1-Q)^(rem-n) cancels against the rising products factor by factor,
+    so nothing cancels numerically as a_pool = (1-theta)/theta grows.
     """
     if not 0.0 < q_scaled < 1.0:
         raise ParameterError(f"Q = {q_scaled} outside (0, 1)")
@@ -129,20 +130,21 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     if not 0.0 < tail_mass <= 1.0:
         raise ParameterError(f"tail_mass = {tail_mass} outside (0, 1]")
-    if theta == 0.0:
+    a_pool = tail_mass * (1.0 - theta) / theta if theta else math.inf
+    if a_pool == math.inf:  # theta = 0, or 1 + O(1 / a_pool) rounds to 1
         return 1.0
-    rem = margin.remaining
-    if rem <= 1:
-        return 1.0
-    n = margin.n_col
-    a_pool = tail_mass * (1.0 - theta) / theta
     a_step = q_scaled * a_pool
     a_tail = (1.0 - q_scaled) * a_pool
-    log_num = n * math.log(q_scaled) + (rem - n) * math.log1p(-q_scaled)
-    log_den = (lgamma(a_pool) - lgamma(a_step) - lgamma(a_tail)
-               + lgamma(n + a_step) + lgamma(rem - n + a_tail)
-               - lgamma(rem + a_pool))
-    return math.exp(log_num - log_den)
+    if a_tail == 0.0:
+        raise ParameterError(
+            f"tail_mass = {tail_mass} underflows at theta = {theta}")
+    n = margin.n_col
+    ratio = 1.0
+    for k in range(1, n):
+        ratio *= (a_step + q_scaled * k) / (a_step + k)
+    for j in range(margin.remaining - n):
+        ratio *= (a_tail + (1.0 - q_scaled) * (n + j)) / (a_tail + j)
+    return ratio
 
 
 def woe_margin_grid(n_contributors: int = 2):

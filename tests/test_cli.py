@@ -12,7 +12,8 @@ import pytest
 
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, TableError,
                    mdm_log_pmf, theta_to_alpha)
-from mdmix.cli import main, parse_theta_grid, read_table_csv
+from mdmix.cli import (MAX_WOE_CONTRIBUTORS, main, parse_theta_grid,
+                       read_table_csv)
 
 FREQ_CSV = """locus,allele,frequency
 D1,10,0.025
@@ -111,6 +112,17 @@ def test_pmf_missing_required_option(capsys, freq_file, table_file):
                  "--locus", "D1"])
     assert code == 2
     assert "--theta" in capsys.readouterr().err
+
+
+def test_pmf_theta_with_infinite_alpha_is_a_usage_error(capsys, freq_file,
+                                                        table_file):
+    # (1 - theta) / theta overflows to inf below theta ~ 5.6e-309
+    code = main(["pmf", "--freqs", freq_file, "--table", table_file,
+                 "--locus", "D1", "--theta", "1e-320"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdmix pmf: error: theta = ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +310,29 @@ def test_bad_theta_grid_is_a_usage_error(tmp_path, capsys, flags, config):
     err = capsys.readouterr().err
     assert re.search(r"error: theta[ _]grid", err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_woe_curve_contributors_above_the_cap_is_a_usage_error(
+        tmp_path, capsys, source):
+    too_many = MAX_WOE_CONTRIBUTORS + 1
+    if source == "flag":
+        flags = ["--contributors", str(too_many)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"contributors": too_many}))
+        flags = ["--config", str(cfg)]
+    assert main(["woe-curve", *flags, "--out", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"mdmix woe-curve: error: contributors: at most "
+        f"{MAX_WOE_CONTRIBUTORS}, got {too_many}\n")
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_woe_curve_at_the_contributor_cap_runs(tmp_path):
+    out = tmp_path / "w.csv"
+    assert main(["woe-curve", "--contributors", str(MAX_WOE_CONTRIBUTORS),
+                 "--theta-grid", "0.1", "--q-values", "0.2",
+                 "--out", str(out)]) == 0
+    capacity = 2 * MAX_WOE_CONTRIBUTORS
+    assert len(read_rows(out)) == 1 + (capacity + 1) * (capacity + 2) // 2

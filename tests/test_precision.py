@@ -1,0 +1,167 @@
+# SPDX-License-Identifier: Apache-2.0
+"""Precision over the whole theta range against a 50-digit mpmath oracle.
+
+The oracle below evaluates the textbook Gamma-function formulas in mpmath
+from the same double inputs; it shares no code with mdmix.  As theta -> 0+
+the Dirichlet parameters alpha = q (1 - theta) / theta grow without bound,
+and an lgamma(n + alpha) - lgamma(alpha) difference would lose every digit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+import pytest
+
+from mdmix import (AlleleFrequencies, CountTable, MdmParams,
+                   mdm_chain_log_pmf, mdm_log_pmf, theta_to_alpha,
+                   woe_margin_grid, woe_step)
+from mdmix.cli import main
+from mdmix.logspace import RISING_LGAMMA_MAX_X, log_rising
+
+mpmath.mp.dps = 50
+
+NAMED = (0.025, 0.05, 0.1, 0.2, 0.4)
+PANEL = AlleleFrequencies(NAMED)
+
+THETAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 0.99, 1.0 - 1e-6)
+
+TABLES = (
+    ((2, 0, 0, 0, 0, 0),),
+    ((0, 1, 0, 3, 0, 2),),
+    ((2, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)),
+    ((1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 1, 0)),
+    ((1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (2, 0, 0, 3, 1, 4)),
+    ((0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 1, 1)),
+)
+
+LOG_PMF_ABS_TOL = 1e-10
+WOE_REL_TOL = 1e-12
+
+
+def _mp_panel():
+    q = [mpmath.mpf(p) for p in NAMED]
+    return q + [1 - mpmath.fsum(q)]
+
+
+def _mp_log_rising(x, n):
+    return mpmath.loggamma(x + n) - mpmath.loggamma(x)
+
+
+def oracle_log_pmf(counts, theta):
+    """Product of row multinomial coefficients times the Dirichlet-
+    multinomial mass of the pooled column counts."""
+    q = _mp_panel()
+    theta = mpmath.mpf(theta)
+    cols = [sum(col) for col in zip(*counts)]
+    out = mpmath.mpf(0)
+    for row in counts:
+        out += mpmath.log(mpmath.factorial(sum(row)))
+        out -= mpmath.fsum(mpmath.log(mpmath.factorial(x)) for x in row)
+    if theta == 0:
+        return out + mpmath.fsum(c * mpmath.log(p) for c, p in zip(cols, q))
+    alpha = [p * (1 - theta) / theta for p in q]
+    out += mpmath.fsum(_mp_log_rising(a, c) for a, c in zip(alpha, cols))
+    return out - _mp_log_rising(mpmath.fsum(alpha), sum(cols))
+
+
+def oracle_woe(n, rem, q_scaled, theta, tail_mass):
+    """Q^n (1-Q)^(rem-n) over the beta-binomial mass of n in rem draws."""
+    q_scaled, theta = mpmath.mpf(q_scaled), mpmath.mpf(theta)
+    a_pool = mpmath.mpf(tail_mass) * (1 - theta) / theta
+    a_step, a_tail = q_scaled * a_pool, (1 - q_scaled) * a_pool
+    log_bb = (_mp_log_rising(a_step, n) + _mp_log_rising(a_tail, rem - n)
+              - _mp_log_rising(a_pool, rem))
+    return mpmath.exp(n * mpmath.log(q_scaled)
+                      + (rem - n) * mpmath.log(1 - q_scaled) - log_bb)
+
+
+def _params(counts, theta):
+    return MdmParams(tuple(sum(row) for row in counts),
+                     theta_to_alpha(PANEL, theta))
+
+
+@pytest.mark.parametrize("counts", TABLES,
+                         ids=lambda t: f"{len(t)}rows-{sum(map(sum, t))}")
+@pytest.mark.parametrize("theta", THETAS)
+def test_log_pmf_matches_mpmath_at_every_theta(counts, theta):
+    table = CountTable(counts)
+    params = _params(counts, theta)
+    want = oracle_log_pmf(counts, theta)
+    for path in (mdm_log_pmf, mdm_chain_log_pmf):
+        got = path(table, params)
+        assert abs(got - want) <= LOG_PMF_ABS_TOL, (path.__name__, got,
+                                                     float(want))
+
+
+@pytest.mark.parametrize("x", [0.5, 3.25, 100.0, RISING_LGAMMA_MAX_X * 0.999,
+                               RISING_LGAMMA_MAX_X,
+                               RISING_LGAMMA_MAX_X * 1.001, 1e3, 1e8, 1e15])
+def test_log_rising_matches_mpmath_on_both_sides_of_the_switch(x):
+    for n in (0, 1, 2, 5, 40, 200):
+        want = _mp_log_rising(mpmath.mpf(x), n)
+        assert abs(log_rising(x, n) - want) <= 1e-12, (x, n)
+
+
+@pytest.mark.parametrize("tail_mass", [1.0, 0.3])
+@pytest.mark.parametrize("theta", THETAS)
+def test_woe_step_matches_mpmath_at_every_theta(theta, tail_mass):
+    states = [s for c in (1, 2, 4) for s, _ in woe_margin_grid(c)]
+    for q_scaled in (1e-3, 0.025, 0.2, 0.5, 0.9, 0.999):
+        for state in states:
+            got = woe_step(state, q_scaled, theta, tail_mass=tail_mass)
+            want = oracle_woe(state.n_col, state.remaining, q_scaled, theta,
+                              tail_mass)
+            assert abs(got / want - 1) <= WOE_REL_TOL, (state, q_scaled, got,
+                                                        float(want))
+
+
+@pytest.mark.parametrize("counts", TABLES,
+                         ids=lambda t: f"{len(t)}rows-{sum(map(sum, t))}")
+def test_log_pmf_converges_to_the_multinomial_as_theta_vanishes(counts):
+    # log rising(alpha, n) = n log(alpha) + n (n-1) / (2 alpha) + O(alpha^-2),
+    # so the gap to theta = 0 is at most theta * sum_a n_a^2 / q_a
+    table = CountTable(counts)
+    at_zero = mdm_log_pmf(table, _params(counts, 0.0))
+    assert at_zero == pytest.approx(float(oracle_log_pmf(counts, 0)),
+                                    abs=1e-13)
+    slope = sum(c * c / q
+                for c, q in zip(table.col_sums, PANEL.extended_probs))
+    for theta in (1e-6, 1e-9, 1e-12, 1e-15):
+        params = _params(counts, theta)
+        for path in (mdm_log_pmf, mdm_chain_log_pmf):
+            gap = abs(path(table, params) - at_zero)
+            assert gap <= theta * slope + 1e-13, (path.__name__, theta, gap)
+
+
+def test_woe_step_converges_to_one_as_theta_vanishes():
+    # to first order in 1 / a_pool the step ratio moves from 1 by at most
+    # rem^2 / (2 Q (1-Q) a_pool); the bound below doubles that
+    for state, _ in woe_margin_grid(4):
+        for q_scaled in (1e-3, 0.2, 0.5, 0.999):
+            slope = state.remaining ** 2 / (q_scaled * (1.0 - q_scaled))
+            for theta in (1e-6, 1e-9, 1e-12, 1e-15, 1e-300, 1e-320):
+                gap = abs(woe_step(state, q_scaled, theta) - 1.0)
+                assert gap <= theta * slope + 1e-14, (state, q_scaled, theta)
+
+
+def test_woe_curve_at_the_edges_of_q_and_theta(tmp_path, capsys):
+    out = tmp_path / "woe.csv"
+    code = main(["woe-curve", "--q-values", "5e-324",
+                 "--theta-grid", "0.9999999999999999", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    values = [line.split(",")[-1]
+              for line in out.read_text().splitlines()[1:]]
+    assert len(values) == 15
+    assert not any(math.isnan(float(v)) for v in values)
+
+
+def test_woe_curve_tail_mass_that_underflows_is_a_usage_error(capsys):
+    code = main(["woe-curve", "--tail-mass", "5e-324",
+                 "--theta-grid", "0.9999999999999999"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "mdmix woe-curve: error: tail_mass = 5e-324 underflows at "
+        "theta = 0.9999999999999999\n")
