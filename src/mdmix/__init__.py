@@ -68,7 +68,6 @@ from .oracle import (
     oracle_marginal_over_profiles,
     oracle_moment,
     oracle_pmf_sum,
-    sequential_sample,
 )
 
 __version__ = "0.1.0"
@@ -122,7 +121,6 @@ __all__ = [
     "pair_ratio_via_pmfs",
     "pair_ratio_via_steps",
     "read_frequency_csv",
-    "sequential_sample",
     "theta_to_alpha",
     "woe_curve",
     "woe_margin_grid",

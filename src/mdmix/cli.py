@@ -40,8 +40,10 @@ def _fmt(x: float) -> str:
 
 def _convert(value, kind):
     """kind(value), refusing what kind() would silently truncate or
-    reinterpret: a bool as either kind, and a float as an int."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+    reinterpret: a bool as a number, a float as an int, and anything but a
+    str as a str."""
+    if (isinstance(value, bool) or (kind is int and isinstance(value, float))
+            or (kind is str and not isinstance(value, str))):
         raise TypeError(value)
     return kind(value)
 
@@ -218,9 +220,10 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         return default
 
     cfg = RunConfig(command=args.command)
-    cfg.freqs = pick("freqs")
-    cfg.table = pick("table")
-    cfg.locus = pick("locus")
+    for name in ("freqs", "table", "locus", "out"):
+        value = pick(name)
+        if value is not None:
+            setattr(cfg, name, _typed(name, value, str))
     theta = pick("theta")
     if theta is not None:
         cfg.theta = _typed("theta", theta, float)
@@ -239,7 +242,6 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if cfg.seed < 0:
         raise ParameterError(
             f"seed: expected a non-negative int, got {cfg.seed}")
-    cfg.out = pick("out")
     q_values = pick("q_values")
     if q_values is not None:
         cfg.q_values = _typed("q_values", q_values, float, many=True)

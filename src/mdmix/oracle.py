@@ -73,23 +73,9 @@ def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
         yield CountTable(counts)
 
 
-def _bounded_compositions(total: int, bounds) -> Iterator[tuple[int, ...]]:
-    # compositions of `total` with cell a capped at bounds[a], same order
-    if total > sum(bounds):
-        return
-    if len(bounds) == 1:
-        yield (total,)
-        return
-    tail_room = sum(bounds[1:])
-    hi = min(total, bounds[0])
-    lo = max(0, total - tail_room)
-    for first in range(hi, lo - 1, -1):
-        for rest in _bounded_compositions(total - first, bounds[1:]):
-            yield (first,) + rest
-
-
 def enumerate_tables_with_margins(row_sums, col_sums) -> Iterator[CountTable]:
-    """Every table with both margins fixed, exactly once, in a fixed order."""
+    """Every table with both margins fixed, exactly once, in the order of
+    `enumerate_tables`."""
     rows = tuple(_as_int(s, "row sum") for s in row_sums)
     cols = tuple(_as_int(s, "col sum") for s in col_sums)
     if any(s < 0 for s in rows) or any(s < 0 for s in cols):
@@ -100,31 +86,9 @@ def enumerate_tables_with_margins(row_sums, col_sums) -> Iterator[CountTable]:
         raise TableError(
             f"row sums total {sum(rows)}, column sums total {sum(cols)}"
         )
-    if count_tables(rows, len(cols)) > MAX_TABLES:
-        raise SizeGuardError(
-            "margin-constrained enumeration exceeds the "
-            f"{MAX_TABLES}-table limit"
-        )
-
-    def rec(i: int, remaining: tuple[int, ...]):
-        if i == len(rows):
-            yield ()
-            return
-        for head in _bounded_compositions(rows[i], remaining):
-            left = tuple(r - h for r, h in zip(remaining, head))
-            for rest in rec(i + 1, left):
-                yield (head,) + rest
-
-    for counts in rec(0, cols):
-        yield CountTable(counts)
-
-
-def oracle_pmf_sum(params: MdmParams) -> float:
-    """Sum of exp(mdm_log_pmf) over the full support; should be 1."""
-    return math.fsum(
-        math.exp(mdm_log_pmf(t, params))
-        for t in enumerate_tables(params.row_sums, params.n_categories)
-    )
+    for t in enumerate_tables(rows, len(cols)):
+        if t.col_sums == cols:
+            yield t
 
 
 @lru_cache(maxsize=128)
@@ -135,6 +99,11 @@ def _support_and_probs(params: MdmParams):
         tables.append(t.counts)
         probs.append(math.exp(mdm_log_pmf(t, params)))
     return np.asarray(tables, dtype=np.int64), np.asarray(probs)
+
+
+def oracle_pmf_sum(params: MdmParams) -> float:
+    """Sum of exp(mdm_log_pmf) over the full support; should be 1."""
+    return math.fsum(_support_and_probs(params)[1])
 
 
 def oracle_moment(order: FactorialOrder, params: MdmParams) -> float:
@@ -149,29 +118,30 @@ def oracle_moment(order: FactorialOrder, params: MdmParams) -> float:
     return float(weight.sum())
 
 
+def _matches(images: np.ndarray, table: CountTable) -> np.ndarray:
+    # rows of the support whose image equals `table`; a shape mismatch
+    # matches nothing
+    if images.shape[1:] != (table.n_profiles, table.n_categories):
+        return np.zeros(len(images), dtype=bool)
+    return (images == np.asarray(table.counts)).all(axis=(1, 2))
+
+
 def oracle_marginal_over_alleles(params: MdmParams, keep: SubsetSpec,
                                  collapsed: CountTable) -> float:
     """P(kept columns and the collapsed remainder equal `collapsed`),
     by summing the full pmf over matching tables."""
     width = params.n_categories
     keep.validate_for(width)
-    dropped = keep.complement(width)
     if collapsed.n_categories != len(keep.indices) + 1:
         raise TableError(
             f"collapsed table must have {len(keep.indices) + 1} columns"
         )
-    acc = []
-    for t in enumerate_tables(params.row_sums, width):
-        match = True
-        for i, row in enumerate(t.counts):
-            img = tuple(row[a] for a in keep.indices) + (
-                sum(row[a] for a in dropped),)
-            if img != collapsed.counts[i]:
-                match = False
-                break
-        if match:
-            acc.append(math.exp(mdm_log_pmf(t, params)))
-    return math.fsum(acc)
+    tables, probs = _support_and_probs(params)
+    dropped = list(keep.complement(width))
+    image = np.concatenate(
+        [tables[:, :, list(keep.indices)],
+         tables[:, :, dropped].sum(axis=2, keepdims=True)], axis=2)
+    return math.fsum(probs[_matches(image, collapsed)])
 
 
 def oracle_marginal_over_profiles(params: MdmParams, keep: SubsetSpec,
@@ -182,12 +152,9 @@ def oracle_marginal_over_profiles(params: MdmParams, keep: SubsetSpec,
         raise TableError(
             f"sub table must have {len(keep.indices)} rows"
         )
-    acc = []
-    for t in enumerate_tables(params.row_sums, params.n_categories):
-        if all(t.counts[i] == sub_table.counts[k]
-               for k, i in enumerate(keep.indices)):
-            acc.append(math.exp(mdm_log_pmf(t, params)))
-    return math.fsum(acc)
+    tables, probs = _support_and_probs(params)
+    return math.fsum(probs[_matches(tables[:, list(keep.indices), :],
+                                    sub_table)])
 
 
 class MdmSampler:
@@ -262,7 +229,3 @@ class MdmSampler:
     def draw(self) -> CountTable:
         return CountTable(self.draw_counts())
 
-
-def sequential_sample(params: MdmParams, rng_seed: int) -> CountTable:
-    """One exact draw; the same seed always returns the same table."""
-    return MdmSampler(params, rng_seed).draw()

@@ -1,13 +1,16 @@
-"""Self-contained oracle suites behind the `validate` CLI command.
+"""Oracle suites behind the `validate` CLI command and acceptance tests 1-5.
 
 Each suite checks a closed form against an independent route (exhaustive
-enumeration, a second factorization, or an exact identity) on a small
-embedded grid and reports its worst error.  The suites are deterministic;
-a green run is reproducible bit for bit.
+enumeration, a second factorization, or an exact identity) over the cases
+it is given and reports its worst error against a fixed tolerance.
+`run_all_suites` runs them on small embedded grids; the acceptance tests
+run the same functions on larger ones.  The suites are deterministic; a
+green run is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +48,14 @@ from .oracle import (
     oracle_marginal_over_profiles,
     oracle_moment,
     oracle_pmf_sum,
-    sequential_sample,
 )
+
+NORMALIZATION_TOL = 1e-12
+CHAIN_TOL = 1e-10
+MARGINAL_TOL = 1e-12
+HYPERGEOMETRIC_TOL = 1e-12
+MOMENT_TOL = 1e-10
+WOE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,12 @@ class SuiteResult:
     max_error: float
     tolerance: float
     note: str = ""
+
+
+def _result(name: str, errors: list[float], tol: float) -> SuiteResult:
+    # every check within tol, so a nan error fails the suite
+    return SuiteResult(name, all(e <= tol for e in errors), len(errors),
+                       max(errors, default=0.0), tol)
 
 
 def _grid_params():
@@ -78,173 +93,145 @@ def _grid_params():
     return out
 
 
-def suite_normalization(tol: float = 1e-12) -> SuiteResult:
-    worst = 0.0
-    checks = 0
-    for params in _grid_params():
-        worst = max(worst, abs(oracle_pmf_sum(params) - 1.0))
-        checks += 1
-    return SuiteResult("normalization", worst <= tol, checks, worst, tol)
+def suite_normalization(cases) -> SuiteResult:
+    """|sum of the pmf over the support - 1| for each MdmParams."""
+    errors = [abs(oracle_pmf_sum(params) - 1.0) for params in cases]
+    return _result("normalization", errors, NORMALIZATION_TOL)
 
 
-def suite_chain_equivalence(tol: float = 1e-10) -> SuiteResult:
-    worst = 0.0
-    checks = 0
-    for params in _grid_params():
+def suite_chain_equivalence(cases) -> SuiteResult:
+    """|chain log pmf - direct log pmf| on the support of each MdmParams."""
+    errors = [abs(mdm_chain_log_pmf(t, params) - mdm_log_pmf(t, params))
+              for params in cases
+              for t in enumerate_tables(params.row_sums, params.n_categories)]
+    return _result("chain-equivalence", errors, CHAIN_TOL)
+
+
+def _columns(table: CountTable, indices) -> CountTable:
+    return CountTable(tuple(tuple(row[a] for a in indices)
+                            for row in table.counts))
+
+
+def _collapsed(table: CountTable, subset: SubsetSpec) -> CountTable:
+    """The columns in `subset`, then one column with the sum of the rest."""
+    rest = subset.complement(table.n_categories)
+    return CountTable(tuple(tuple(row[a] for a in subset.indices)
+                            + (sum(row[a] for a in rest),)
+                            for row in table.counts))
+
+
+def suite_marginal_conditional(cases) -> SuiteResult:
+    """Each case is (params, kept alleles, observed alleles, observed
+    profiles), the last three as SubsetSpec.  On every table of the
+    support: the allele and the profile marginal against enumeration, and
+    the joint against marginal times conditional, over the observed
+    alleles and over the observed profiles."""
+    errors = []
+    for params, keep, seen, first in cases:
+        kept_marg = marginal_over_alleles(params, keep)
+        seen_marg = marginal_over_alleles(params, seen)
+        head = seen.complement(params.n_categories)
+        p_marg = marginal_over_profiles(params, first)
+        rest = first.complement(params.n_profiles)
         for t in enumerate_tables(params.row_sums, params.n_categories):
-            worst = max(worst, abs(mdm_chain_log_pmf(t, params)
-                                   - mdm_log_pmf(t, params)))
-            checks += 1
-    # theta = 0 dispatch: chain equals the direct multinomial product
-    freqs = AlleleFrequencies((0.2, 0.3, 0.5))
-    params0 = MdmParams(row_sums=(2, 2), model=theta_to_alpha(freqs, 0.0))
-    for t in enumerate_tables(params0.row_sums, 3):
-        worst = max(worst, abs(mdm_chain_log_pmf(t, params0)
-                               - mdm_log_pmf(t, params0)))
-        checks += 1
-    return SuiteResult("chain-equivalence", worst <= tol, checks, worst, tol)
+            joint = math.exp(mdm_log_pmf(t, params))
+            collapsed = _collapsed(t, keep)
+            errors.append(abs(
+                math.exp(mdm_log_pmf(collapsed, kept_marg))
+                - oracle_marginal_over_alleles(params, keep, collapsed)))
+            c_params = conditional_over_alleles(
+                params, _columns(t, seen.indices), seen)
+            errors.append(abs(joint - math.exp(
+                mdm_log_pmf(_collapsed(t, seen), seen_marg)
+                + mdm_log_pmf(_columns(t, head), c_params))))
+            top = CountTable(tuple(t.counts[i] for i in first.indices))
+            bottom = CountTable(tuple(t.counts[i] for i in rest))
+            errors.append(abs(
+                math.exp(mdm_log_pmf(top, p_marg))
+                - oracle_marginal_over_profiles(params, first, top)))
+            c_params = conditional_over_profiles(params, top, first)
+            errors.append(abs(joint - math.exp(
+                mdm_log_pmf(top, p_marg) + mdm_log_pmf(bottom, c_params))))
+    return _result("marginal-conditional", errors, MARGINAL_TOL)
 
 
-def suite_marginal_conditional(tol: float = 1e-12) -> SuiteResult:
-    worst = 0.0
-    checks = 0
-    model = DispersionModel.from_alpha((1.0, 2.0, 3.0))
-    params = MdmParams(row_sums=(2, 2), model=model)
-    keep = SubsetSpec((0,))
-    cond_on = SubsetSpec((2,))
-    m_params = marginal_over_alleles(params, keep)
-    for t in enumerate_tables(params.row_sums, 3):
-        collapsed = CountTable(tuple(
-            (row[0], row[1] + row[2]) for row in t.counts))
-        closed = math.exp(mdm_log_pmf(collapsed, m_params))
-        brute = oracle_marginal_over_alleles(params, keep, collapsed)
-        worst = max(worst, abs(closed - brute))
-        # chain rule: joint = marginal of the observed column times the
-        # conditional of the remaining block
-        observed = CountTable(tuple((row[2],) for row in t.counts))
-        head = CountTable(tuple((row[0], row[1]) for row in t.counts))
-        obs_marg = marginal_over_alleles(params, cond_on)
-        obs_table = CountTable(tuple(
-            (row[2], row[0] + row[1]) for row in t.counts))
-        c_params = conditional_over_alleles(params, observed, cond_on)
-        joint = math.exp(mdm_log_pmf(t, params))
-        split = math.exp(mdm_log_pmf(obs_table, obs_marg)
-                         + mdm_log_pmf(head, c_params))
-        worst = max(worst, abs(joint - split))
-        checks += 2
-    first = SubsetSpec((0,))
-    p_marg = marginal_over_profiles(params, first)
-    for t in enumerate_tables(params.row_sums, 3):
-        top = CountTable((t.counts[0],))
-        bottom = CountTable((t.counts[1],))
-        closed = math.exp(mdm_log_pmf(top, p_marg))
-        brute = oracle_marginal_over_profiles(params, first, top)
-        worst = max(worst, abs(closed - brute))
-        c_params = conditional_over_profiles(params, top, first)
-        joint = math.exp(mdm_log_pmf(t, params))
-        split = math.exp(mdm_log_pmf(top, p_marg)
-                         + mdm_log_pmf(bottom, c_params))
-        worst = max(worst, abs(joint - split))
-        checks += 2
-    return SuiteResult("marginal-conditional", worst <= tol, checks, worst, tol)
-
-
-def suite_hypergeometric(tol: float = 1e-12) -> SuiteResult:
-    worst = 0.0
-    checks = 0
-    margins = (((2, 2), (2, 2)), ((2, 2), (3, 1)), ((1, 2, 2), (2, 2, 1)))
-    alphas = ((1.0, 1.0, 1.0), (0.5, 2.0, 4.0), (3.0, 1.0, 0.25))
-    for rows, cols in margins:
+def suite_hypergeometric(cases) -> SuiteResult:
+    """Each case is (row sums, column sums, alphas).  The hypergeometric
+    law sums to 1 over the tables with both margins, and under each alpha
+    the pmf renormalized over those tables equals it; plus the spot value
+    P(((1, 1), (1, 1))) = 2/3."""
+    errors = []
+    for rows, cols, alphas in cases:
         support = list(enumerate_tables_with_margins(rows, cols))
-        norm = math.fsum(math.exp(hypergeometric_log_pmf(t)) for t in support)
-        worst = max(worst, abs(norm - 1.0))
-        checks += 1
+        hyper = [math.exp(hypergeometric_log_pmf(t)) for t in support]
+        errors.append(abs(math.fsum(hyper) - 1.0))
         for alpha in alphas:
-            model = DispersionModel.from_alpha(alpha[:len(cols)])
-            params = MdmParams(row_sums=rows, model=model)
+            params = MdmParams(row_sums=rows,
+                               model=DispersionModel.from_alpha(alpha))
             probs = [math.exp(mdm_log_pmf(t, params)) for t in support]
             total = math.fsum(probs)
-            for t, p in zip(support, probs):
-                cond = p / total
-                worst = max(worst, abs(
-                    cond - math.exp(hypergeometric_log_pmf(t))))
-                checks += 1
+            errors.extend(abs(p / total - h) for p, h in zip(probs, hyper))
     spot = CountTable(((1, 1), (1, 1)))
-    worst = max(worst, abs(math.exp(hypergeometric_log_pmf(spot)) - 2.0 / 3.0))
-    checks += 1
-    return SuiteResult("hypergeometric", worst <= tol, checks, worst, tol)
+    errors.append(abs(math.exp(hypergeometric_log_pmf(spot)) - 2.0 / 3.0))
+    return _result("hypergeometric", errors, HYPERGEOMETRIC_TOL)
 
 
-def suite_moments(tol: float = 1e-10) -> SuiteResult:
-    worst = 0.0
-    checks = 0
-    cases = [
-        MdmParams(row_sums=(2, 2), model=DispersionModel.from_alpha((2.0, 2.0))),
-        MdmParams(row_sums=(2, 3),
-                  model=theta_to_alpha(AlleleFrequencies((0.1, 0.3, 0.6)), 0.05)),
-    ]
-    for params in cases:
-        n_p, n_c = params.n_profiles, params.n_categories
-        orders = []
-        for i in range(n_p):
-            for a in range(n_c):
-                base = [[0] * n_c for _ in range(n_p)]
-                base[i][a] = 2
-                orders.append(FactorialOrder(tuple(map(tuple, base))))
-                for j in range(n_p):
-                    for b in range(n_c):
-                        if (j, b) <= (i, a):
-                            continue
-                        mixed = [[0] * n_c for _ in range(n_p)]
-                        mixed[i][a] = 1
-                        mixed[j][b] = 1
-                        orders.append(FactorialOrder(tuple(map(tuple, mixed))))
+def _unit_order(params: MdmParams, *cells) -> FactorialOrder:
+    """The order with r_ia raised by one for each (i, a) in `cells`."""
+    counts = [[0] * params.n_categories for _ in range(params.n_profiles)]
+    for i, a in cells:
+        counts[i][a] += 1
+    return FactorialOrder(tuple(map(tuple, counts)))
+
+
+def _second_orders(params: MdmParams) -> list[FactorialOrder]:
+    """Every factorial order of total 2."""
+    cells = itertools.product(range(params.n_profiles),
+                              range(params.n_categories))
+    return [_unit_order(params, c, d)
+            for c, d in itertools.combinations_with_replacement(cells, 2)]
+
+
+def suite_moments(cases) -> SuiteResult:
+    """Each case is (params, factorial orders).  Each closed-form moment
+    against enumeration, relative (absolute where the moment is 0), and
+    each covariance of params against the one derived from its factorial
+    moments."""
+    errors = []
+    for params, orders in cases:
         for order in orders:
             closed = factorial_moment(order, params)
             brute = oracle_moment(order, params)
-            scale = max(abs(brute), 1e-300)
-            worst = max(worst, abs(closed - brute) / scale)
-            checks += 1
-        # covariance closed forms against moment-derived values
-        def fm(matrix):
-            return factorial_moment(
-                FactorialOrder(tuple(map(tuple, matrix))), params)
+            errors.append(abs(closed - brute) / abs(brute) if brute
+                          else abs(closed))
 
-        for i in range(n_p):
-            for a in range(n_c):
-                for j in range(n_p):
-                    for b in range(n_c):
-                        e_one = [[0] * n_c for _ in range(n_p)]
-                        e_one[i][a] = 1
-                        e_two = [[0] * n_c for _ in range(n_p)]
-                        e_two[j][b] = 1
-                        mixed = [[0] * n_c for _ in range(n_p)]
-                        mixed[i][a] += 1
-                        mixed[j][b] += 1
-                        ev = fm(e_one) * fm(e_two)
-                        second = fm(mixed)
-                        if i == j and a == b:
-                            second += fm(e_one)
-                        derived = second - ev
-                        worst = max(worst, abs(
-                            covariance(params, i, a, j, b) - derived))
-                        checks += 1
-    return SuiteResult("moment-oracle", worst <= tol, checks, worst, tol)
+        def fm(*cells):
+            return factorial_moment(_unit_order(params, *cells), params)
+
+        for i, a, j, b in itertools.product(
+                range(params.n_profiles), range(params.n_categories),
+                repeat=2):
+            second = fm((i, a), (j, b))
+            if (i, a) == (j, b):
+                second += fm((i, a))
+            derived = second - fm((i, a)) * fm((j, b))
+            errors.append(abs(covariance(params, i, a, j, b) - derived))
+    return _result("moment-oracle", errors, MOMENT_TOL)
 
 
-def suite_woe(tol: float = 1e-10) -> SuiteResult:
+def suite_woe() -> SuiteResult:
     worst = 0.0
     checks = 0
     note = ""
     grid = woe_margin_grid(2)
     flagged = [s for s, free in grid if free]
     if len(grid) != 15 or len(flagged) != 3:
-        return SuiteResult("woe-properties", False, 1, float("inf"), tol,
+        return SuiteResult("woe-properties", False, 1, float("inf"), WOE_TOL,
                            f"grid sizes {len(grid)}/{len(flagged)}")
     checks += 1
     if len(woe_margin_grid(1)) != 6:
-        return SuiteResult("woe-properties", False, checks, float("inf"), tol,
-                           "single-contributor grid size")
+        return SuiteResult("woe-properties", False, checks, float("inf"),
+                           WOE_TOL, "single-contributor grid size")
     checks += 1
     for state, _ in grid:
         if woe_step(state, 0.1, 0.0) != 1.0:
@@ -275,10 +262,11 @@ def suite_woe(tol: float = 1e-10) -> SuiteResult:
                 worst = float("inf")
                 note = note or f"relabelling check: {sig} at theta {theta}"
             checks += 4
-    return SuiteResult("woe-properties", worst <= tol, checks, worst, tol, note)
+    return SuiteResult("woe-properties", worst <= WOE_TOL, checks, worst,
+                       WOE_TOL, note)
 
 
-def suite_sampler(tol: float = 0.0) -> SuiteResult:
+def suite_sampler() -> SuiteResult:
     params = MdmParams(
         row_sums=(2, 2),
         model=theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.1))
@@ -287,19 +275,35 @@ def suite_sampler(tol: float = 0.0) -> SuiteResult:
     seq_a = [first.draw().counts for _ in range(200)]
     seq_b = [second.draw().counts for _ in range(200)]
     same = seq_a == seq_b
-    one_shot = sequential_sample(params, 20240901).counts == seq_a[0]
+    one_shot = MdmSampler(params, 20240901).draw().counts == seq_a[0]
     passed = same and one_shot
     return SuiteResult("sampler-determinism", passed, 402,
-                       0.0 if passed else float("inf"), tol)
+                       0.0 if passed else float("inf"), 0.0)
 
 
 def run_all_suites() -> list[SuiteResult]:
+    grid = _grid_params()
+    # theta = 0 dispatch: chain equals the direct multinomial product
+    multinomial = MdmParams(
+        row_sums=(2, 2),
+        model=theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.0))
+    marginal = (MdmParams(row_sums=(2, 2),
+                          model=DispersionModel.from_alpha((1.0, 2.0, 3.0))),
+                SubsetSpec((0,)), SubsetSpec((2,)), SubsetSpec((0,)))
+    alphas = ((1.0, 1.0, 1.0), (0.5, 2.0, 4.0), (3.0, 1.0, 0.25))
+    margins = (((2, 2), (2, 2)), ((2, 2), (3, 1)), ((1, 2, 2), (2, 2, 1)))
+    moment_params = (
+        MdmParams(row_sums=(2, 2), model=DispersionModel.from_alpha((2.0, 2.0))),
+        MdmParams(row_sums=(2, 3),
+                  model=theta_to_alpha(AlleleFrequencies((0.1, 0.3, 0.6)), 0.05)),
+    )
     return [
-        suite_normalization(),
-        suite_chain_equivalence(),
-        suite_marginal_conditional(),
-        suite_hypergeometric(),
-        suite_moments(),
+        suite_normalization(grid),
+        suite_chain_equivalence(grid + [multinomial]),
+        suite_marginal_conditional([marginal]),
+        suite_hypergeometric([(rows, cols, [a[:len(cols)] for a in alphas])
+                              for rows, cols in margins]),
+        suite_moments([(p, _second_orders(p)) for p in moment_params]),
         suite_woe(),
         suite_sampler(),
     ]

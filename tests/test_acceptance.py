@@ -18,20 +18,17 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FactorialOrder, MarginState, MdmParams, MdmSampler,
-                   SubsetSpec, conditional_over_alleles,
-                   conditional_over_profiles, covariance, enumerate_tables,
-                   enumerate_tables_with_margins, factorial_moment,
-                   hypergeometric_log_pmf, marginal_over_alleles,
-                   marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
-                   mean_matrix, oracle_marginal_over_alleles,
-                   oracle_marginal_over_profiles, oracle_moment,
-                   covariance_matrix, enumerate_genotype_pairs, pair_ratio,
-                   pair_ratio_curves, pair_ratio_via_pmfs,
-                   pair_ratio_via_steps, theta_to_alpha, woe_margin_grid,
-                   woe_step)
+from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
+                   MarginState, MdmParams, MdmSampler, SubsetSpec, covariance,
+                   covariance_matrix, enumerate_genotype_pairs,
+                   enumerate_tables, factorial_moment, mdm_log_pmf,
+                   mean_matrix, pair_ratio, pair_ratio_curves,
+                   pair_ratio_via_pmfs, pair_ratio_via_steps, theta_to_alpha,
+                   woe_margin_grid, woe_step)
 from mdmix.cli import main
+from mdmix.validation import (suite_chain_equivalence, suite_hypergeometric,
+                              suite_marginal_conditional, suite_moments,
+                              suite_normalization)
 
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))
 
@@ -63,116 +60,46 @@ def parameter_grid():
 
 def test_01_pmf_normalizes_over_the_full_support():
     started = time.time()
-    worst = 0.0
-    n_checked = 0
-    for params in parameter_grid():
-        total = math.fsum(
-            math.exp(mdm_log_pmf(t, params))
-            for t in enumerate_tables(params.row_sums, params.n_categories))
-        worst = max(worst, abs(total - 1.0))
-        n_checked += 1
+    result = suite_normalization(parameter_grid())
     elapsed = time.time() - started
-    assert n_checked == 19 * 3 * 6
-    assert worst < 1e-12, f"worst normalization gap {worst}"
+    assert result.n_checks == 19 * 3 * 6
+    assert result.passed, f"worst normalization gap {result.max_error}"
     assert elapsed < 10.0, f"normalization sweep took {elapsed:.1f}s"
 
 
 def test_02_chain_factorization_matches_joint_pmf():
-    worst = 0.0
-    for params in parameter_grid():
-        for t in enumerate_tables(params.row_sums, params.n_categories):
-            gap = abs(mdm_chain_log_pmf(t, params) - mdm_log_pmf(t, params))
-            worst = max(worst, gap)
-    assert worst < 1e-10, f"worst chain-joint gap {worst}"
+    result = suite_chain_equivalence(parameter_grid())
+    # one check per table, over the supports of all 342 parameter sets
+    assert result.n_checks == 136_620
+    assert result.passed, f"worst chain-joint gap {result.max_error}"
 
 
 def test_03_marginals_and_conditionals_match_enumeration():
-    worst = 0.0
-    models = [DispersionModel.from_alpha((0.5, 1.0, 2.0)),
-              theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.1),
-              theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.0)]
-    for model in models:
-        params = MdmParams((2, 2), model)
-
-        keep = SubsetSpec((0,))
-        marg = marginal_over_alleles(params, keep)
-        for sub in enumerate_tables((2, 2), 2):
-            closed = math.exp(mdm_log_pmf(sub, marg))
-            brute = oracle_marginal_over_alleles(params, keep, sub)
-            worst = max(worst, abs(closed - brute))
-
-
-        observed_on = SubsetSpec((2,))
-        obs_marg = marginal_over_alleles(params, observed_on)
-        for t in enumerate_tables((2, 2), 3):
-            obs = CountTable(tuple((row[2],) for row in t.counts))
-            obs_full = CountTable(tuple((row[2], row[0] + row[1])
-                                        for row in t.counts))
-            head = CountTable(tuple(row[:2] for row in t.counts))
-            cond = conditional_over_alleles(params, obs, observed_on)
-            joint = math.exp(mdm_log_pmf(t, params))
-            split = math.exp(mdm_log_pmf(obs_full, obs_marg)
-                             + mdm_log_pmf(head, cond))
-            worst = max(worst, abs(joint - split))
-
-        first = SubsetSpec((0,))
-        p_marg = marginal_over_profiles(params, first)
-        for t in enumerate_tables((2, 2), 3):
-            top = CountTable((t.counts[0],))
-            bottom = CountTable((t.counts[1],))
-            closed = math.exp(mdm_log_pmf(top, p_marg))
-            brute = oracle_marginal_over_profiles(params, first, top)
-            worst = max(worst, abs(closed - brute))
-            cond = conditional_over_profiles(params, top, first)
-            joint = math.exp(mdm_log_pmf(t, params))
-            split = math.exp(mdm_log_pmf(top, p_marg)
-                             + mdm_log_pmf(bottom, cond))
-            worst = max(worst, abs(joint - split))
-
-    # wider shapes: a multi-column keep set and a non-contiguous profile set
-    wide_models = [DispersionModel.from_alpha((0.5, 1.0, 2.0, 4.0)),
-                   theta_to_alpha(AlleleFrequencies((0.1, 0.2, 0.3, 0.4)),
-                                  0.0)]
-    for model in wide_models:
-        wide = MdmParams((2, 1, 2), model)
-        keep2 = SubsetSpec((0, 2))
-        marg2 = marginal_over_alleles(wide, keep2)
-        for sub in enumerate_tables((2, 1, 2), 3):
-            closed = math.exp(mdm_log_pmf(sub, marg2))
-            brute = oracle_marginal_over_alleles(wide, keep2, sub)
-            worst = max(worst, abs(closed - brute))
-
-        outer = SubsetSpec((0, 2))
-        p_marg2 = marginal_over_profiles(wide, outer)
-        for t in enumerate_tables((2, 1, 2), 4):
-            ends = CountTable((t.counts[0], t.counts[2]))
-            middle = CountTable((t.counts[1],))
-            cond = conditional_over_profiles(wide, ends, outer)
-            joint = math.exp(mdm_log_pmf(t, wide))
-            split = math.exp(mdm_log_pmf(ends, p_marg2)
-                             + mdm_log_pmf(middle, cond))
-            worst = max(worst, abs(joint - split))
-    assert worst < 1e-12, f"worst marginal/conditional gap {worst}"
+    freqs = AlleleFrequencies((0.2, 0.3, 0.5))
+    narrow = [DispersionModel.from_alpha((0.5, 1.0, 2.0)),
+              theta_to_alpha(freqs, 0.1), theta_to_alpha(freqs, 0.0)]
+    # wider shapes: multi-column allele sets and a non-contiguous profile set
+    wide = [DispersionModel.from_alpha((0.5, 1.0, 2.0, 4.0)),
+            theta_to_alpha(AlleleFrequencies((0.1, 0.2, 0.3, 0.4)), 0.0)]
+    cases = [(MdmParams((2, 2), m), SubsetSpec((0,)), SubsetSpec((2,)),
+              SubsetSpec((0,))) for m in narrow]
+    cases += [(MdmParams((2, 1, 2), m), SubsetSpec((0, 2)),
+               SubsetSpec((1, 3)), SubsetSpec((0, 2))) for m in wide]
+    result = suite_marginal_conditional(cases)
+    # four checks on each of 36 tables per narrow case, 400 per wide case
+    assert result.n_checks == 4 * (3 * 36 + 2 * 400)
+    assert result.passed, f"worst marginal/conditional gap {result.max_error}"
 
 
 def test_04_margin_conditional_is_hypergeometric():
-    worst = 0.0
     margin_sets = [((2, 2), (2, 2)), ((2, 2), (1, 3)), ((2, 1, 2), (2, 2, 1))]
     alpha_sets = {2: [(1.0, 1.0), (0.3, 2.2), (5.0, 0.7)],
                   3: [(1.0, 1.0, 1.0), (0.3, 2.2, 1.4), (5.0, 0.7, 2.0)]}
-    for rows, cols in margin_sets:
-        for alpha in alpha_sets[len(cols)]:
-            params = MdmParams(rows, DispersionModel.from_alpha(alpha))
-            tables = list(enumerate_tables_with_margins(rows, cols))
-            probs = [math.exp(mdm_log_pmf(t, params)) for t in tables]
-            norm = math.fsum(probs)
-            hyper = [math.exp(hypergeometric_log_pmf(t)) for t in tables]
-            worst = max(worst, abs(math.fsum(hyper) - 1.0))
-            for p, h in zip(probs, hyper):
-                worst = max(worst, abs(p / norm - h))
-    spot = math.exp(hypergeometric_log_pmf(CountTable(((1, 1), (1, 1)))))
-    worst = max(worst, abs(spot - 2.0 / 3.0))
-    assert worst < 1e-12, f"worst hypergeometric gap {worst}"
+    result = suite_hypergeometric([(rows, cols, alpha_sets[len(cols)])
+                                   for rows, cols in margin_sets])
+    # per margin set its normalization and 3 alphas on each table, + spot
+    assert result.n_checks == (1 + 3 * 3) + (1 + 3 * 2) + (1 + 3 * 11) + 1
+    assert result.passed, f"worst hypergeometric gap {result.max_error}"
 
 
 def all_orders(n_profiles, n_categories, max_total):
@@ -185,46 +112,18 @@ def all_orders(n_profiles, n_categories, max_total):
 
 
 def test_05_moments_match_enumeration():
-    worst_rel = 0.0
     models = [DispersionModel.from_alpha((0.5, 1.0, 2.0)),
               theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.0)]
-    for model in models:
-        params = MdmParams((2, 2), model)
-        for order in all_orders(2, 3, 4):
-            closed = factorial_moment(order, params)
-            brute = oracle_moment(order, params)
-            if brute == 0.0:
-                worst_rel = max(worst_rel, abs(closed))
-            else:
-                worst_rel = max(worst_rel, abs(closed - brute) / abs(brute))
-    assert worst_rel < 1e-10, f"worst moment relative error {worst_rel}"
+    result = suite_moments([(MdmParams((2, 2), m), all_orders(2, 3, 4))
+                            for m in models])
+    # C(10, 6) - 1 orders of total 1..4 over 6 cells, + 36 covariances
+    assert result.n_checks == 2 * (209 + 36)
+    assert result.passed, f"worst moment relative error {result.max_error}"
 
-    # covariances against moment identities
-    worst = 0.0
-    for model in models:
-        params = MdmParams((2, 3), model)
-
-        def mean(i, a):
-            rows = [[0] * 3, [0] * 3]
-            rows[i][a] = 1
-            return factorial_moment(
-                FactorialOrder(tuple(map(tuple, rows))), params)
-
-        for i in range(2):
-            for a in range(3):
-                for j in range(2):
-                    for b in range(3):
-                        rows = [[0] * 3, [0] * 3]
-                        rows[i][a] += 1
-                        rows[j][b] += 1
-                        raw = factorial_moment(
-                            FactorialOrder(tuple(map(tuple, rows))), params)
-                        if (i, a) == (j, b):
-                            raw += mean(i, a)
-                        derived = raw - mean(i, a) * mean(j, b)
-                        got = covariance(params, i, a, j, b)
-                        worst = max(worst, abs(got - derived))
-    assert worst < 1e-12, f"worst covariance gap {worst}"
+    # covariances against moment identities, to 1e-12 absolute
+    result = suite_moments([(MdmParams((2, 3), m), ()) for m in models])
+    assert result.n_checks == 2 * 36
+    assert result.max_error < 1e-12, f"worst covariance gap {result.max_error}"
 
     # row sums are fixed, so covariances against any row total vanish
     for model in models:

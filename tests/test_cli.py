@@ -234,8 +234,11 @@ def test_validate_passes_and_reports_json(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["passed"] is True
-    assert {s["name"] for s in report["suites"]} >= {
-        "normalization", "chain-equivalence", "moment-oracle"}
+    assert {s["name"]: s["n_checks"] for s in report["suites"]} == {
+        "normalization": 32, "chain-equivalence": 852,
+        "marginal-conditional": 144, "hypergeometric": 52,
+        "moment-oracle": 83, "woe-properties": 741,
+        "sampler-determinism": 402}
     assert all(s["passed"] for s in report["suites"])
 
 
@@ -283,6 +286,10 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     ("sample", "seed", True),
     ("woe-curve", "contributors", 2.9),
     ("woe-curve", "tail_mass", True),
+    ("ratio-curve", "freqs", ["a"]),
+    ("validate", "out", {"a": 1}),
+    ("moments", "locus", ["L"]),
+    ("woe-curve", "out", 1),
 ])
 def test_config_value_of_the_wrong_type_is_a_usage_error(
         tmp_path, capsys, command, field, value):

@@ -13,7 +13,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    FactorialOrder, MdmParams, MdmSampler, SizeGuardError,
                    TableError, count_tables, enumerate_tables,
                    enumerate_tables_with_margins, mdm_log_pmf, oracle_moment,
-                   oracle_pmf_sum, sequential_sample, theta_to_alpha)
+                   oracle_pmf_sum, theta_to_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,6 @@ def test_sampler_is_deterministic_per_seed():
     s1 = MdmSampler(params, 123)
     s2 = MdmSampler(params, 123)
     assert all(s1.draw_counts() == s2.draw_counts() for _ in range(300))
-
-
-def test_sequential_sample_matches_fresh_sampler():
-    params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 2.0, 3.0)))
-    assert sequential_sample(params, 123).counts == \
-        MdmSampler(params, 123).draw().counts
 
 
 def test_sampler_seeds_differ():

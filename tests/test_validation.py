@@ -1,0 +1,53 @@
+# SPDX-License-Identifier: Apache-2.0
+"""The shared suites behind `validate` and acceptance criteria 1-5 fail
+when the closed form they check is off by a little, or is nan."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+
+import mdmix.oracle
+import mdmix.validation
+from mdmix import DispersionModel, MdmParams
+
+
+def _shifted(fn, by=1e-9):
+    return lambda *args: fn(*args) + by
+
+
+def _scaled(fn, by=1e-8):
+    return lambda *args: fn(*args) * (1.0 + by)
+
+
+def _nan(fn):
+    return lambda *args: float("nan")
+
+
+def _wider_alphas(fn, by=1e-8):
+    def perturbed(*args):
+        params = fn(*args)
+        alpha = tuple(a * (1.0 + by) for a in params.model.alpha)
+        return MdmParams(params.row_sums, DispersionModel.from_alpha(alpha))
+    return perturbed
+
+
+@pytest.mark.parametrize("suite, module, name, perturb", [
+    ("normalization", mdmix.oracle, "mdm_log_pmf", _shifted),
+    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _shifted),
+    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _nan),
+    ("marginal-conditional", mdmix.validation, "conditional_over_profiles",
+     _wider_alphas),
+    ("hypergeometric", mdmix.validation, "hypergeometric_log_pmf", _shifted),
+    ("moment-oracle", mdmix.validation, "factorial_moment", _scaled),
+])
+def test_validate_catches_a_perturbed_closed_form(monkeypatch, suite, module,
+                                                  name, perturb):
+    # a fresh support cache, so the oracle sees the perturbation and keeps
+    # no perturbed probabilities once the test ends
+    monkeypatch.setattr(mdmix.oracle, "_support_and_probs", lru_cache(
+        maxsize=128)(mdmix.oracle._support_and_probs.__wrapped__))
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    results = {r.name: r for r in mdmix.validation.run_all_suites()}
+    assert not results[suite].passed
