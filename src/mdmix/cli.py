@@ -27,7 +27,7 @@ from .model import (
     read_frequency_csv,
     theta_to_alpha,
 )
-from .moments import covariance, mean_matrix
+from .moments import covariance_matrix, mean_matrix
 from .oracle import MdmSampler
 from .validation import run_all_suites
 
@@ -290,20 +290,16 @@ def cmd_moments(cfg: RunConfig) -> int:
     entry = _select_locus(freq_db, cfg.locus)
     params = MdmParams(row_sums=cfg.rows,
                        model=theta_to_alpha(entry.freqs, cfg.theta))
-    means = mean_matrix(params)
-    out_rows = []
-    n_p, n_c = params.n_profiles, params.n_categories
-    for i in range(n_p):
-        for a in range(n_c):
-            out_rows.append(("mean", str(i + 1), str(a + 1), "", "",
-                             _fmt(means[i, a])))
-    for i in range(n_p):
-        for a in range(n_c):
-            for j in range(n_p):
-                for b in range(n_c):
-                    out_rows.append(("cov", str(i + 1), str(a + 1),
-                                     str(j + 1), str(b + 1),
-                                     _fmt(covariance(params, i, a, j, b))))
+    means = mean_matrix(params).ravel()
+    cov = covariance_matrix(params)
+    # cell (i, a) of the table is entry i * A + a of means and cov
+    cells = [(str(i + 1), str(a + 1)) for i in range(params.n_profiles)
+             for a in range(params.n_categories)]
+    out_rows = [("mean", *cell, "", "", _fmt(m))
+                for cell, m in zip(cells, means)]
+    for x, cell in enumerate(cells):
+        out_rows.extend(("cov", *cell, *other, _fmt(cov[x, y]))
+                        for y, other in enumerate(cells))
     _write_csv(cfg.out,
                ("kind", "profile", "allele", "profile2", "allele2", "value"),
                out_rows)

@@ -31,9 +31,9 @@ from .mdm import MdmParams, _suffix_sums, mdm_log_pmf
 from .model import (
     AlleleFrequencies,
     CountTable,
-    MarginState,
     ParameterError,
     ProfileCounts,
+    _as_int,
     theta_to_alpha,
 )
 
@@ -111,6 +111,39 @@ class MultiplicityClass:
 def multiplicity_class(pair: GenotypePair) -> MultiplicityClass:
     """The class of a pair: pooled counts >= 2, largest first."""
     return MultiplicityClass(tuple(c for c in pair.pooled if c >= 2))
+
+
+@dataclass(frozen=True)
+class MarginState:
+    """A pooled chain margin: column count n_col after s_prev earlier draws
+    by n_contributors diploid profiles, so the capacity is 2 n_contributors.
+    """
+
+    n_col: int
+    s_prev: int
+    n_contributors: int
+
+    def __post_init__(self):
+        n_col = _as_int(self.n_col, "n_col")
+        s_prev = _as_int(self.s_prev, "s_prev")
+        contribs = _as_int(self.n_contributors, "n_contributors")
+        if contribs < 1:
+            raise ParameterError(f"n_contributors = {contribs} must be >= 1")
+        if n_col < 0 or s_prev < 0:
+            raise ParameterError(f"negative margin state ({n_col}, {s_prev})")
+        capacity = GENOTYPE_SIZE * contribs
+        if n_col + s_prev > capacity:
+            raise ParameterError(
+                f"margin state ({n_col}, {s_prev}) exceeds capacity {capacity}"
+            )
+        object.__setattr__(self, "n_col", n_col)
+        object.__setattr__(self, "s_prev", s_prev)
+        object.__setattr__(self, "n_contributors", contribs)
+
+    @property
+    def remaining(self) -> int:
+        """Draws still to be placed before this column is counted."""
+        return GENOTYPE_SIZE * self.n_contributors - self.s_prev
 
 
 def woe_step(margin: MarginState, q_scaled: float, theta: float,

@@ -18,10 +18,13 @@ total n the law is the Dirichlet-multinomial
            * prod_b Gamma(n_b + a_b) / (n_b! Gamma(a_b)),
 
 where a. = sum(alpha).  The same mass factors into a chain of
-beta-binomial conditionals over the cumulative sums (joint_step_conditional
-with one contributor), and in the theta = 0 limit into a chain of plain
-binomials with tail-scaled success probabilities Q_a = q_a / sum_{b >= a} q_b,
-which multiplies out to the multinomial pmf.
+beta-binomial conditionals over the cumulative sums, and in the theta = 0
+limit into a chain of plain binomials with tail-scaled success
+probabilities Q_a = q_a / sum_{b >= a} q_b, which multiplies out to the
+multinomial pmf.  For several rows the chain steps through the pooled
+column counts, each split hypergeometrically across the rows' remaining
+counts; one step is the private kernel _log_step, and mdm_chain_log_pmf
+is their sum.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -37,7 +40,6 @@ from .model import (
     AlleleFrequencies,
     CountTable,
     DispersionModel,
-    MarginState,
     ParameterError,
     SubsetSpec,
     TableError,
@@ -149,68 +151,24 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     return math.fsum(terms)
 
 
-def joint_step_conditional(margin: MarginState, alpha_a: float,
-                           alpha_tail: float, per_profile,
-                           row_sums=None) -> float:
-    """Log mass of one pooled chain step across profiles.
+def _log_step(alpha_a: float, alpha_tail: float, col, free) -> float:
+    """Log mass of one chain step, unchecked: the rows draw col[i] of their
+    free[i] remaining counts into category a.  With n = sum(col) and
+    rem = sum(free), the pooled count is beta-binomial and its split across
+    the rows hypergeometric, which multiplies into
 
-    per_profile lists (n_ia, s_prev_i) for each profile; row_sums gives the
-    per-profile totals and defaults to 2 each (diploid genotypes).  The
-    pooled column count is beta-binomial over the remaining capacity and
-    the split across profiles is hypergeometric, which multiplies into
-
-        { prod_i C(cap_i - s_prev_i, n_ia) }
-        * B-ratio(n_col, remaining; alpha_a, alpha_tail).
+        { prod_i C(free_i, col_i) } * B-ratio(n, rem; alpha_a, alpha_tail).
     """
-    if not (alpha_a > 0.0 and alpha_tail > 0.0):
-        raise ParameterError(
-            f"alpha_a = {alpha_a}, alpha_tail = {alpha_tail} must be positive"
-        )
-    pairs = [(_as_int(n, f"n[{i}]"), _as_int(s, f"s_prev[{i}]"))
-             for i, (n, s) in enumerate(per_profile)]
-    if len(pairs) != margin.n_contributors:
-        raise ParameterError(
-            f"{len(pairs)} per-profile entries for "
-            f"{margin.n_contributors} contributors"
-        )
-    if row_sums is None:
-        caps = (2,) * len(pairs)
-    else:
-        caps = tuple(_as_int(c, "row sum") for c in row_sums)
-        if len(caps) != len(pairs):
-            raise ParameterError("row_sums length does not match per_profile")
-    if sum(caps) != margin.total_capacity:
-        raise ParameterError(
-            f"row sums {caps} total {sum(caps)}, margin capacity is "
-            f"{margin.total_capacity}"
-        )
-    n_col = 0
-    s_prev = 0
-    terms = []
-    for (n_i, s_i), cap_i in zip(pairs, caps):
-        if n_i < 0 or s_i < 0 or s_i + n_i > cap_i:
-            raise ParameterError(
-                f"per-profile state ({n_i}, {s_i}) infeasible for row sum "
-                f"{cap_i}"
-            )
-        n_col += n_i
-        s_prev += s_i
-        terms.append(log_binomial(cap_i - s_i, n_i))
-    if n_col != margin.n_col or s_prev != margin.s_prev:
-        raise ParameterError(
-            f"per-profile totals ({n_col}, {s_prev}) do not match margin "
-            f"({margin.n_col}, {margin.s_prev})"
-        )
-    rem = margin.remaining
-    terms.extend([
-        log_rising(alpha_a, n_col), log_rising(alpha_tail, rem - n_col),
-        -log_rising(alpha_a + alpha_tail, rem),
-    ])
+    n = sum(col)
+    rem = sum(free)
+    terms = [log_binomial(f, c) for f, c in zip(free, col)]
+    terms += [log_rising(alpha_a, n), log_rising(alpha_tail, rem - n),
+              -log_rising(alpha_a + alpha_tail, rem)]
     return math.fsum(terms)
 
 
 def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
-    """Log pmf assembled column by column from joint_step_conditional.
+    """Log pmf assembled column by column from _log_step.
 
     Telescopes to mdm_log_pmf; independent code path for cross-checks.
     At theta = 0 it is the product of per-row binomial chains.
@@ -222,21 +180,12 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
         return math.fsum(_binomial_chain_row_log_pmf(row, q)
                          for row in table.counts)
     alpha = model.alpha
-    width = table.n_categories
     suffix = _suffix_sums(alpha)
-    capacity = table.total
-    s_rows = [0] * table.n_profiles
+    free = table.row_sums
     terms = []
-    for a in range(width - 1):
-        per_profile = [(row[a], s_rows[i]) for i, row in enumerate(table.counts)]
-        margin = MarginState(n_col=table.col_sums[a], s_prev=sum(s_rows),
-                             n_contributors=table.n_profiles,
-                             total_capacity=capacity)
-        terms.append(joint_step_conditional(margin, alpha[a], suffix[a + 1],
-                                            per_profile,
-                                            row_sums=table.row_sums))
-        for i, row in enumerate(table.counts):
-            s_rows[i] += row[a]
+    for a, col in enumerate(list(zip(*table.counts))[:-1]):
+        terms.append(_log_step(alpha[a], suffix[a + 1], col, free))
+        free = [f - c for f, c in zip(free, col)]
     return math.fsum(terms)
 
 

@@ -236,48 +236,6 @@ class ProfileCounts:
 
 
 @dataclass(frozen=True)
-class MarginState:
-    """A pooled chain margin: column count n_col after s_prev earlier draws.
-
-    total_capacity defaults to 2 * n_contributors, the diploid genotype
-    case; pass it explicitly for other per-profile totals.
-    """
-
-    n_col: int
-    s_prev: int
-    n_contributors: int
-    total_capacity: int | None = None
-
-    def __post_init__(self):
-        n_col = _as_int(self.n_col, "n_col")
-        s_prev = _as_int(self.s_prev, "s_prev")
-        contribs = _as_int(self.n_contributors, "n_contributors")
-        if contribs < 1:
-            raise ParameterError(f"n_contributors = {contribs} must be >= 1")
-        if self.total_capacity is None:
-            capacity = 2 * contribs
-        else:
-            capacity = _as_int(self.total_capacity, "total_capacity")
-            if capacity < 0:
-                raise ParameterError(f"total_capacity = {capacity} is negative")
-        if n_col < 0 or s_prev < 0:
-            raise ParameterError(f"negative margin state ({n_col}, {s_prev})")
-        if n_col + s_prev > capacity:
-            raise ParameterError(
-                f"margin state ({n_col}, {s_prev}) exceeds capacity {capacity}"
-            )
-        object.__setattr__(self, "n_col", n_col)
-        object.__setattr__(self, "s_prev", s_prev)
-        object.__setattr__(self, "n_contributors", contribs)
-        object.__setattr__(self, "total_capacity", capacity)
-
-    @property
-    def remaining(self) -> int:
-        """Draws still to be placed before this column is counted."""
-        return self.total_capacity - self.s_prev
-
-
-@dataclass(frozen=True)
 class SubsetSpec:
     """A strictly increasing tuple of 0-based indices."""
 

@@ -58,18 +58,6 @@ class FactorialOrder:
         return sum(self.row_totals)
 
 
-def falling_factorial(n: int, r: int) -> int:
-    """n (n-1) ... (n-r+1); 1 for r = 0, 0 once the product crosses zero."""
-    if r < 0:
-        raise ParameterError(f"negative factorial order {r}")
-    out = 1
-    for k in range(r):
-        out *= n - k
-        if out == 0:
-            return 0
-    return out
-
-
 def _check_dims(order: FactorialOrder, params: MdmParams) -> None:
     if len(order.orders) != params.n_profiles:
         raise ParameterError(
@@ -90,7 +78,7 @@ def factorial_moment(order: FactorialOrder, params: MdmParams) -> float:
     for n_i, r_i in zip(params.row_sums, order.row_totals):
         if r_i > n_i:
             return 0.0
-        base *= falling_factorial(n_i, r_i)
+        base *= math.perm(n_i, r_i)
     model = params.model
     if model.theta == 0.0:
         q = model.freqs.extended_probs

@@ -103,7 +103,8 @@ def _support_and_probs(params: MdmParams):
 
 def oracle_pmf_sum(params: MdmParams) -> float:
     """Sum of exp(mdm_log_pmf) over the full support; should be 1."""
-    return math.fsum(_support_and_probs(params)[1])
+    return math.fsum(math.exp(mdm_log_pmf(t, params)) for t in
+                     enumerate_tables(params.row_sums, params.n_categories))
 
 
 def oracle_moment(order: FactorialOrder, params: MdmParams) -> float:

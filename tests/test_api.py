@@ -1,9 +1,33 @@
 # SPDX-License-Identifier: Apache-2.0
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, the list of names is
+pinned, and every `mdmix.<name>` the benchmark reads is still there."""
 
 from __future__ import annotations
 
+import pathlib
+import re
+
 import mdmix
+import mdmix.cli
+import mdmix.oracle
+import mdmix.validation
+from mdmix import AlleleFrequencies, pair_ratio_curves
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+PUBLIC_NAMES = [
+    "AlleleFrequencies", "CountTable", "DispersionModel", "FactorialOrder",
+    "FrequencyFileError", "GenotypePair", "LocusFrequencies", "MarginState",
+    "MdmParams", "MdmSampler", "MdmixError", "MultiplicityClass",
+    "ParameterError", "ProfileCounts", "SizeGuardError", "SubsetSpec",
+    "TableError", "conditional_over_alleles", "conditional_over_profiles",
+    "covariance", "covariance_matrix", "factorial_moment",
+    "genotype_from_alleles", "hypergeometric_log_pmf",
+    "marginal_over_alleles", "marginal_over_profiles", "mdm_chain_log_pmf",
+    "mdm_log_pmf", "mean_matrix", "pair_ratio", "pair_ratio_curves",
+    "pair_ratio_via_pmfs", "pair_ratio_via_steps", "read_frequency_csv",
+    "theta_to_alpha", "woe_curve", "woe_margin_grid", "woe_step",
+]
 
 
 def test_star_import_resolves_every_exported_name():
@@ -13,3 +37,36 @@ def test_star_import_resolves_every_exported_name():
     assert missing == []
     assert len(set(mdmix.__all__)) == len(mdmix.__all__)
     assert namespace["ProfileCounts"] is mdmix.model.ProfileCounts
+
+
+def test_public_names_are_pinned():
+    assert sorted(mdmix.__all__) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 38
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    paths = sorted(BENCH.glob("*.py"))
+    assert paths, f"no benchmark sources under {BENCH}"
+    dotted = set()
+    for path in paths:
+        dotted.update(re.findall(r"\bmdmix((?:\.\w+)+)", path.read_text()))
+    assert "mdmix.oracle.CountTable" in {"mdmix" + d for d in dotted}
+    unresolved = []
+    for chain in sorted(dotted):
+        obj = mdmix
+        for part in chain.lstrip(".").split("."):
+            if not hasattr(obj, part):
+                unresolved.append("mdmix" + chain)
+                break
+            obj = getattr(obj, part)
+    assert unresolved == []
+    # the traced simulation pass rebinds this name to see tables the
+    # sampler builds, so it must be the class the package exports
+    assert mdmix.oracle.CountTable is mdmix.CountTable
+
+
+def test_pair_ratio_curve_keys_carry_a_label():
+    freqs = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+    curves = pair_ratio_curves(freqs, (0.0, 0.1))
+    assert sorted(cls.label for cls in curves) == [
+        "()", "(2)", "(2,2)", "(3)", "(4)"]

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MarginState, MdmParams, ParameterError, SubsetSpec,
-                   TableError, joint_step_conditional, marginal_over_alleles,
-                   mdm_chain_log_pmf, mdm_log_pmf, theta_to_alpha)
+                   MdmParams, ParameterError, SubsetSpec, TableError,
+                   marginal_over_alleles, mdm_chain_log_pmf, mdm_log_pmf,
+                   theta_to_alpha)
+from mdmix.mdm import _log_step
 
 
 def compositions(total, parts):
@@ -130,27 +131,10 @@ def test_beta_binomial_step_is_a_collapsed_difference():
     head = marginal_over_alleles(params, SubsetSpec((0,)))
     for n1 in range(n + 1):
         for n2 in range(n - n1 + 1):
-            margin = MarginState(n_col=n2, s_prev=n1, n_contributors=1,
-                                 total_capacity=n)
-            step = joint_step_conditional(margin, 1.7, 2.5, [(n2, n1)],
-                                          row_sums=(n,))
+            step = _log_step(1.7, 2.5, (n2,), (n - n1,))
             joint = mdm_log_pmf(CountTable(((n1, n2, n - n1 - n2),)), pair)
             first = mdm_log_pmf(CountTable(((n1, n - n1),)), head)
             assert step == pytest.approx(joint - first, abs=1e-12)
-
-
-def test_beta_binomial_step_rejects_overdraw():
-    # three draws into a category with only two left, on one row ...
-    with pytest.raises(ParameterError):
-        joint_step_conditional(
-            MarginState(n_col=3, s_prev=2, n_contributors=1,
-                        total_capacity=4),
-            1.0, 1.0, [(3, 2)], row_sums=(4,))
-    # ... and on one row of a two-row step whose pooled margin fits
-    with pytest.raises(ParameterError):
-        joint_step_conditional(
-            MarginState(n_col=3, s_prev=0, n_contributors=2),
-            1.0, 1.0, [(3, 0), (0, 0)])
 
 
 # ---------------------------------------------------------------------------

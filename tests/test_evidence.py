@@ -12,10 +12,11 @@ import mdmix.evidence
 import mdmix.validation
 from mdmix import (AlleleFrequencies, GenotypePair, MarginState,
                    MultiplicityClass, ParameterError, ProfileCounts,
-                   enumerate_genotype_pairs, genotype_from_alleles,
-                   joint_step_conditional, multiplicity_class, pair_ratio,
-                   pair_ratio_curves, pair_ratio_via_pmfs,
-                   pair_ratio_via_steps, woe_curve, woe_margin_grid, woe_step)
+                   genotype_from_alleles, pair_ratio, pair_ratio_curves,
+                   pair_ratio_via_pmfs, pair_ratio_via_steps, woe_curve,
+                   woe_margin_grid, woe_step)
+from mdmix.evidence import enumerate_genotype_pairs, multiplicity_class
+from mdmix.mdm import _log_step
 
 # a six-category reference panel: five named alleles and a rest class
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))
@@ -117,9 +118,8 @@ def test_woe_step_matches_split_enumeration():
                        * (1 - q) ** (2 - s_i - n_i)
                        * math.comb(2 - s_j, n_j) * q ** n_j
                        * (1 - q) ** (2 - s_j - n_j))
-                den = math.exp(joint_step_conditional(
-                    MarginState(n, s, 2), a_step, a_tail,
-                    [(n_i, s_i), (n_j, s_j)]))
+                den = math.exp(_log_step(a_step, a_tail, (n_i, n_j),
+                                         (2 - s_i, 2 - s_j)))
                 out.append(num / den)
         return out
 

@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MarginState, MdmParams, ParameterError, SubsetSpec,
-                   TableError, conditional_over_alleles,
-                   conditional_over_profiles, enumerate_tables,
-                   hypergeometric_log_pmf, joint_step_conditional,
-                   marginal_over_alleles, marginal_over_profiles,
-                   mdm_chain_log_pmf, mdm_log_pmf,
-                   oracle_marginal_over_alleles,
-                   oracle_marginal_over_profiles, theta_to_alpha)
+                   MdmParams, SubsetSpec, TableError,
+                   conditional_over_alleles, conditional_over_profiles,
+                   hypergeometric_log_pmf, marginal_over_alleles,
+                   marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
+                   theta_to_alpha)
+from mdmix.mdm import _log_step
+from mdmix.oracle import (enumerate_tables, enumerate_tables_with_margins,
+                          oracle_marginal_over_alleles,
+                          oracle_marginal_over_profiles)
 
 
 def flat(alpha=1.0, width=2):
@@ -109,25 +110,21 @@ def test_theta_to_zero_is_continuous():
 def test_joint_step_closed_form():
     # two fresh contributors, one draw each into a category with
     # alpha_a = alpha_tail = 4.5
-    margin = MarginState(n_col=2, s_prev=0, n_contributors=2)
-    got = joint_step_conditional(margin, 4.5, 4.5, [(1, 0), (1, 0)])
+    got = _log_step(4.5, 4.5, (1, 1), (2, 2))
     expected = (math.log(4) + lgamma(9.0) + 2 * lgamma(6.5)
                 - 2 * lgamma(4.5) - lgamma(13.0))
     assert got == pytest.approx(expected, abs=1e-13)
 
 
-def test_joint_step_checks_margin_consistency():
-    margin = MarginState(n_col=2, s_prev=0, n_contributors=2)
-    with pytest.raises(ParameterError):
-        joint_step_conditional(margin, 1.0, 1.0, [(1, 0), (0, 0)])
-
-
 def test_joint_step_supports_general_row_sums():
-    margin = MarginState(n_col=2, s_prev=1, n_contributors=2,
-                         total_capacity=5)
-    val = joint_step_conditional(margin, 1.0, 2.0, [(2, 0), (0, 1)],
-                                 row_sums=(3, 2))
-    assert math.isfinite(val)
+    # rows with 3 and 1 draws left: the step is a pmf over the column
+    # drawn, and at column (2, 0) it is C(3, 2) (1)_2 (2)_2 / (3)_4 = 1/10
+    free = (3, 1)
+    total = math.fsum(math.exp(_log_step(1.0, 2.0, col, free))
+                      for col in itertools.product(range(4), range(2)))
+    assert total == pytest.approx(1.0, abs=1e-14)
+    assert math.exp(_log_step(1.0, 2.0, (2, 0), free)) == pytest.approx(
+        0.1, rel=1e-14)
 
 
 @given(st.lists(st.floats(0.2, 4.0), min_size=2, max_size=4),
@@ -253,8 +250,6 @@ def test_hypergeometric_balanced_table():
 
 
 def test_margin_conditional_is_free_of_alpha():
-    from mdmix import enumerate_tables_with_margins
-
     tables = list(enumerate_tables_with_margins((2, 2), (2, 2)))
     for alpha in ((1.0, 1.0), (0.3, 2.2), (5.0, 0.7)):
         params = MdmParams((2, 2), DispersionModel.from_alpha(alpha))
@@ -268,8 +263,6 @@ def test_margin_conditional_is_free_of_alpha():
 def test_margins_are_sufficient():
     # within a margin class the conditional mass is hypergeometric, so
     # log pmf minus log hypergeometric is constant across the class
-    from mdmix import enumerate_tables_with_margins
-
     params = MdmParams((2, 2), DispersionModel.from_alpha((0.8, 1.3)))
     gaps = {mdm_log_pmf(t, params) - hypergeometric_log_pmf(t)
             for t in enumerate_tables_with_margins((2, 2), (2, 2))}

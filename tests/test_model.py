@@ -152,7 +152,6 @@ def test_count_table_coerces_integer_like_values():
 
 def test_margin_state_remaining_capacity():
     s = MarginState(n_col=1, s_prev=2, n_contributors=2)
-    assert s.total_capacity == 4
     assert s.remaining == 2
 
 
@@ -161,11 +160,6 @@ def test_margin_state_rejects_overfull_states():
         MarginState(n_col=3, s_prev=2, n_contributors=2)
     with pytest.raises(ParameterError):
         MarginState(n_col=-1, s_prev=0, n_contributors=2)
-
-
-def test_margin_state_custom_capacity():
-    s = MarginState(n_col=2, s_prev=3, n_contributors=2, total_capacity=6)
-    assert s.remaining == 3
 
 
 # ---------------------------------------------------------------------------

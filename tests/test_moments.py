@@ -10,8 +10,8 @@ import pytest
 
 from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
                    MdmParams, ParameterError, covariance, covariance_matrix,
-                   factorial_moment, falling_factorial, mean_matrix,
-                   oracle_moment, theta_to_alpha)
+                   factorial_moment, mean_matrix, theta_to_alpha)
+from mdmix.oracle import oracle_moment
 
 
 def all_orders(n_profiles, n_categories, max_total):
@@ -22,14 +22,6 @@ def all_orders(n_profiles, n_categories, max_total):
             rows = tuple(tuple(values[i * n_categories:(i + 1) * n_categories])
                          for i in range(n_profiles))
             yield FactorialOrder(rows)
-
-
-def test_falling_factorial_small_values():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(2, 3) == 0
-    with pytest.raises(ParameterError):
-        falling_factorial(5, -1)
 
 
 def test_factorial_moment_flat_pair():

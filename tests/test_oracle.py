@@ -11,9 +11,10 @@ from scipy.stats import chisquare
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    FactorialOrder, MdmParams, MdmSampler, SizeGuardError,
-                   TableError, count_tables, enumerate_tables,
-                   enumerate_tables_with_margins, mdm_log_pmf, oracle_moment,
-                   oracle_pmf_sum, theta_to_alpha)
+                   TableError, mdm_log_pmf, theta_to_alpha)
+from mdmix.oracle import (count_tables, enumerate_tables,
+                          enumerate_tables_with_margins, oracle_moment,
+                          oracle_pmf_sum)
 
 
 # ---------------------------------------------------------------------------

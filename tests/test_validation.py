@@ -41,6 +41,7 @@ def _wider_alphas(fn, by=1e-8):
      _wider_alphas),
     ("hypergeometric", mdmix.validation, "hypergeometric_log_pmf", _shifted),
     ("moment-oracle", mdmix.validation, "factorial_moment", _scaled),
+    ("woe-properties", mdmix.validation, "pair_ratio_via_steps", _nan),
 ])
 def test_validate_catches_a_perturbed_closed_form(monkeypatch, suite, module,
                                                   name, perturb):
