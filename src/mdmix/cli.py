@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .evidence import pair_ratio_curves, woe_curve, woe_margin_grid
 from .mdm import MdmParams, mdm_log_pmf
@@ -24,6 +23,7 @@ from .model import (
     MdmixError,
     ParameterError,
     TableError,
+    _read_csv,
     read_frequency_csv,
     theta_to_alpha,
 )
@@ -31,7 +31,29 @@ from .moments import covariance_matrix, mean_matrix
 from .oracle import MdmSampler
 from .validation import run_all_suites
 
-DEFAULT_Q_PANEL = (0.025, 0.05, 0.1, 0.2, 0.4)
+# name -> (kind, many, default, help).  The flag is --name with '-' for '_';
+# a --config file sets it under name.  _merge coerces a value from either by
+# _typed to kind (a tuple of kind when many), a theta_grid string by
+# parse_theta_grid.
+OPTIONS = {
+    "freqs": (str, False, None,
+              "allele-frequency CSV (locus,allele,frequency)"),
+    "table": (str, False, None, "count-table CSV (profile,allele_1,...)"),
+    "locus": (str, False, None, "locus name from the frequency file"),
+    "out": (str, False, None, "output path, '-' for stdout (default)"),
+    "theta": (float, False, None, "coancestry coefficient in [0, 1)"),
+    # 0, 0.01, ..., 0.5 as k / 100: parse_theta_grid's start + k * step
+    # differs from it in the last bit at 3 of the 51 points
+    "theta_grid": (float, True, tuple(k / 100.0 for k in range(51)),
+                   "start:stop:step or comma list (default 0:0.5:0.01)"),
+    "rows": (int, True, None, "comma-separated per-profile totals, e.g. 2,2"),
+    "seed": (int, False, 0, "RNG seed"),
+    "q_values": (float, True, (0.025, 0.05, 0.1, 0.2, 0.4),
+                 "comma-separated step probabilities Q"),
+    "contributors": (int, False, 2, "number of profiles"),
+    "tail_mass": (float, False, 1.0,
+                  "pooled-mass override for interior steps"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -61,11 +83,6 @@ def _typed(name: str, value, kind, many: bool = False):
         shape = "a list of " if many else ""
         raise ParameterError(f"{name}: expected {shape}{kind.__name__}, "
                              f"got {value!r}") from None
-
-
-def default_theta_grid() -> tuple[float, ...]:
-    """theta = 0, 0.01, ..., 0.5."""
-    return tuple(k / 100.0 for k in range(51))
 
 
 # most points a range-form theta grid may have: step 1e-4 over [0, 1)
@@ -112,11 +129,7 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
 
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
     """Parse a profile,allele_1..allele_A integer table."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TableError(f"{path}: empty file")
+    def header_width(header):
         header = [h.strip() for h in header]
         if not header or header[0].lower() != "profile" or len(header) < 2:
             raise TableError(
@@ -129,27 +142,21 @@ def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
                     f"{path}: line 1: column {k + 1} should be allele_{k}, "
                     f"got {name!r}"
                 )
-        width = len(header) - 1
-        ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != width + 1:
-                raise TableError(
-                    f"{path}: line {lineno}: expected {width + 1} fields, "
-                    f"got {len(row)}"
-                )
-            ids.append(row[0].strip())
-            try:
-                rows.append(tuple(int(cell) for cell in row[1:]))
-            except ValueError:
-                raise TableError(
-                    f"{path}: line {lineno}: counts must be integers"
-                ) from None
-        if not rows:
-            raise TableError(f"{path}: no count rows found")
-        return tuple(ids), CountTable(tuple(rows))
+        return len(header)
+
+    ids = []
+    rows = []
+    for lineno, row in _read_csv(path, TableError, header_width):
+        ids.append(row[0].strip())
+        try:
+            rows.append(tuple(int(cell) for cell in row[1:]))
+        except ValueError:
+            raise TableError(
+                f"{path}: line {lineno}: counts must be integers"
+            ) from None
+    if not rows:
+        raise TableError(f"{path}: no count rows found")
+    return tuple(ids), CountTable(tuple(rows))
 
 
 def _write_csv(out, header, rows) -> None:
@@ -182,86 +189,46 @@ def _select_locus(freq_db: dict[str, LocusFrequencies],
     )
 
 
-@dataclass
-class RunConfig:
-    """Options after merging flags, config file, and defaults."""
-
-    command: str
-    freqs: str | None = None
-    table: str | None = None
-    locus: str | None = None
-    theta: float | None = None
-    theta_grid: tuple[float, ...] = ()
-    rows: tuple[int, ...] = ()
-    seed: int = 0
-    out: str | None = None
-    q_values: tuple[float, ...] = DEFAULT_Q_PANEL
-    contributors: int = 2
-    tail_mass: float = 1.0
-
-
-def _merge(args: argparse.Namespace) -> RunConfig:
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Set each option in OPTIONS on args from its flag, else --config, else
+    its default; then check the values and the command's required options."""
     file_cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
                 raise ParameterError(f"{args.config}: {err}") from None
         if not isinstance(file_cfg, dict):
             raise ParameterError(f"{args.config}: config must be a JSON object")
-
-    def pick(name, default=None):
+        for key in file_cfg:
+            if key not in OPTIONS:
+                raise ParameterError(f"{key}: not an option")
+    for name, (kind, many, default, _) in OPTIONS.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    for name in ("freqs", "table", "locus", "out"):
-        value = pick(name)
-        if value is not None:
-            setattr(cfg, name, _typed(name, value, str))
-    theta = pick("theta")
-    if theta is not None:
-        cfg.theta = _typed("theta", theta, float)
-    grid = pick("theta_grid")
-    if grid is None:
-        cfg.theta_grid = default_theta_grid()
-    elif isinstance(grid, str):
-        cfg.theta_grid = parse_theta_grid(grid)
-    else:
-        cfg.theta_grid = _checked_grid(
-            "theta_grid", _typed("theta_grid", grid, float, many=True))
-    rows = pick("rows")
-    if rows is not None:
-        cfg.rows = _typed("rows", rows, int, many=True)
-    cfg.seed = _typed("seed", pick("seed", 0), int)
-    if cfg.seed < 0:
+        value = file_cfg.get(name) if flag is None else flag
+        if value is None:
+            value = default
+        elif name == "theta_grid" and isinstance(value, str):
+            value = parse_theta_grid(value)
+        else:
+            value = _typed(name, value, kind, many)
+        setattr(args, name, value)
+    _checked_grid("theta_grid", args.theta_grid)
+    if args.seed < 0:
         raise ParameterError(
-            f"seed: expected a non-negative int, got {cfg.seed}")
-    q_values = pick("q_values")
-    if q_values is not None:
-        cfg.q_values = _typed("q_values", q_values, float, many=True)
-    cfg.contributors = _typed("contributors", pick("contributors", 2), int)
-    if cfg.contributors > MAX_WOE_CONTRIBUTORS:
+            f"seed: expected a non-negative int, got {args.seed}")
+    if args.contributors > MAX_WOE_CONTRIBUTORS:
         raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
-                             f"got {cfg.contributors}")
-    cfg.tail_mass = _typed("tail_mass", pick("tail_mass", 1.0), float)
-    return cfg
-
-
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) in (None, ()):
+                             f"got {args.contributors}")
+    for name in COMMANDS[args.command][3]:
+        if getattr(args, name) in (None, ()):
             flag = "--" + name.replace("_", "-")
-            raise ParameterError(f"{cfg.command} requires {flag}")
+            raise ParameterError(f"{args.command} requires {flag}")
+    return args
 
 
-def cmd_pmf(cfg: RunConfig) -> int:
-    _require(cfg, "freqs", "table", "theta")
+def cmd_pmf(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     ids, table = read_table_csv(cfg.table)
     if cfg.locus is not None:
@@ -284,8 +251,7 @@ def cmd_pmf(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    _require(cfg, "freqs", "theta", "rows")
+def cmd_moments(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     entry = _select_locus(freq_db, cfg.locus)
     params = MdmParams(row_sums=cfg.rows,
@@ -306,7 +272,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_woe_curve(cfg: RunConfig) -> int:
+def cmd_woe_curve(cfg: argparse.Namespace) -> int:
     grid = woe_margin_grid(cfg.contributors)
     rows = []
     for q in cfg.q_values:
@@ -320,8 +286,7 @@ def cmd_woe_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_ratio_curve(cfg: RunConfig) -> int:
-    _require(cfg, "freqs")
+def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     entry = _select_locus(freq_db, cfg.locus)
     curves = pair_ratio_curves(entry.freqs, cfg.theta_grid)
@@ -333,8 +298,7 @@ def cmd_ratio_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    _require(cfg, "freqs", "theta", "rows")
+def cmd_sample(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     entry = _select_locus(freq_db, cfg.locus)
     params = MdmParams(row_sums=cfg.rows,
@@ -359,7 +323,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: argparse.Namespace) -> int:
     results = run_all_suites()
     report = {
         "passed": all(r.passed for r in results),
@@ -384,13 +348,24 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report["passed"] else 1
 
 
-_HANDLERS = {
-    "pmf": cmd_pmf,
-    "moments": cmd_moments,
-    "woe-curve": cmd_woe_curve,
-    "ratio-curve": cmd_ratio_curve,
-    "sample": cmd_sample,
-    "validate": cmd_validate,
+# subcommand -> (handler, help, options in --help order, required options)
+COMMANDS = {
+    "pmf": (cmd_pmf, "evaluate the joint log pmf of a count table",
+            ("freqs", "table", "locus", "theta", "out"),
+            ("freqs", "table", "theta")),
+    "moments": (cmd_moments, "mean and covariance of the counts",
+                ("freqs", "locus", "theta", "rows", "out"),
+                ("freqs", "theta", "rows")),
+    "woe-curve": (cmd_woe_curve, "per-step evidence ratios over a theta grid",
+                  ("theta_grid", "q_values", "contributors", "tail_mass",
+                   "out"), ()),
+    "ratio-curve": (cmd_ratio_curve, "pair ratio curves per multiplicity class",
+                    ("freqs", "locus", "theta_grid", "out"), ("freqs",)),
+    "sample": (cmd_sample, "draw one count table",
+               ("freqs", "locus", "theta", "rows", "seed", "out"),
+               ("freqs", "theta", "rows")),
+    "validate": (cmd_validate, "run the oracle suites and report", ("out",),
+                 ()),
 }
 
 
@@ -401,54 +376,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "DNA-mixture evidence ratios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *options):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, names, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with default option values")
-        for opt, kwargs in options:
-            p.add_argument(opt, **kwargs)
-        return p
-
-    freqs = ("--freqs", {"help": "allele-frequency CSV (locus,allele,frequency)"})
-    locus = ("--locus", {"help": "locus name from the frequency file"})
-    theta = ("--theta", {"type": float, "help": "coancestry coefficient in [0, 1)"})
-    grid = ("--theta-grid", {"dest": "theta_grid",
-                             "help": "start:stop:step or comma list "
-                                     "(default 0:0.5:0.01)"})
-    out = ("--out", {"help": "output path, '-' for stdout (default)"})
-    rows = ("--rows", {"help": "comma-separated per-profile totals, e.g. 2,2"})
-    add("pmf", "evaluate the joint log pmf of a count table",
-        freqs, ("--table", {"help": "count-table CSV (profile,allele_1,...)"}),
-        locus, theta, out)
-    add("moments", "mean and covariance of the counts",
-        freqs, locus, theta, rows, out)
-    add("woe-curve", "per-step evidence ratios over a theta grid",
-        grid,
-        ("--q-values", {"dest": "q_values",
-                        "help": "comma-separated step probabilities Q"}),
-        ("--contributors", {"type": int, "help": "number of profiles (default 2)"}),
-        ("--tail-mass", {"dest": "tail_mass", "type": float,
-                         "help": "pooled-mass override for interior steps"}),
-        out)
-    add("ratio-curve", "pair ratio curves per multiplicity class",
-        freqs, locus, grid, out)
-    add("sample", "draw one count table",
-        freqs, locus, theta, rows,
-        ("--seed", {"type": int, "help": "RNG seed (default 0)"}), out)
-    add("validate", "run the oracle suites and report", out)
+        for name in names:
+            _, many, default, text = OPTIONS[name]
+            if default is not None and not many:
+                text += f" (default {default})"
+            p.add_argument("--" + name.replace("_", "-"), help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
-        return _HANDLERS[args.command](cfg)
-    except MdmixError as err:
-        print(f"mdmix {args.command}: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        return COMMANDS[args.command][0](_merge(args))
+    except (MdmixError, OSError) as err:
         print(f"mdmix {args.command}: error: {err}", file=sys.stderr)
         return 2
 

@@ -273,6 +273,31 @@ class LocusFrequencies:
     freqs: AlleleFrequencies
 
 
+def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row after the header of the
+    UTF-8 CSV file at path.  check_header(header) raises on a bad header and
+    returns the field count of every row.  An empty, undecodable or
+    malformed file and a row of another width raise error naming path."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file")
+            width = check_header(header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    raise error(f"{path}: line {lineno}: expected {width} "
+                                f"fields, got {len(row)}")
+                rows.append((lineno, row))
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise error(f"{path}: {err}") from None
+    return rows
+
+
 _FREQ_HEADER = ("locus", "allele", "frequency")
 
 
@@ -283,47 +308,39 @@ def read_frequency_csv(path) -> dict[str, LocusFrequencies]:
     positive; a locus whose frequencies sum to s < 1 gets a rest class of
     mass 1 - s.  Parse and domain errors carry the offending line number.
     """
-    per_locus: dict[str, list[tuple[str, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FrequencyFileError(f"{path}: empty file")
+    def header_width(header):
         if tuple(h.strip().lower() for h in header) != _FREQ_HEADER:
             raise FrequencyFileError(
                 f"{path}: line 1: expected header locus,allele,frequency, "
                 f"got {','.join(header)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise FrequencyFileError(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            locus, allele, raw = (cell.strip() for cell in row)
-            if not locus or not allele:
-                raise FrequencyFileError(
-                    f"{path}: line {lineno}: empty locus or allele name"
-                )
-            try:
-                freq = float(raw)
-            except ValueError:
-                raise FrequencyFileError(
-                    f"{path}: line {lineno}: frequency {raw!r} is not a number"
-                ) from None
-            if not math.isfinite(freq) or freq <= 0.0:
-                raise FrequencyFileError(
-                    f"{path}: line {lineno}: frequency {freq} is not "
-                    "strictly positive"
-                )
-            entries = per_locus.setdefault(locus, [])
-            if any(name == allele for name, _ in entries):
-                raise FrequencyFileError(
-                    f"{path}: line {lineno}: duplicate allele {allele!r} "
-                    f"for locus {locus!r}"
-                )
-            entries.append((allele, freq))
+        return len(_FREQ_HEADER)
+
+    per_locus: dict[str, list[tuple[str, float]]] = {}
+    for lineno, row in _read_csv(path, FrequencyFileError, header_width):
+        locus, allele, raw = (cell.strip() for cell in row)
+        if not locus or not allele:
+            raise FrequencyFileError(
+                f"{path}: line {lineno}: empty locus or allele name"
+            )
+        try:
+            freq = float(raw)
+        except ValueError:
+            raise FrequencyFileError(
+                f"{path}: line {lineno}: frequency {raw!r} is not a number"
+            ) from None
+        if not math.isfinite(freq) or freq <= 0.0:
+            raise FrequencyFileError(
+                f"{path}: line {lineno}: frequency {freq} is not "
+                "strictly positive"
+            )
+        entries = per_locus.setdefault(locus, [])
+        if any(name == allele for name, _ in entries):
+            raise FrequencyFileError(
+                f"{path}: line {lineno}: duplicate allele {allele!r} "
+                f"for locus {locus!r}"
+            )
+        entries.append((allele, freq))
     if not per_locus:
         raise FrequencyFileError(f"{path}: no frequency rows found")
     result: dict[str, LocusFrequencies] = {}

@@ -68,10 +68,15 @@ class SuiteResult:
     note: str = ""
 
 
-def _result(name: str, errors: list[float], tol: float) -> SuiteResult:
-    # every check within tol, so a nan error fails the suite
-    return SuiteResult(name, all(e <= tol for e in errors), len(errors),
-                       max(errors, default=0.0), tol)
+def _result(name: str, errors: list[float], tol: float,
+            n_checks: int | None = None, note: str = "") -> SuiteResult:
+    """Passed when every error is within tol.  max_error is the largest
+    error, or nan when any error is nan, which max() would skip."""
+    worst = (math.nan if any(map(math.isnan, errors))
+             else max(errors, default=0.0))
+    return SuiteResult(name, all(e <= tol for e in errors),
+                       len(errors) if n_checks is None else n_checks,
+                       worst, tol, note)
 
 
 def _grid_params():
@@ -223,11 +228,11 @@ def suite_woe() -> SuiteResult:
     grid = woe_margin_grid(2)
     flagged = [s for s, free in grid if free]
     if len(grid) != 15 or len(flagged) != 3:
-        return SuiteResult("woe-properties", False, 1, float("inf"), WOE_TOL,
-                           f"grid sizes {len(grid)}/{len(flagged)}")
+        return _result("woe-properties", [math.inf], WOE_TOL, 1,
+                       f"grid sizes {len(grid)}/{len(flagged)}")
     if len(woe_margin_grid(1)) != 6:
-        return SuiteResult("woe-properties", False, 2, float("inf"),
-                           WOE_TOL, "single-contributor grid size")
+        return _result("woe-properties", [math.inf], WOE_TOL, 2,
+                       "single-contributor grid size")
     checks = 2
     errors = []
     note = ""
@@ -260,9 +265,7 @@ def suite_woe() -> SuiteResult:
                 errors.append(float("inf"))
                 note = note or f"relabelling check: {sig} at theta {theta}"
             checks += 4
-    # every error within tol, so a nan error fails the suite
-    return SuiteResult("woe-properties", all(e <= WOE_TOL for e in errors),
-                       checks, max(errors, default=0.0), WOE_TOL, note)
+    return _result("woe-properties", errors, WOE_TOL, checks, note)
 
 
 def suite_sampler() -> SuiteResult:
@@ -275,9 +278,8 @@ def suite_sampler() -> SuiteResult:
     seq_b = [second.draw().counts for _ in range(200)]
     same = seq_a == seq_b
     one_shot = MdmSampler(params, 20240901).draw().counts == seq_a[0]
-    passed = same and one_shot
-    return SuiteResult("sampler-determinism", passed, 402,
-                       0.0 if passed else float("inf"), 0.0)
+    return _result("sampler-determinism",
+                   [0.0 if same and one_shot else math.inf], 0.0, 402)
 
 
 def run_all_suites() -> list[SuiteResult]:

@@ -290,14 +290,69 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     ("validate", "out", {"a": 1}),
     ("moments", "locus", ["L"]),
     ("woe-curve", "out", 1),
+    ("woe-curve", "q_values", "0.1,high"),
+    ("moments", "rows", "two,2"),
+    # a field written as its flag is given on the command line: a flag
+    # and a config value go through the same coercion and message
+    ("moments", "--theta", "abc"),
+    ("sample", "--seed", "x"),
+    ("woe-curve", "--contributors", "two"),
+    ("woe-curve", "--contributors", "2.9"),
+    ("woe-curve", "--tail-mass", "heavy"),
+    ("woe-curve", "--q-values", "0.1,high"),
+    ("moments", "--rows", "two,2"),
 ])
 def test_config_value_of_the_wrong_type_is_a_usage_error(
         tmp_path, capsys, command, field, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({field: value}))
-    assert main([command, "--config", str(cfg)]) == 2
+    if field.startswith("--"):
+        argv = [command, field, value]
+        field = field[2:].replace("-", "_")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"mdmix {command}: error: {field}: expected")
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, freq_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeed": 5, "theta": 0.1, "rows": [2, 2]}))
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--freqs", freq_file, "--locus", "D1",
+            "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "mdmix sample: error: seeed: not an option\n")
+    assert not out.exists()
+    # a key another subcommand reads is still accepted
+    cfg.write_text(json.dumps({"seed": 5, "theta": 0.1, "rows": [2, 2],
+                               "q_values": [0.2], "table": "unused.csv"}))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
+@pytest.mark.parametrize("bad", ["freqs", "table", "config", "long-field"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, freq_file,
+                                                table_file, bad):
+    files = {"freqs": freq_file, "table": table_file,
+             "config": str(tmp_path / "cfg.json")}
+    (tmp_path / "cfg.json").write_text(json.dumps({"theta": 0.03}))
+    bad_file = tmp_path / "bad.csv"
+    if bad == "long-field":
+        # one field over the csv module's 131,072-character limit
+        bad_file.write_text(TABLE_CSV + "x" * 200_000 + ",0,0,0,0,0,0\n")
+        files["table"] = str(bad_file)
+    else:
+        bad_file.write_bytes(b"\xff\xfe not utf-8\n")
+        files[bad] = str(bad_file)
+    code = main(["pmf", "--freqs", files["freqs"], "--table", files["table"],
+                 "--locus", "D1", "--config", files["config"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdmix pmf: error: {bad_file}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, config", [

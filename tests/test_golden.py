@@ -3,10 +3,13 @@
 
 Each CLI invocation below runs in-process through `cli.main` on fixture
 files this test writes, and its stdout (plus stderr for `sample`) is
-reduced to a SHA-256.  Three more digests cover the `.hex()` of the direct
-and chain log pmf on every small table of a fixed grid and of every
-factorial moment of total at most 3.  `tests/golden/digests.json` holds the
-expected digests and the Python, numpy and platform they were made on.
+reduced to a SHA-256.  Five more digests cover the `.hex()` of the direct
+and chain log pmf on every small table of a fixed grid, of every factorial
+moment of total at most 3, of `pair_ratio` on every genotype pair over 4
+alleles and of `woe_step` on the three-contributor margin grid.
+`tests/golden/digests.json` holds the expected digests and the Python,
+numpy and platform they were made on.  Each invocation also runs with its
+options moved into a --config file and must give the same bytes.
 
 A change that moves any of these values by one ulp fails here.  The
 failure message prints the new digests: a change that means to move a
@@ -26,8 +29,10 @@ import numpy as np
 
 from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
                    MdmParams, factorial_moment, mdm_chain_log_pmf,
-                   mdm_log_pmf, theta_to_alpha)
+                   mdm_log_pmf, pair_ratio, theta_to_alpha, woe_margin_grid,
+                   woe_step)
 from mdmix.cli import main
+from mdmix.evidence import enumerate_genotype_pairs
 from mdmix.oracle import enumerate_tables
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "digests.json"
@@ -76,20 +81,38 @@ MOMENT_PARAMS = (
 )
 
 
+PAIR_FREQS = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+PAIR_THETAS = (1e-6, 0.01, 0.3)
+WOE_QS = (0.025, 0.2, 0.4)
+WOE_THETAS = (1e-9, 0.01, 0.3)
+WOE_TAIL_MASSES = (1.0, 0.4)
+
+
 def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _cli_digests(tmp_path, capsys) -> dict[str, str]:
+def _cli_cases(tmp_path) -> dict[str, list[str]]:
+    """CLI_CASES with the fixture files written and their paths filled in."""
     paths = {"freqs": tmp_path / "freqs.csv", "table": tmp_path / "table.csv"}
     paths["freqs"].write_text(FREQ_CSV)
     paths["table"].write_text(TABLE_CSV)
-    out = {}
+    return {name: [arg.format(**paths) for arg in argv]
+            for name, argv in CLI_CASES.items()}
+
+
+def _run(argv, capsys) -> tuple[int, str]:
+    """Exit code and stdout (plus stderr for `sample`) of one run."""
     capsys.readouterr()
-    for name, argv in CLI_CASES.items():
-        code = main([arg.format(**paths) for arg in argv])
-        captured = capsys.readouterr()
-        text = captured.out + (captured.err if argv[0] == "sample" else "")
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out + (captured.err if argv[0] == "sample" else "")
+
+
+def _cli_digests(tmp_path, capsys) -> dict[str, str]:
+    out = {}
+    for name, argv in _cli_cases(tmp_path).items():
+        code, text = _run(argv, capsys)
         out[name] = f"{code}:" + hashlib.sha256(text.encode()).hexdigest()
     return out
 
@@ -117,11 +140,39 @@ def _orders(params: MdmParams, max_total: int):
 def _value_digests() -> dict[str, str]:
     moments = [factorial_moment(order, params).hex()
                for params in MOMENT_PARAMS for order in _orders(params, 3)]
+    ratios = [pair_ratio(pair, PAIR_FREQS, theta).hex()
+              for pair in enumerate_genotype_pairs(4) for theta in PAIR_THETAS]
+    steps = [woe_step(state, q, theta, tail_mass=mass).hex()
+             for state, _ in woe_margin_grid(3) for q in WOE_QS
+             for theta in WOE_THETAS for mass in WOE_TAIL_MASSES]
     return {
         "mdm_log_pmf": _sha(_pmf_hexes(mdm_log_pmf)),
         "mdm_chain_log_pmf": _sha(_pmf_hexes(mdm_chain_log_pmf)),
         "factorial_moment": _sha(moments),
+        "pair_ratio": _sha(ratios),
+        "woe_step": _sha(steps),
     }
+
+
+def _as_json(text: str):
+    """A flag's text as the JSON value a config file would hold: a number,
+    a list of numbers, or else the string itself."""
+    try:
+        value = json.loads(f"[{text}]")
+    except ValueError:
+        return text
+    return value[0] if len(value) == 1 else value
+
+
+def test_config_file_gives_the_same_bytes_as_flags(tmp_path, capsys):
+    for name, argv in _cli_cases(tmp_path).items():
+        command, flags = argv[0], argv[1:]
+        config = {flag[2:].replace("-", "_"): _as_json(text)
+                  for flag, text in zip(flags[::2], flags[1::2])}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert (_run([command, "--config", str(path)], capsys)
+                == _run(argv, capsys)), name
 
 
 def test_outputs_match_the_golden_digests(tmp_path, capsys):

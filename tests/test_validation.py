@@ -4,6 +4,7 @@ when the closed form they check is off by a little, or is nan."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import pytest
@@ -23,6 +24,20 @@ def _scaled(fn, by=1e-8):
 
 def _nan(fn):
     return lambda *args: float("nan")
+
+
+def _nan_after_first(fn):
+    calls = []
+
+    def perturbed(*args):
+        calls.append(args)
+        return fn(*args) if len(calls) == 1 else float("nan")
+    return perturbed
+
+
+def _nan_if_first_cell_is_0(fn):
+    return lambda t, params: (float("nan") if t.counts[0][0] == 0
+                              else fn(t, params))
 
 
 def _wider_alphas(fn, by=1e-8):
@@ -52,3 +67,16 @@ def test_validate_catches_a_perturbed_closed_form(monkeypatch, suite, module,
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     results = {r.name: r for r in mdmix.validation.run_all_suites()}
     assert not results[suite].passed
+
+
+@pytest.mark.parametrize("suite, name, perturb", [
+    ("chain-equivalence", "mdm_chain_log_pmf", _nan_if_first_cell_is_0),
+    ("woe-properties", "pair_ratio_via_steps", _nan_after_first),
+])
+def test_a_nan_error_is_the_max_error(monkeypatch, suite, name, perturb):
+    # max() keeps a finite error over every nan that comes after it
+    monkeypatch.setattr(mdmix.validation, name,
+                        perturb(getattr(mdmix.validation, name)))
+    results = {r.name: r for r in mdmix.validation.run_all_suites()}
+    assert not results[suite].passed
+    assert math.isnan(results[suite].max_error)
