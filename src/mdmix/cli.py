@@ -33,8 +33,8 @@ from .validation import run_all_suites
 
 # name -> (kind, many, default, help).  The flag is --name with '-' for '_';
 # a --config file sets it under name.  _merge coerces a value from either by
-# _typed to kind (a tuple of kind when many), a theta_grid string by
-# parse_theta_grid.
+# _typed to kind (a non-empty tuple of kind when many), a theta_grid string
+# by parse_theta_grid.
 OPTIONS = {
     "freqs": (str, False, None,
               "allele-frequency CSV (locus,allele,frequency)"),
@@ -213,6 +213,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
             value = parse_theta_grid(value)
         else:
             value = _typed(name, value, kind, many)
+            if many and not value:
+                raise ParameterError(f"{name}: expected a non-empty list")
         setattr(args, name, value)
     _checked_grid("theta_grid", args.theta_grid)
     if args.seed < 0:
@@ -222,7 +224,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
                              f"got {args.contributors}")
     for name in COMMANDS[args.command][3]:
-        if getattr(args, name) in (None, ()):
+        if getattr(args, name) is None:
             flag = "--" + name.replace("_", "-")
             raise ParameterError(f"{args.command} requires {flag}")
     return args

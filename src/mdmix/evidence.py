@@ -23,7 +23,9 @@ that reach 2, together with which alleles carry them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -63,8 +65,8 @@ class GenotypePair:
 
     @property
     def pooled(self) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(self.first.counts,
-                                           self.second.counts))
+        return tuple(map(operator.add, self.first.counts,
+                         self.second.counts))
 
 
 def genotype_from_alleles(alleles, n_categories: int) -> ProfileCounts:
@@ -171,12 +173,19 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     if a_tail == 0.0:
         raise ParameterError(
             f"tail_mass = {tail_mass} underflows at theta = {theta}")
-    n = margin.n_col
+    return _woe_ratio(margin.n_col, margin.remaining, q_scaled, a_step, a_tail)
+
+
+def _woe_ratio(n: int, rem: int, q_scaled: float, a_step, a_tail):
+    """woe_step's cancelled products for column count n of rem draws,
+    unchecked.  a_step and a_tail are floats or equal-shape arrays; numpy's
+    arithmetic is correctly rounded, so an array gives the bits of the
+    scalar call at each entry."""
     ratio = 1.0
     for k in range(1, n):
-        ratio *= (a_step + q_scaled * k) / (a_step + k)
-    for j in range(margin.remaining - n):
-        ratio *= (a_tail + (1.0 - q_scaled) * (n + j)) / (a_tail + j)
+        ratio = ratio * ((a_step + q_scaled * k) / (a_step + k))
+    for j in range(rem - n):
+        ratio = ratio * ((a_tail + (1.0 - q_scaled) * (n + j)) / (a_tail + j))
     return ratio
 
 
@@ -201,12 +210,32 @@ def woe_margin_grid(n_contributors: int = 2):
 
 def woe_curve(states, q_scaled: float, theta_grid,
               tail_mass: float = 1.0) -> np.ndarray:
-    """Matrix of woe_step values, one row per state, one column per theta."""
-    grid = [float(t) for t in theta_grid]
-    out = np.empty((len(states), len(grid)))
-    for r, state in enumerate(states):
-        for c, theta in enumerate(grid):
-            out[r, c] = woe_step(state, q_scaled, theta, tail_mass=tail_mass)
+    """Matrix of woe_step values, one row per state, one column per theta.
+
+    Each state's row is one _woe_ratio call over the whole grid, bit for
+    bit the woe_step values.  Bad input raises the error woe_step raises
+    at the first state and the first theta where it would fail.
+    """
+    grid = np.array([float(t) for t in theta_grid])
+    out = np.ones((len(states), len(grid)))
+    if not out.size:
+        return out
+    # Python floats never warn, so neither does this: theta = +-0 and an
+    # overflowing pool give woe_step's 1.0, and a subnormal a_tail can
+    # overflow a factor to inf in woe_step as here
+    with np.errstate(all="ignore"):
+        a_pool = tail_mass * (1.0 - grid) / grid
+        live = (grid != 0.0) & (a_pool != np.inf)
+        a_tail = (1.0 - q_scaled) * a_pool
+        bad = ~((0.0 <= grid) & (grid < 1.0)) | (live & (a_tail == 0.0))
+        bad[0] |= not (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0)
+        if bad.any():  # woe_step raises the first bad entry's error
+            woe_step(states[0], q_scaled, float(grid[bad.argmax()]),
+                     tail_mass=tail_mass)
+        a_step, a_tail = q_scaled * a_pool[live], a_tail[live]
+        for r, state in enumerate(states):
+            out[r, live] = _woe_ratio(state.n_col, state.remaining, q_scaled,
+                                      a_step, a_tail)
     return out
 
 
@@ -239,9 +268,7 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
     # share multiplicity-bearing alleles agree bit for bit regardless of
     # where their singletons sit
     terms = [math.log(a_total + k) for k in range(2 * GENOTYPE_SIZE)]
-    for q_a, c in zip(q, pooled):
-        if c == 0:
-            continue
+    for q_a, c in compress(zip(q, pooled), pooled):
         if c == 1:
             # q_a / alpha_a reduces to 1 / a_total exactly
             terms.append(-math.log(a_total))

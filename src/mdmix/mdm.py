@@ -33,7 +33,9 @@ inside the family; the helpers here return the transformed parameter sets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .logspace import log_binomial, log_factorial, log_rising
 from .model import (
@@ -44,7 +46,7 @@ from .model import (
     SubsetSpec,
     TableError,
     theta_to_alpha,
-    _as_int,
+    _as_ints,
 )
 
 
@@ -56,11 +58,10 @@ class MdmParams:
     model: DispersionModel
 
     def __post_init__(self):
-        rows = tuple(_as_int(x, f"row_sums[{i}]")
-                     for i, x in enumerate(self.row_sums))
+        rows = _as_ints(self.row_sums, "row_sums")
         if not rows:
             raise ParameterError("at least one profile row is required")
-        if any(x < 0 for x in rows):
+        if min(rows) < 0:
             raise ParameterError(f"row sums {rows} contain a negative entry")
         object.__setattr__(self, "row_sums", rows)
 
@@ -104,12 +105,12 @@ def _suffix_sums(values) -> list[float]:
 
 
 def _multinomial_row_log_pmf(row, q) -> float:
-    """Log multinomial pmf of one row over the extended probabilities q."""
+    """Log multinomial pmf of one row over the extended probabilities q;
+    a zero cell adds only exact zeros to the fsum and is skipped."""
     terms = [log_factorial(sum(row))]
-    for n_a, q_a in zip(row, q):
+    for n_a, q_a in compress(zip(row, q), row):
         terms.append(-log_factorial(n_a))
-        if n_a > 0:
-            terms.append(n_a * math.log(q_a))
+        terms.append(n_a * math.log(q_a))
     return math.fsum(terms)
 
 
@@ -141,13 +142,14 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
         q = model.freqs.extended_probs
         return math.fsum(_multinomial_row_log_pmf(row, q)
                          for row in table.counts)
+    # log 0! = log 1! = log_rising(a, 0) = 0.0 exactly, and fsum is exactly
+    # rounded, so only cells above 1 and nonzero columns need terms
+    cols = table.col_sums
     terms = [-log_rising(model.alpha_total, table.total)]
-    for i, row in enumerate(table.counts):
-        terms.append(log_factorial(table.row_sums[i]))
-        for x in row:
-            terms.append(-log_factorial(x))
-    for a, a_a in zip(table.col_sums, model.alpha):
-        terms.append(log_rising(a_a, a))
+    terms += map(log_factorial, table.row_sums)
+    terms += map(operator.neg, map(log_factorial, filter(
+        (1).__lt__, chain.from_iterable(table.counts))))
+    terms += map(log_rising, compress(model.alpha, cols), filter(None, cols))
     return math.fsum(terms)
 
 

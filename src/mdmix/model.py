@@ -53,6 +53,18 @@ def _as_int(value, what: str):
         raise TableError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; the first one that is not an integer
+    is a TableError naming it as what[k]."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for k, x in enumerate(values):
+            _as_int(x, f"{what}[{k}]")
+        raise
+
+
 @dataclass(frozen=True)
 class AlleleFrequencies:
     """Allele probabilities for one locus, plus an optional rest class.
@@ -158,7 +170,7 @@ def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     if theta == 0.0:
         return DispersionModel(theta=0.0, freqs=freqs, alpha=None, alpha_total=None)
     scale = (1.0 - theta) / theta
-    alpha = tuple(q * scale for q in freqs.extended_probs)
+    alpha = tuple(map(scale.__mul__, freqs.extended_probs))
     if not (math.isfinite(scale) and min(alpha) > 0.0):
         raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
     return DispersionModel(theta=theta, freqs=freqs, alpha=alpha,
@@ -178,11 +190,8 @@ class CountTable:
     total: int = field(init=False)
 
     def __post_init__(self):
-        rows = []
-        for i, row in enumerate(self.counts):
-            rows.append(tuple(_as_int(x, f"counts[{i}][{a}]")
-                              for a, x in enumerate(row)))
-        counts = tuple(rows)
+        counts = tuple(_as_ints(row, f"counts[{i}]")
+                       for i, row in enumerate(self.counts))
         if not counts:
             raise TableError("a table needs at least one profile row")
         width = len(counts[0])
@@ -191,14 +200,13 @@ class CountTable:
         for i, row in enumerate(counts):
             if len(row) != width:
                 raise TableError(f"row {i} has {len(row)} entries, expected {width}")
-            for a, x in enumerate(row):
-                if x < 0:
-                    raise TableError(f"counts[{i}][{a}] = {x} is negative")
-        row_sums = tuple(sum(row) for row in counts)
+            if min(row) < 0:
+                a = next(a for a, x in enumerate(row) if x < 0)
+                raise TableError(f"counts[{i}][{a}] = {row[a]} is negative")
+        row_sums = tuple(map(sum, counts))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_sums", row_sums)
-        object.__setattr__(self, "col_sums", tuple(
-            sum(row[a] for row in counts) for a in range(width)))
+        object.__setattr__(self, "col_sums", tuple(map(sum, zip(*counts))))
         object.__setattr__(self, "total", sum(row_sums))
 
     @property
@@ -217,13 +225,12 @@ class ProfileCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(_as_int(x, f"counts[{a}]")
-                       for a, x in enumerate(self.counts))
+        counts = _as_ints(self.counts, "counts")
         if not counts:
             raise TableError("a profile needs at least one allele category")
-        for a, x in enumerate(counts):
-            if x < 0:
-                raise TableError(f"counts[{a}] = {x} is negative")
+        if min(counts) < 0:
+            a = next(a for a, x in enumerate(counts) if x < 0)
+            raise TableError(f"counts[{a}] = {counts[a]} is negative")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -275,9 +282,11 @@ class LocusFrequencies:
 
 def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row after the header of the
-    UTF-8 CSV file at path.  check_header(header) raises on a bad header and
-    returns the field count of every row.  An empty, undecodable or
-    malformed file and a row of another width raise error naming path."""
+    UTF-8 CSV file at path; a row's number is the physical line it starts
+    on, so a quoted field that spans lines does not shift later numbers.
+    check_header(header) raises on a bad header and returns the field count
+    of every row.  An empty, undecodable or malformed file and a row of
+    another width raise error naming path."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -286,7 +295,9 @@ def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
             if header is None:
                 raise error(f"{path}: empty file")
             width = check_header(header)
-            for lineno, row in enumerate(reader, start=2):
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != width:

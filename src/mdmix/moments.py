@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdm import MdmParams
-from .model import ParameterError, _as_int
+from .model import ParameterError, _as_int, _as_ints
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,15 @@ class FactorialOrder:
     orders: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = []
-        for i, row in enumerate(self.orders):
-            rows.append(tuple(_as_int(x, f"orders[{i}][{a}]")
-                              for a, x in enumerate(row)))
-        orders = tuple(rows)
+        orders = tuple(_as_ints(row, f"orders[{i}]")
+                       for i, row in enumerate(self.orders))
         if not orders or not orders[0]:
             raise ParameterError("orders must be a non-empty matrix")
         width = len(orders[0])
         for i, row in enumerate(orders):
             if len(row) != width:
                 raise ParameterError(f"orders row {i} has ragged width")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ParameterError(f"orders row {i} has a negative entry")
         object.__setattr__(self, "orders", orders)
 

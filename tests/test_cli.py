@@ -292,6 +292,11 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     ("woe-curve", "out", 1),
     ("woe-curve", "q_values", "0.1,high"),
     ("moments", "rows", "two,2"),
+    # an empty list of a many-valued option would run on nothing
+    ("woe-curve", "theta_grid", []),
+    ("woe-curve", "q_values", []),
+    ("ratio-curve", "theta_grid", []),
+    ("moments", "rows", []),
     # a field written as its flag is given on the command line: a flag
     # and a config value go through the same coercion and message
     ("moments", "--theta", "abc"),

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,38 @@ def test_woe_curve_shape():
     curve = woe_curve(states, 0.1, (0.0, 0.1, 0.2))
     assert curve.shape == (15, 3)
     np.testing.assert_array_equal(curve[:, 0], 1.0)
+    # every entry is woe_step's, bit for bit and without a RuntimeWarning,
+    # from theta = -0 and an overflowing pool to factors that overflow to
+    # inf (at tail_mass 1e-300 and theta = 1 - 1e-16)
+    grid = (-0.0, 1e-320, 1e-15, 0.3, 0.9999999999999999)
+    for q, mass in ((0.4, 1e-300), (1e-300, 1.0), (0.999, 0.4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = woe_curve(states, q, grid, tail_mass=mass)
+        want = np.array([[woe_step(s, q, t, tail_mass=mass) for t in grid]
+                         for s in states])
+        assert curve.tobytes() == want.tobytes()
+        assert np.isinf(curve).any() == (mass == 1e-300)
+
+
+@pytest.mark.parametrize("q, grid, mass", [
+    (0.0, (0.1,), 1.0),
+    (0.2, (0.1, 1.0), 1.0),
+    (0.2, (0.1, float("nan")), 1.0),
+    # tail_mass is checked at the first theta, a bad theta before it
+    (0.2, (0.1, 2.0), 5.0),
+    (0.2, (-0.1, 0.5), 0.0),
+    # the pool mass of the tail underflows to 0 at the last theta only
+    (1.0 - 1e-16, (0.0, 0.5, 0.9999999999999999), 1e-300),
+])
+def test_woe_curve_raises_the_error_of_woe_step(q, grid, mass):
+    states = [s for s, _ in woe_margin_grid()]
+    with pytest.raises(ParameterError) as want:
+        for theta in grid:
+            woe_step(states[0], q, theta, tail_mass=mass)
+    with pytest.raises(ParameterError) as got:
+        woe_curve(states, q, grid, tail_mass=mass)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

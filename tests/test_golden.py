@@ -6,7 +6,12 @@ files this test writes, and its stdout (plus stderr for `sample`) is
 reduced to a SHA-256.  Five more digests cover the `.hex()` of the direct
 and chain log pmf on every small table of a fixed grid, of every factorial
 moment of total at most 3, of `pair_ratio` on every genotype pair over 4
-alleles and of `woe_step` on the three-contributor margin grid.
+alleles and of `woe_step` on the three-contributor margin grid.  Three
+cover casework-shaped traffic: the direct log pmf of genotype tables with
+2 to 4 rows over 6, 20 and 41 alleles, with and without a rest class,
+`pair_ratio` on the pairs of their rows, and the bytes (or the error) of
+`woe_curve` over the margin grids of 1 to 4 contributors on a theta grid
+that reaches 0, 1e-320 and 1 - 1e-16.
 `tests/golden/digests.json` holds the expected digests and the Python,
 numpy and platform they were made on.  Each invocation also runs with its
 options moved into a --config file and must give the same bytes.
@@ -22,17 +27,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import sys
 
 import numpy as np
 
-from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
-                   MdmParams, factorial_moment, mdm_chain_log_pmf,
-                   mdm_log_pmf, pair_ratio, theta_to_alpha, woe_margin_grid,
+from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
+                   FactorialOrder, GenotypePair, MdmParams, ParameterError,
+                   factorial_moment, mdm_chain_log_pmf, mdm_log_pmf,
+                   pair_ratio, theta_to_alpha, woe_curve, woe_margin_grid,
                    woe_step)
 from mdmix.cli import main
-from mdmix.evidence import enumerate_genotype_pairs
+from mdmix.evidence import enumerate_genotype_pairs, genotype_from_alleles
 from mdmix.oracle import enumerate_tables
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "digests.json"
@@ -87,6 +94,15 @@ WOE_QS = (0.025, 0.2, 0.4)
 WOE_THETAS = (1e-9, 0.01, 0.3)
 WOE_TAIL_MASSES = (1.0, 0.4)
 
+# casework-shaped traffic: the named-allele counts, the thetas casework
+# runs plus one near the multinomial limit, and 12 tables per row count
+CASE_WIDTHS = (6, 20, 41)
+CASE_THETAS = (0.0, 0.01, 0.03, 1e-6)
+CASE_TABLES = 12
+CURVE_QS = (0.025, 0.4, 1.0 - 1e-16)
+CURVE_TAIL_MASSES = (1.0, 0.4, 1e-300)
+CURVE_GRID = (0.0, 1e-320, 1e-15, 1e-6, 0.01, 0.3, 0.9, 0.9999999999999999)
+
 
 def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -137,6 +153,69 @@ def _orders(params: MdmParams, max_total: int):
                 for i in range(0, cells, params.n_categories)))
 
 
+def _case_freqs():
+    """Uneven frequencies over each width, closing the simplex and (scaled
+    by 0.9) leaving a rest class of 0.1."""
+    for width in CASE_WIDTHS:
+        weights = [1.0 + (7 * k) % 5 for k in range(width)]
+        total = math.fsum(weights)
+        full = tuple(w / total for w in weights)
+        yield AlleleFrequencies(full)
+        yield AlleleFrequencies(tuple(0.9 * q for q in full))
+
+
+def _case_tables(width: int):
+    """CASE_TABLES genotype tables of 2, 3 and 4 rows over width categories.
+    A fixed linear congruential stream picks each allele, half the time
+    among the first four so that rows share alleles and homozygotes occur."""
+    x = 1
+    for n_rows in (2, 3, 4):
+        for _ in range(CASE_TABLES):
+            rows = []
+            for _ in range(n_rows):
+                alleles = []
+                for _ in range(2):
+                    x = (1103515245 * x + 12345) % 2**31
+                    span = width if (x >> 10) & 1 else min(width, 4)
+                    alleles.append((x >> 16) % span)
+                rows.append(genotype_from_alleles(alleles, width))
+            yield rows
+
+
+def _case_hexes() -> tuple[list[str], list[str]]:
+    """.hex() of mdm_log_pmf on every casework table and of pair_ratio on
+    every pair of its rows, at every CASE_THETAS value."""
+    pmfs, ratios = [], []
+    for freqs in _case_freqs():
+        for rows in _case_tables(freqs.n_categories):
+            table = CountTable(tuple(r.counts for r in rows))
+            pairs = [GenotypePair(a, b)
+                     for a, b in itertools.combinations(rows, 2)]
+            for theta in CASE_THETAS:
+                params = MdmParams(table.row_sums,
+                                   theta_to_alpha(freqs, theta))
+                pmfs.append(mdm_log_pmf(table, params).hex())
+                ratios.extend(pair_ratio(p, freqs, theta).hex()
+                              for p in pairs)
+    return pmfs, ratios
+
+
+def _curve_outputs() -> list[str]:
+    """woe_curve's bytes, or its error, for every CURVE_* combination."""
+    out = []
+    for contributors in range(1, 5):
+        states = [state for state, _ in woe_margin_grid(contributors)]
+        for q in CURVE_QS:
+            for mass in CURVE_TAIL_MASSES:
+                try:
+                    curve = woe_curve(states, q, CURVE_GRID, tail_mass=mass)
+                except ParameterError as err:
+                    out.append(f"ParameterError: {err}")
+                else:
+                    out.append(curve.tobytes().hex())
+    return out
+
+
 def _value_digests() -> dict[str, str]:
     moments = [factorial_moment(order, params).hex()
                for params in MOMENT_PARAMS for order in _orders(params, 3)]
@@ -145,12 +224,16 @@ def _value_digests() -> dict[str, str]:
     steps = [woe_step(state, q, theta, tail_mass=mass).hex()
              for state, _ in woe_margin_grid(3) for q in WOE_QS
              for theta in WOE_THETAS for mass in WOE_TAIL_MASSES]
+    case_pmfs, case_ratios = _case_hexes()
     return {
         "mdm_log_pmf": _sha(_pmf_hexes(mdm_log_pmf)),
         "mdm_chain_log_pmf": _sha(_pmf_hexes(mdm_chain_log_pmf)),
         "factorial_moment": _sha(moments),
         "pair_ratio": _sha(ratios),
         "woe_step": _sha(steps),
+        "casework_mdm_log_pmf": _sha(case_pmfs),
+        "casework_pair_ratio": _sha(case_ratios),
+        "woe_curve": _sha(_curve_outputs()),
     }
 
 

@@ -130,20 +130,40 @@ def test_profile_counts_totals_and_width():
 def test_count_table_rejects_ragged_rows():
     with pytest.raises(TableError):
         CountTable(((1, 1), (1,)))
+    # a ragged row is named before a negative cell in a later row
+    with pytest.raises(TableError, match=r"^row 1 has 3 entries, expected 2$"):
+        CountTable(((1, 1), (1, 0, 0), (0, -1)))
 
 
 def test_count_table_rejects_negative_counts():
     with pytest.raises(TableError):
         CountTable(((1, -1),))
+    with pytest.raises(TableError,
+                       match=r"^counts\[1\]\[2\] = -2 is negative$"):
+        CountTable(((1, 1, 0), (0, 3, -2)))
+    with pytest.raises(TableError, match=r"^counts\[1\] = -1 is negative$"):
+        ProfileCounts((0, -1, -2))
 
 
 def test_count_table_coerces_integer_like_values():
     import numpy as np
 
-    t = CountTable(((np.int64(1), np.int64(1)),))
-    assert t.counts == ((1, 1),)
-    with pytest.raises(TableError):
-        CountTable(((1.5, 0.5),))
+    t = CountTable(((np.int64(1), np.int64(1)), (True, np.int64(0))))
+    assert t.counts == ((1, 1), (1, 0))
+    assert all(type(x) is int for row in t.counts for x in row)
+    assert (t.row_sums, t.col_sums, t.total) == ((2, 1), (2, 1), 3)
+    for counts, message in [
+        (((1.5, 0.5),), "counts[0][0] must be an integer, got 1.5"),
+        (((1, 2.0),), "counts[0][1] must be an integer, got 2.0"),
+        # every cell is converted before any other check, and the first
+        # non-integer in row-major order is the one named
+        (((1, -1), (0, 1), (2, "x", 0.5)),
+         "counts[2][1] must be an integer, got 'x'"),
+        (((0, 1), (None,)), "counts[1][0] must be an integer, got None"),
+    ]:
+        with pytest.raises(TableError) as err:
+            CountTable(counts)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +231,15 @@ def test_read_frequency_csv_reports_offending_line(tmp_path):
         "L1,b,zebra\n"
     )
     with pytest.raises(FrequencyFileError, match="line 3"):
+        read_frequency_csv(path)
+    # lines are physical: the quoted allele name spans lines 2 and 3
+    path.write_text(
+        "locus,allele,frequency\n"
+        'L1,"a\nb",0.1\n'
+        "L1,c,zebra\n"
+    )
+    with pytest.raises(FrequencyFileError,
+                       match=r"line 4: frequency 'zebra' is not a number"):
         read_frequency_csv(path)
 
 
