@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
@@ -48,6 +48,7 @@ class GenotypePair:
 
     first: ProfileCounts
     second: ProfileCounts
+    n_categories: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, prof in (("first", self.first), ("second", self.second)):
@@ -58,10 +59,7 @@ class GenotypePair:
                 )
         if self.first.n_categories != self.second.n_categories:
             raise ParameterError("profiles span different category counts")
-
-    @property
-    def n_categories(self) -> int:
-        return self.first.n_categories
+        object.__setattr__(self, "n_categories", self.first.n_categories)
 
     @property
     def pooled(self) -> tuple[int, ...]:
@@ -261,19 +259,20 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     if theta == 0.0:
         return 1.0
-    q = freqs.extended_probs
     a_total = (1.0 - theta) / theta
     pooled = pair.pooled
     # one exactly rounded fsum over the whole term multiset, so pairs that
     # share multiplicity-bearing alleles agree bit for bit regardless of
     # where their singletons sit
     terms = [math.log(a_total + k) for k in range(2 * GENOTYPE_SIZE)]
-    for q_a, c in compress(zip(q, pooled), pooled):
+    for q_a, log_q, c in compress(zip(freqs.extended_probs,
+                                      freqs.log_extended_probs, pooled),
+                                  pooled):
         if c == 1:
             # q_a / alpha_a reduces to 1 / a_total exactly
             terms.append(-math.log(a_total))
             continue
-        terms.append(c * math.log(q_a))
+        terms.append(c * log_q)
         terms.extend(-math.log(q_a * a_total + k) for k in range(c))
     return math.exp(math.fsum(terms))
 
@@ -282,8 +281,6 @@ def pair_ratio_via_pmfs(pair: GenotypePair, freqs: AlleleFrequencies,
                         theta: float) -> float:
     """The same ratio from full pmf evaluations (independent code path)."""
     _check_pair_width(pair, freqs)
-    if theta == 0.0:
-        return 1.0
     rows = (GENOTYPE_SIZE, GENOTYPE_SIZE)
     table = CountTable((pair.first.counts, pair.second.counts))
     log_num = mdm_log_pmf(table, MdmParams(rows, theta_to_alpha(freqs, 0.0)))
@@ -295,8 +292,6 @@ def pair_ratio_via_steps(pair: GenotypePair, freqs: AlleleFrequencies,
                          theta: float) -> float:
     """The same ratio as the product of woe_step values along the chain."""
     _check_pair_width(pair, freqs)
-    if theta == 0.0:
-        return 1.0
     q = freqs.extended_probs
     suffix = _suffix_sums(q)
     pooled = pair.pooled

@@ -1,30 +1,29 @@
 """Joint counts for several profiles sharing one latent Dirichlet draw.
 
-For an I x A table n with fixed row sums n_i. and theta > 0,
+For an I x A table n with fixed row sums n_i., frequencies q and Dirichlet
+parameters alpha_a = q_a a. (a. = alpha_total),
 
     P(n) = { prod_i C(n_i.; n_i1 .. n_iA) }
            * Gamma(a.) / Gamma(n.. + a.)
-           * prod_a Gamma(n.a + a_a) / Gamma(a_a),
+           * prod_a Gamma(n.a + alpha_a) / Gamma(alpha_a),
 
 i.e. the pooled column counts are Dirichlet-multinomial and, given the
 column sums, tables follow the exact multivariate hypergeometric law
-(which is free of alpha).  At theta = 0 rows are independent multinomials
-and the entry points below dispatch to that product.
+(which is free of alpha).  Writing each gamma ratio as
+log (x)_n = n log x + L(x, n) with the scaled rising kernel L of
+logspace, the n log x parts collapse to sum_a n.a log q_a, so
 
-A single profile is the one-row case I = 1: for counts (n_1 .. n_A) with
-total n the law is the Dirichlet-multinomial
+    log P(n) = multinomial terms + sum_a L(alpha_a, n.a) - L(a., n..).
 
-    P(n) = n! Gamma(a.) / Gamma(n + a.)
-           * prod_b Gamma(n_b + a_b) / (n_b! Gamma(a_b)),
+At theta = 0 (a. = inf) every L is exactly 0 and the pmf is the product
+of independent row multinomials: the limit, with no case of its own.
 
-where a. = sum(alpha).  The same mass factors into a chain of
-beta-binomial conditionals over the cumulative sums, and in the theta = 0
-limit into a chain of plain binomials with tail-scaled success
-probabilities Q_a = q_a / sum_{b >= a} q_b, which multiplies out to the
-multinomial pmf.  For several rows the chain steps through the pooled
-column counts, each split hypergeometrically across the rows' remaining
-counts; one step is the private kernel _log_step, and mdm_chain_log_pmf
-is their sum.
+The same mass factors into a chain over the categories.  Step a draws the
+pooled column count n.a of the draws still free, a beta-binomial with
+success probability Q_a = q_a / sum_{b >= a} q_b (a binomial at
+theta = 0), split hypergeometrically across the rows' remaining counts;
+one step is the private kernel _log_step, and mdm_chain_log_pmf is their
+sum.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -34,10 +33,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress
 
-from .logspace import log_binomial, log_factorial, log_rising
+from .logspace import log_binomial, log_factorial, log_scaled_rising
 from .model import (
     AlleleFrequencies,
     CountTable,
@@ -45,8 +44,8 @@ from .model import (
     ParameterError,
     SubsetSpec,
     TableError,
-    theta_to_alpha,
     _as_ints,
+    _scaled_model,
 )
 
 
@@ -75,7 +74,7 @@ class MdmParams:
 
     @property
     def n_categories(self) -> int:
-        return self.model.n_categories
+        return self.model.freqs.n_categories
 
 
 def _check_table(table: CountTable, params: MdmParams) -> None:
@@ -104,68 +103,49 @@ def _suffix_sums(values) -> list[float]:
     return suffix
 
 
-def _multinomial_row_log_pmf(row, q) -> float:
-    """Log multinomial pmf of one row over the extended probabilities q;
-    a zero cell adds only exact zeros to the fsum and is skipped."""
-    terms = [log_factorial(sum(row))]
-    for n_a, q_a in compress(zip(row, q), row):
-        terms.append(-log_factorial(n_a))
-        terms.append(n_a * math.log(q_a))
-    return math.fsum(terms)
-
-
-def _binomial_chain_row_log_pmf(row, q) -> float:
-    """Log pmf of one row as the theta = 0 chain of binomials.
-
-    Step a draws n_a of the remaining counts with Q_a = q_a / tail_a; the
-    product multiplies out to _multinomial_row_log_pmf.
-    """
-    suffix = _suffix_sums(q)
-    terms = []
-    rem = sum(row)
-    for a in range(len(q) - 1):
-        n_a = row[a]
-        terms.append(log_binomial(rem, n_a))
-        if n_a > 0:
-            terms.append(n_a * math.log(q[a] / suffix[a]))
-        rem -= n_a
-        if rem > 0:
-            terms.append(rem * math.log(suffix[a + 1] / suffix[a]))
-    return math.fsum(terms)
-
-
 def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     """Log pmf of the joint table; independent multinomials at theta = 0."""
     _check_table(table, params)
-    model = params.model
-    if model.theta == 0.0:
-        q = model.freqs.extended_probs
-        return math.fsum(_multinomial_row_log_pmf(row, q)
-                         for row in table.counts)
-    # log 0! = log 1! = log_rising(a, 0) = 0.0 exactly, and fsum is exactly
-    # rounded, so only cells above 1 and nonzero columns need terms
+    freqs = params.model.freqs
+    a_total = params.model.alpha_total
+    # a zero cell or column adds only exact zeros, and fsum is exactly
+    # rounded, so only nonzero ones get terms
     cols = table.col_sums
-    terms = [-log_rising(model.alpha_total, table.total)]
+    counts = list(filter(None, cols))
+    terms = [-log_scaled_rising(a_total, table.total)]
     terms += map(log_factorial, table.row_sums)
     terms += map(operator.neg, map(log_factorial, filter(
-        (1).__lt__, chain.from_iterable(table.counts))))
-    terms += map(log_rising, compress(model.alpha, cols), filter(None, cols))
+        None, chain.from_iterable(table.counts))))
+    terms += map(operator.mul, counts,
+                 compress(freqs.log_extended_probs, cols))
+    terms += map(log_scaled_rising,
+                 map(a_total.__mul__, compress(freqs.extended_probs, cols)),
+                 counts)
     return math.fsum(terms)
 
 
-def _log_step(alpha_a: float, alpha_tail: float, col, free) -> float:
+def _log_step(q_a: float, q_tail: float, col, free,
+              scale: float = 1.0) -> float:
     """Log mass of one chain step, unchecked: the rows draw col[i] of their
-    free[i] remaining counts into category a.  With n = sum(col) and
-    rem = sum(free), the pooled count is beta-binomial and its split across
-    the rows hypergeometric, which multiplies into
+    free[i] remaining counts into category a, whose Dirichlet parameter is
+    q_a scale against q_tail scale for the categories after it.  With
+    n = sum(col), rem = sum(free) and Q = q_a / (q_a + q_tail), the pooled
+    count is beta-binomial and its split across the rows hypergeometric:
 
-        { prod_i C(free_i, col_i) } * B-ratio(n, rem; alpha_a, alpha_tail).
+        { prod_i C(free_i, col_i) } Q^n (1-Q)^(rem-n)
+        * exp(L(q_a scale, n) + L(q_tail scale, rem-n)
+              - L((q_a + q_tail) scale, rem)),
+
+    a binomial at scale = inf.
     """
     n = sum(col)
     rem = sum(free)
+    pool = q_a + q_tail
     terms = [log_binomial(f, c) for f, c in zip(free, col)]
-    terms += [log_rising(alpha_a, n), log_rising(alpha_tail, rem - n),
-              -log_rising(alpha_a + alpha_tail, rem)]
+    terms += [n * math.log(q_a / pool), (rem - n) * math.log(q_tail / pool),
+              log_scaled_rising(q_a * scale, n),
+              log_scaled_rising(q_tail * scale, rem - n),
+              -log_scaled_rising(pool * scale, rem)]
     return math.fsum(terms)
 
 
@@ -173,20 +153,15 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     """Log pmf assembled column by column from _log_step.
 
     Telescopes to mdm_log_pmf; independent code path for cross-checks.
-    At theta = 0 it is the product of per-row binomial chains.
     """
     _check_table(table, params)
-    model = params.model
-    if model.theta == 0.0:
-        q = model.freqs.extended_probs
-        return math.fsum(_binomial_chain_row_log_pmf(row, q)
-                         for row in table.counts)
-    alpha = model.alpha
-    suffix = _suffix_sums(alpha)
+    q = params.model.freqs.extended_probs
+    a_total = params.model.alpha_total
+    suffix = _suffix_sums(q)
     free = table.row_sums
     terms = []
     for a, col in enumerate(list(zip(*table.counts))[:-1]):
-        terms.append(_log_step(alpha[a], suffix[a + 1], col, free))
+        terms.append(_log_step(q[a], suffix[a + 1], col, free, a_total))
         free = [f - c for f, c in zip(free, col)]
     return math.fsum(terms)
 
@@ -194,25 +169,19 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
 def marginal_over_alleles(params: MdmParams, keep: SubsetSpec) -> MdmParams:
     """Collapse the complement of `keep` into one category.
 
-    The kept columns retain their parameters and the collapsed category
-    gets the summed parameter, so row sums and theta are unchanged.
+    The kept columns retain their frequencies and the collapsed category
+    gets the summed frequency; row sums, theta and alpha_total are
+    unchanged.
     """
     width = params.n_categories
     keep.validate_for(width)
     dropped = keep.complement(width)
     if not dropped:
         raise ParameterError("keep must be a proper subset of the categories")
-    model = params.model
-    if model.theta == 0.0:
-        q = model.freqs.extended_probs
-        probs = tuple(q[a] for a in keep.indices) + (
-            math.fsum(q[a] for a in dropped),)
-        new_model = theta_to_alpha(AlleleFrequencies(probs), 0.0)
-    else:
-        alpha = model.alpha
-        new_alpha = tuple(alpha[a] for a in keep.indices) + (
-            math.fsum(alpha[a] for a in dropped),)
-        new_model = DispersionModel.from_alpha(new_alpha)
+    q = params.model.freqs.extended_probs
+    probs = tuple(q[a] for a in keep.indices) + (
+        math.fsum(q[a] for a in dropped),)
+    new_model = replace(params.model, freqs=AlleleFrequencies(probs))
     return MdmParams(row_sums=params.row_sums, model=new_model)
 
 
@@ -221,9 +190,9 @@ def conditional_over_alleles(params: MdmParams, observed: CountTable,
     """Condition on the counts of the observed category subset.
 
     The remaining columns follow the same family with row sums reduced by
-    the observed rows; for theta > 0 their parameters are simply the
-    remaining alphas (the implied theta changes), for theta = 0 the
-    remaining probabilities renormalize.
+    the observed rows and their own alphas: the remaining frequencies
+    renormalize and alpha_total scales by their mass, so the implied theta
+    changes (and stays 0 at theta = 0).
     """
     width = params.n_categories
     observed_subset.validate_for(width)
@@ -248,15 +217,10 @@ def conditional_over_alleles(params: MdmParams, observed: CountTable,
             )
         new_rows.append(full - part)
     model = params.model
-    if model.theta == 0.0:
-        q = model.freqs.extended_probs
-        kept_q = [q[a] for a in kept]
-        norm = math.fsum(kept_q)
-        new_model = theta_to_alpha(
-            AlleleFrequencies(tuple(x / norm for x in kept_q)), 0.0)
-    else:
-        new_model = DispersionModel.from_alpha(
-            tuple(model.alpha[a] for a in kept))
+    kept_q = [model.freqs.extended_probs[a] for a in kept]
+    mass = math.fsum(kept_q)
+    new_model = _scaled_model([x / mass for x in kept_q],
+                              model.alpha_total * mass)
     return MdmParams(row_sums=tuple(new_rows), model=new_model)
 
 
@@ -273,7 +237,8 @@ def conditional_over_profiles(params: MdmParams, observed: CountTable,
 
     The remaining rows follow the same family with each alpha shifted by
     the observed column sums (posterior updating of the shared Dirichlet
-    draw); at theta = 0 rows are independent and the model is unchanged.
+    draw): q' = (alpha + c) / (a. + n) and a.' = a. + n.  At theta = 0
+    (a. = inf) rows are independent, and q and theta come out unchanged.
     """
     observed_subset.validate_for(params.n_profiles)
     kept = observed_subset.complement(params.n_profiles)
@@ -297,10 +262,14 @@ def conditional_over_profiles(params: MdmParams, observed: CountTable,
             )
     rows = tuple(params.row_sums[i] for i in kept)
     model = params.model
-    if model.theta == 0.0:
-        return MdmParams(row_sums=rows, model=model)
-    new_alpha = tuple(a + c for a, c in zip(model.alpha, observed.col_sums))
-    return MdmParams(row_sums=rows, model=DispersionModel.from_alpha(new_alpha))
+    a_total = model.alpha_total
+    # (alpha_a + c_a) / (a. + n) with numerator and denominator divided by
+    # a., which stays finite (and is q_a itself) as a. -> inf
+    shrink = 1.0 + observed.total / a_total
+    probs = [(q_a + c / a_total) / shrink
+             for q_a, c in zip(model.freqs.extended_probs, observed.col_sums)]
+    return MdmParams(row_sums=rows,
+                     model=_scaled_model(probs, a_total + observed.total))
 
 
 def hypergeometric_log_pmf(table: CountTable) -> float:

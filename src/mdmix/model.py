@@ -2,15 +2,14 @@
 
 The model family: allele probabilities q over A categories, optionally
 extended by a "rest" class that absorbs unlisted mass, and a coancestry
-(overdispersion) coefficient theta in [0, 1).  For theta > 0 the derived
-Dirichlet parameters are
+(overdispersion) coefficient theta in [0, 1).  The derived Dirichlet
+parameters are
 
-    alpha_a = q_a (1 - theta) / theta,
+    alpha_a = q_a alpha_total,  alpha_total = (1 - theta) / theta,
 
-so q_a = alpha_a / alpha_total and theta = 1 / (1 + alpha_total).
-theta = 0 is a distinguished state, the independent multinomial limit;
-alpha does not exist there and downstream entry points dispatch to exact
-multinomial/binomial formulas instead.
+so theta = 1 / (1 + alpha_total).  theta = 0 is the limit alpha_total =
+inf, the independent multinomial; every formula downstream takes it as
+that limit, with no case of its own.
 
 Everything in this module is immutable after construction and safe to
 share across threads.
@@ -73,10 +72,17 @@ class AlleleFrequencies:
     s < 1 and no rest_mass is given, rest_mass = 1 - s is inferred; the
     rest class behaves as an ordinary (A+1)-th category everywhere.  An
     explicit rest_mass is binding and the total must be 1 within 1e-12.
+    extended_probs (the named probabilities plus the rest class when it
+    carries mass), their logs and n_categories are computed on construction.
     """
 
     probs: tuple[float, ...]
     rest_mass: float | None = None
+    extended_probs: tuple[float, ...] = field(init=False, repr=False,
+                                              compare=False)
+    log_extended_probs: tuple[float, ...] = field(init=False, repr=False,
+                                                  compare=False)
+    n_categories: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probs)
@@ -98,47 +104,38 @@ class AlleleFrequencies:
                 raise ParameterError(
                     f"probs + rest_mass sum to {s + rest}, expected 1"
                 )
+        extended = probs + (rest,) if rest > 0.0 else probs
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "rest_mass", rest)
+        object.__setattr__(self, "extended_probs", extended)
+        object.__setattr__(self, "log_extended_probs",
+                           tuple(map(math.log, extended)))
+        object.__setattr__(self, "n_categories", len(extended))
 
     @property
     def has_rest(self) -> bool:
         return self.rest_mass > 0.0
 
-    @property
-    def extended_probs(self) -> tuple[float, ...]:
-        """Named probabilities plus the rest class when it carries mass."""
-        if self.has_rest:
-            return self.probs + (self.rest_mass,)
-        return self.probs
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.probs) + (1 if self.has_rest else 0)
-
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """theta plus the derived Dirichlet parameters over extended categories.
+    """theta, the frequencies q and the Dirichlet mass alpha_total.
 
+    alpha_total lies in (0, inf] and is inf exactly at theta = 0; the
+    Dirichlet parameters over the extended categories are q_a alpha_total.
     Construct through theta_to_alpha() or DispersionModel.from_alpha().
-    At theta = 0 alpha and alpha_total are None; q lives on in freqs.
     """
 
     theta: float
     freqs: AlleleFrequencies
-    alpha: tuple[float, ...] | None
-    alpha_total: float | None
+    alpha_total: float
 
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
             raise ParameterError(f"theta = {self.theta} outside [0, 1)")
-        if self.theta == 0.0:
-            if self.alpha is not None or self.alpha_total is not None:
-                raise ParameterError("theta = 0 admits no finite alpha")
-        else:
-            if self.alpha is None or self.alpha_total is None:
-                raise ParameterError("theta > 0 requires alpha")
+        if not self.alpha_total > 0.0:
+            raise ParameterError(
+                f"alpha_total = {self.alpha_total} is not strictly positive")
 
     @classmethod
     def from_alpha(cls, alpha) -> "DispersionModel":
@@ -150,31 +147,34 @@ class DispersionModel:
             if not math.isfinite(a) or a <= 0.0:
                 raise ParameterError(f"alpha[{k}] = {a} is not strictly positive")
         total = math.fsum(alpha)
-        freqs = AlleleFrequencies(tuple(a / total for a in alpha))
-        return cls(theta=1.0 / (1.0 + total), freqs=freqs, alpha=alpha,
-                   alpha_total=total)
+        return _scaled_model(tuple(a / total for a in alpha), total)
 
     @property
-    def n_categories(self) -> int:
-        return self.freqs.n_categories
+    def alpha(self) -> tuple[float, ...]:
+        """q_a alpha_total per extended category; all inf at theta = 0."""
+        return tuple(map(self.alpha_total.__mul__, self.freqs.extended_probs))
+
+def _scaled_model(probs, alpha_total: float) -> DispersionModel:
+    """The model over the extended probabilities probs with Dirichlet mass
+    alpha_total, so theta = 1 / (1 + alpha_total)."""
+    return DispersionModel(theta=1.0 / (1.0 + alpha_total),
+                           freqs=AlleleFrequencies(tuple(probs)),
+                           alpha_total=alpha_total)
 
 
 def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
-    """Map (q, theta) to the Dirichlet parameters alpha_a = q_a (1-theta)/theta.
-
-    theta = 0 yields the multinomial-limit model with alpha = None.
+    """Map (q, theta) to alpha_total = (1-theta)/theta; theta = 0 maps to
+    alpha_total = inf, the multinomial limit.
     """
     theta = float(theta)
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     if theta == 0.0:
-        return DispersionModel(theta=0.0, freqs=freqs, alpha=None, alpha_total=None)
+        return DispersionModel(theta=0.0, freqs=freqs, alpha_total=math.inf)
     scale = (1.0 - theta) / theta
-    alpha = tuple(map(scale.__mul__, freqs.extended_probs))
-    if not (math.isfinite(scale) and min(alpha) > 0.0):
+    if not (math.isfinite(scale) and scale * min(freqs.extended_probs) > 0.0):
         raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
-    return DispersionModel(theta=theta, freqs=freqs, alpha=alpha,
-                           alpha_total=math.fsum(alpha))
+    return DispersionModel(theta=theta, freqs=freqs, alpha_total=scale)
 
 
 @dataclass(frozen=True)

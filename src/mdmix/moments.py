@@ -4,9 +4,12 @@ With falling factorials n^(r) = n (n-1) ... (n-r+1), the mixed factorial
 moment of a table under row sums n_i. and parameters alpha is
 
     E prod_ia n_ia^(r_ia) = { prod_i n_i.^(r_i.) }
-        * prod_a prod_{k < r.a} (alpha_a + k) / prod_{k < r..} (a. + k);
+        * prod_a (alpha_a)_{r.a} / (a.)_{r..}
+      = { prod_i n_i.^(r_i.) } * prod_a q_a^{r.a}
+        * exp(sum_a L(alpha_a, r.a) - L(a., r..))
 
-at theta = 0 the alpha ratio degenerates to prod_a q_a^{r.a}.  Means are
+with the scaled rising kernel L of logspace; at theta = 0 (a. = inf) the
+exponent is 0 and the moment is the multinomial one.  Means are
 E n_ia = n_i. q_a regardless of theta, and the covariances take four
 closed forms depending on whether profiles and categories coincide.
 """
@@ -14,10 +17,12 @@ closed forms depending on whether profiles and categories coincide.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .logspace import log_scaled_rising
 from .mdm import MdmParams
 from .model import ParameterError, _as_int, _as_ints
 
@@ -43,12 +48,11 @@ class FactorialOrder:
 
     @property
     def row_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.orders)
+        return tuple(map(sum, self.orders))
 
     @property
     def col_totals(self) -> tuple[int, ...]:
-        return tuple(sum(row[a] for row in self.orders)
-                     for a in range(len(self.orders[0])))
+        return tuple(map(sum, zip(*self.orders)))
 
     @property
     def total(self) -> int:
@@ -69,27 +73,30 @@ def _check_dims(order: FactorialOrder, params: MdmParams) -> None:
 
 
 def factorial_moment(order: FactorialOrder, params: MdmParams) -> float:
-    """E prod_ia n_ia^(r_ia); exactly 0 when some r_i. exceeds n_i.."""
+    """E prod_ia n_ia^(r_ia); exactly 0 when some r_i. exceeds n_i..
+
+    Summed in logs, so a moment inside the double range is finite at every
+    theta; one beyond it raises ParameterError.
+    """
     _check_dims(order, params)
-    base = 1.0
+    perms = 1
     for n_i, r_i in zip(params.row_sums, order.row_totals):
         if r_i > n_i:
             return 0.0
-        base *= math.perm(n_i, r_i)
-    model = params.model
-    if model.theta == 0.0:
-        q = model.freqs.extended_probs
-        for q_a, r_a in zip(q, order.col_totals):
-            base *= q_a ** r_a
-        return base
-    num = 1.0
-    for a_a, r_a in zip(model.alpha, order.col_totals):
-        for k in range(r_a):
-            num *= a_a + k
-    den = 1.0
-    for k in range(order.total):
-        den *= model.alpha_total + k
-    return base * num / den
+        perms *= math.perm(n_i, r_i)
+    freqs = params.model.freqs
+    a_total = params.model.alpha_total
+    cols = order.col_totals
+    terms = [math.log(perms), -log_scaled_rising(a_total, order.total)]
+    terms += map(operator.mul, cols, freqs.log_extended_probs)
+    terms += map(log_scaled_rising,
+                 map(a_total.__mul__, freqs.extended_probs), cols)
+    try:
+        return math.exp(math.fsum(terms))
+    except OverflowError:
+        raise ParameterError(
+            f"factorial moment of order {order.orders} exceeds the double "
+            "range") from None
 
 
 def mean_matrix(params: MdmParams) -> np.ndarray:
@@ -100,13 +107,7 @@ def mean_matrix(params: MdmParams) -> np.ndarray:
 
 
 def covariance(params: MdmParams, i: int, a: int, j: int, b: int) -> float:
-    """Cov(n_ia, n_jb) in closed form.
-
-    same profile, same category:  n_i. q_a (1-q_a) (1 + (n_i.-1) theta)
-    same profile, different:     -n_i. q_a q_b    (1 + (n_i.-1) theta)
-    different profile, same:      n_i. n_j. q_a (1-q_a) theta
-    different profile, different: -n_i. n_j. q_a q_b theta
-    """
+    """Cov(n_ia, n_jb): entry (i*A + a, j*A + b) of covariance_matrix."""
     i = _as_int(i, "profile index i")
     j = _as_int(j, "profile index j")
     a = _as_int(a, "category index a")
@@ -115,28 +116,30 @@ def covariance(params: MdmParams, i: int, a: int, j: int, b: int) -> float:
         raise ParameterError(f"profile index out of range: {i}, {j}")
     if not (0 <= a < params.n_categories and 0 <= b < params.n_categories):
         raise ParameterError(f"category index out of range: {a}, {b}")
-    q = params.model.freqs.extended_probs
-    theta = params.model.theta
-    n_i = params.row_sums[i]
-    if i == j:
-        shrink = 1.0 + (n_i - 1) * theta
-        if a == b:
-            return n_i * q[a] * (1.0 - q[a]) * shrink
-        return -n_i * q[a] * q[b] * shrink
-    n_j = params.row_sums[j]
-    if a == b:
-        return n_i * n_j * q[a] * (1.0 - q[a]) * theta
-    return -n_i * n_j * q[a] * q[b] * theta
+    width = params.n_categories
+    return float(covariance_matrix(params)[i * width + a, j * width + b])
 
 
 def covariance_matrix(params: MdmParams) -> np.ndarray:
-    """Full covariance of the flattened table, cell (i, a) at index i*A + a."""
-    n_p = params.n_profiles
-    n_c = params.n_categories
-    out = np.empty((n_p * n_c, n_p * n_c))
-    for i in range(n_p):
-        for a in range(n_c):
-            for j in range(n_p):
-                for b in range(n_c):
-                    out[i * n_c + a, j * n_c + b] = covariance(params, i, a, j, b)
-    return out
+    """Full covariance of the flattened table, cell (i, a) at index i*A + a.
+
+    same profile, same category:  n_i. q_a (1-q_a) (1 + (n_i.-1) theta)
+    same profile, different:     -n_i. q_a q_b    (1 + (n_i.-1) theta)
+    different profile, same:      n_i. n_j. q_a (1-q_a) theta
+    different profile, different: -n_i. n_j. q_a q_b theta
+
+    Each form is evaluated left to right, as written.
+    """
+    q = np.asarray(params.model.freqs.extended_probs)
+    n = np.asarray(params.row_sums, dtype=float)
+    theta = params.model.theta
+    same_profile = np.eye(len(n), dtype=bool)
+    # axes (i, a, j, b); 0.0 - count, unlike -count, is +0.0 for a zero
+    # row sum
+    count = np.where(same_profile, n[:, None], n[:, None] * n)[:, None, :, None]
+    factor = np.where(same_profile, 1.0 + (n[:, None] - 1.0) * theta, theta)
+    q_a = q[:, None, None]
+    out = np.where(np.eye(len(q), dtype=bool)[:, None, :],
+                   count * q_a * (1.0 - q_a), (0.0 - count) * q_a * q)
+    out = out * factor[:, None, :, None]
+    return out.reshape(len(n) * len(q), len(n) * len(q))

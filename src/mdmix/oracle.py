@@ -174,14 +174,11 @@ class MdmSampler:
         self.seed = int(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         model = params.model
-        if model.theta == 0.0:
-            self._weights = list(model.freqs.extended_probs)
-            self._urn = False
-            self._w_total = math.fsum(self._weights)
-        else:
-            self._weights = list(model.alpha)
-            self._urn = True
-            self._w_total = model.alpha_total
+        # theta = 0 draws from q itself, with no urn reinforcement
+        self._urn = model.theta != 0.0
+        self._weights = list(model.alpha if self._urn
+                             else model.freqs.extended_probs)
+        self._w_total = math.fsum(self._weights)
         self._rows = params.row_sums
         self._n_total = params.n_total
         self._width = params.n_categories

@@ -284,7 +284,7 @@ def suite_sampler() -> SuiteResult:
 
 def run_all_suites() -> list[SuiteResult]:
     grid = _grid_params()
-    # theta = 0 dispatch: chain equals the direct multinomial product
+    # the theta = 0 limit: chain equals the direct multinomial product
     multinomial = MdmParams(
         row_sums=(2, 2),
         model=theta_to_alpha(AlleleFrequencies((0.2, 0.3, 0.5)), 0.0))

@@ -1,19 +1,24 @@
 # SPDX-License-Identifier: Apache-2.0
 """The public surface: every exported name resolves, the list of names is
-pinned, and every `mdmix.<name>` the benchmark reads is still there."""
+pinned, and every `mdmix.<name>` the benchmark reads is still there.  A
+source check keeps theta = 0 a limit of the formulas rather than a case
+they branch on."""
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
 import mdmix
 import mdmix.cli
+import mdmix.logspace
 import mdmix.oracle
 import mdmix.validation
 from mdmix import AlleleFrequencies, pair_ratio_curves
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+SRC = pathlib.Path(mdmix.__file__).resolve().parent
 
 PUBLIC_NAMES = [
     "AlleleFrequencies", "CountTable", "DispersionModel", "FactorialOrder",
@@ -70,3 +75,31 @@ def test_pair_ratio_curve_keys_carry_a_label():
     curves = pair_ratio_curves(freqs, (0.0, 0.1))
     assert sorted(cls.label for cls in curves) == [
         "()", "(2)", "(2,2)", "(3)", "(4)"]
+
+
+def _mentions_theta(node) -> bool:
+    return any(isinstance(n, ast.Name) and "theta" in n.id
+               or isinstance(n, ast.Attribute) and "theta" in n.attr
+               for n in ast.walk(node))
+
+
+def test_no_theta_zero_branch_in_the_pmf_and_moment_code():
+    # theta = 0 is alpha_total = inf, where every scaled rising term is
+    # exactly 0; a comparison of theta with 0 here is a dispatch the
+    # formulas do not need
+    found = []
+    for name in ("mdm.py", "moments.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if (any(map(_mentions_theta, sides))
+                        and any(isinstance(side, ast.Constant)
+                                and side.value == 0 for side in sides)):
+                    found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                if isinstance(node.test, (ast.Name, ast.Attribute)) and (
+                        _mentions_theta(node.test)):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert not hasattr(mdmix.logspace, "log_rising")

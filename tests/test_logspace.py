@@ -8,7 +8,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mdmix.logspace import LOG_ZERO, log_binomial, log_factorial, log_rising
+from mdmix.logspace import (LOG_ZERO, log_binomial, log_factorial,
+                            log_scaled_rising)
 
 
 def test_log_factorial_matches_exact_integers():
@@ -41,6 +42,13 @@ def test_log_binomial_out_of_range_is_log_zero():
 
 
 def test_log_rising_small_cases():
-    # 2.5 * 3.5 * 4.5 = 39.375
-    assert log_rising(2.5, 3) == pytest.approx(math.log(39.375), rel=1e-14)
-    assert log_rising(7.0, 0) == 0.0
+    # 2.5 * 3.5 * 4.5 = 39.375, and L scales the rising product by x^n
+    assert log_scaled_rising(2.5, 3) == pytest.approx(
+        math.log(39.375) - 3 * math.log(2.5), rel=1e-14)
+    assert log_scaled_rising(7.0, 0) == 0.0
+    assert log_scaled_rising(7.0, 1) == 0.0
+    assert log_scaled_rising(math.inf, 40) == 0.0
+    assert log_scaled_rising(math.inf, 10 ** 6) == 0.0
+    for bad in ((0.0, 2), (-1.0, 2), (math.nan, 2), (2.0, -1)):
+        with pytest.raises(ValueError):
+            log_scaled_rising(*bad)

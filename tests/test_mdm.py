@@ -223,7 +223,10 @@ def test_profile_conditional_at_theta_zero_is_no_update():
     params = MdmParams((2, 2), theta_to_alpha(freqs, 0.0))
     cond = conditional_over_profiles(params, CountTable(((2, 0),)),
                                      SubsetSpec((0,)))
-    assert cond.model is params.model
+    assert cond.model == params.model
+    assert cond.model.theta == 0.0
+    assert cond.model.alpha_total == math.inf
+    assert cond.model.freqs.extended_probs == (0.3, 0.7)
     assert cond.row_sums == (2,)
 
 

@@ -63,10 +63,12 @@ def test_theta_to_alpha_example():
 
 
 def test_theta_zero_has_no_finite_alpha():
+    # theta = 0 is the limit alpha_total = inf, with q kept as given
     model = theta_to_alpha(AlleleFrequencies((0.5, 0.5)), 0.0)
     assert model.theta == 0.0
-    assert model.alpha is None
-    assert model.alpha_total is None
+    assert model.alpha_total == math.inf
+    assert model.alpha == (math.inf, math.inf)
+    assert model.freqs.extended_probs == (0.5, 0.5)
 
 
 def test_from_alpha_recovers_theta_and_frequencies():

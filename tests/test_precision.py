@@ -10,15 +10,17 @@ and an lgamma(n + alpha) - lgamma(alpha) difference would lose every digit.
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
-from mdmix import (AlleleFrequencies, CountTable, MdmParams,
-                   mdm_chain_log_pmf, mdm_log_pmf, theta_to_alpha,
-                   woe_margin_grid, woe_step)
+from mdmix import (AlleleFrequencies, CountTable, FactorialOrder, MdmParams,
+                   ParameterError, factorial_moment, mdm_chain_log_pmf,
+                   mdm_log_pmf, theta_to_alpha, woe_margin_grid, woe_step)
 from mdmix.cli import main
-from mdmix.logspace import RISING_LGAMMA_MAX_X, log_rising
+from mdmix.logspace import log_scaled_rising
 
 mpmath.mp.dps = 50
 
@@ -95,13 +97,73 @@ def test_log_pmf_matches_mpmath_at_every_theta(counts, theta):
                                                      float(want))
 
 
-@pytest.mark.parametrize("x", [0.5, 3.25, 100.0, RISING_LGAMMA_MAX_X * 0.999,
-                               RISING_LGAMMA_MAX_X,
-                               RISING_LGAMMA_MAX_X * 1.001, 1e3, 1e8, 1e15])
+@pytest.mark.parametrize("x", [1e-6, 0.5, 3.25, 100.0, 255.744, 256.0,
+                               256.256, 1e3, 1e8, 1e15, math.inf])
 def test_log_rising_matches_mpmath_on_both_sides_of_the_switch(x):
-    for n in (0, 1, 2, 5, 40, 200):
-        want = _mp_log_rising(mpmath.mpf(x), n)
-        assert abs(log_rising(x, n) - want) <= 1e-12, (x, n)
+    # for n > 8 below x = 256 L is an lgamma difference, whose error scales
+    # with the size of the lgamma values; elsewhere it is accurate relative
+    # to L itself
+    for n in (0, 1, 2, 5, 8, 9, 40, 200, 10 ** 4, 10 ** 6):
+        got = log_scaled_rising(x, n)
+        if n <= 1 or x == math.inf:
+            assert got == 0.0, (x, n)
+            continue
+        mx = mpmath.mpf(x)
+        want = _mp_log_rising(mx, n) - n * mpmath.log(mx)
+        if x < 256.0 and n > 8:
+            size = (abs(mpmath.loggamma(mx + n)) + abs(mpmath.loggamma(mx))
+                    + n * abs(mpmath.log(mx)))
+        else:
+            size = abs(want)
+        assert abs(got - want) <= 1e-14 * size, (x, n, got, float(want))
+
+
+@given(theta=st.one_of(
+           st.just(0.0),
+           st.floats(math.log(1e-15), math.log1p(-1e-9)).map(math.exp)),
+       rows=st.lists(
+           st.integers(0, 10 ** 4).flatmap(lambda total: st.lists(
+               st.integers(0, total), min_size=5, max_size=5).map(
+               lambda cuts: (total, sorted(cuts)))),
+           min_size=1, max_size=3))
+def test_log_pmf_matches_mpmath_on_random_tables(theta, rows):
+    # each row of up to 10^4 draws is cut into the six panel categories
+    counts = tuple(tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+                   for total, cuts in rows)
+    table = CountTable(counts)
+    params = _params(counts, theta)
+    want = oracle_log_pmf(counts, theta)
+    for path in (mdm_log_pmf, mdm_chain_log_pmf):
+        got = path(table, params)
+        assert abs(got - want) <= LOG_PMF_ABS_TOL, (path.__name__, got,
+                                                     float(want))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.3])
+def test_factorial_moment_where_the_products_overflow(theta):
+    # E n_1^(50) n_2^(50) on 100 draws: 100! (a_1)_50 (a_2)_50 / (a.)_100,
+    # whose rising products alone overflow a double for small theta
+    params = MdmParams((100,), theta_to_alpha(AlleleFrequencies((0.5, 0.5)),
+                                              theta))
+    got = factorial_moment(FactorialOrder(((50, 50),)), params)
+    if theta == 0:
+        want = mpmath.factorial(100) * mpmath.mpf(0.5) ** 100
+    else:
+        a = mpmath.mpf(0.5) * (1 - mpmath.mpf(theta)) / mpmath.mpf(theta)
+        want = (mpmath.factorial(100) * mpmath.rf(a, 50) ** 2
+                / mpmath.rf(2 * a, 100))
+    assert abs(got / want - 1) <= 1e-12, (got, float(want))
+    if theta == 1e-4:
+        assert got == pytest.approx(7.3e127, rel=1e-2)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.3])
+def test_factorial_moment_beyond_the_double_range_is_an_error(theta):
+    # about 3.3e620 at theta = 0
+    params = MdmParams((400,), theta_to_alpha(AlleleFrequencies((0.5, 0.5)),
+                                              theta))
+    with pytest.raises(ParameterError, match=re.escape("((150, 150),)")):
+        factorial_moment(FactorialOrder(((150, 150),)), params)
 
 
 @pytest.mark.parametrize("tail_mass", [1.0, 0.3])
