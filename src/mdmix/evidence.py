@@ -18,14 +18,19 @@ remaining tail mass, exposed here as the tail_mass argument.
 Alleles observed exactly once cancel out of the ratio, so a genotype pair
 is summarized by its multiplicity class: the multiset of pooled counts
 that reach 2, together with which alleles carry them.
+
+The curve builders woe_curve and pair_ratio_curves evaluate woe_step and
+pair_ratio over a theta grid.  Each computes a term that its points or
+states share once per call, and gives the scalar values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -146,6 +151,12 @@ class MarginState:
         return GENOTYPE_SIZE * self.n_contributors - self.s_prev
 
 
+def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
+    """tail_mass (1 - theta) / theta; inf at theta = 0, the limit in which
+    every ratio here is exactly 1, and inf where the quotient overflows."""
+    return tail_mass * (1.0 - theta) / theta if theta else math.inf
+
+
 def woe_step(margin: MarginState, q_scaled: float, theta: float,
              tail_mass: float = 1.0) -> float:
     """One chain step of the independence-to-joint ratio.
@@ -163,7 +174,7 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     if not 0.0 < tail_mass <= 1.0:
         raise ParameterError(f"tail_mass = {tail_mass} outside (0, 1]")
-    a_pool = tail_mass * (1.0 - theta) / theta if theta else math.inf
+    a_pool = _pool_mass(theta, tail_mass)
     if a_pool == math.inf:  # theta = 0, or 1 + O(1 / a_pool) rounds to 1
         return 1.0
     a_step = q_scaled * a_pool
@@ -171,20 +182,37 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     if a_tail == 0.0:
         raise ParameterError(
             f"tail_mass = {tail_mass} underflows at theta = {theta}")
-    return _woe_ratio(margin.n_col, margin.remaining, q_scaled, a_step, a_tail)
+    return _woe_ratios([(margin.n_col, margin.remaining)], q_scaled,
+                       a_step, a_tail)[0]
 
 
-def _woe_ratio(n: int, rem: int, q_scaled: float, a_step, a_tail):
-    """woe_step's cancelled products for column count n of rem draws,
-    unchecked.  a_step and a_tail are floats or equal-shape arrays; numpy's
-    arithmetic is correctly rounded, so an array gives the bits of the
-    scalar call at each entry."""
-    ratio = 1.0
-    for k in range(1, n):
-        ratio = ratio * ((a_step + q_scaled * k) / (a_step + k))
-    for j in range(rem - n):
-        ratio = ratio * ((a_tail + (1.0 - q_scaled) * (n + j)) / (a_tail + j))
-    return ratio
+def _woe_ratios(keys, q_scaled: float, a_step, a_tail) -> list:
+    """woe_step's cancelled products, unchecked, for each (n, rem) in keys:
+    column count n of rem draws,
+
+        prod_{1 <= k < n} (a_step + Q k) / (a_step + k)
+        * prod_{j < rem - n} (a_tail + (1-Q)(n + j)) / (a_tail + j),
+
+    multiplied left to right.  Step factors depend on k alone and tail
+    factors on (n + j, j), so each factor and each running product is
+    computed once per call and every value keeps the bits of a lone
+    product, whatever the keys and their order.  a_step and a_tail are
+    floats or equal-shape arrays; numpy's arithmetic is correctly rounded,
+    so an array gives the bits of the scalar call at each entry."""
+    step = [1.0, 1.0]  # step[n]: the product over k < n
+    tails = {}  # tails[n][t]: step[n] times the first t tail factors
+    out = []
+    for n, rem in keys:
+        while len(step) <= n:
+            k = len(step) - 1
+            step.append(step[k] * ((a_step + q_scaled * k) / (a_step + k)))
+        run = tails.setdefault(n, [step[n]])
+        while len(run) <= rem - n:
+            j = len(run) - 1
+            run.append(run[j] * ((a_tail + (1.0 - q_scaled) * (n + j))
+                                 / (a_tail + j)))
+        out.append(run[rem - n])
+    return out
 
 
 def woe_margin_grid(n_contributors: int = 2):
@@ -210,9 +238,11 @@ def woe_curve(states, q_scaled: float, theta_grid,
               tail_mass: float = 1.0) -> np.ndarray:
     """Matrix of woe_step values, one row per state, one column per theta.
 
-    Each state's row is one _woe_ratio call over the whole grid, bit for
-    bit the woe_step values.  Bad input raises the error woe_step raises
-    at the first state and the first theta where it would fail.
+    One _woe_ratios call over the whole grid gives every row, so states
+    with the same column count share their factors and running products;
+    the values are woe_step's bit for bit.  Bad input raises the error
+    woe_step raises at the first state and the first theta where it would
+    fail.
     """
     grid = np.array([float(t) for t in theta_grid])
     out = np.ones((len(states), len(grid)))
@@ -230,10 +260,10 @@ def woe_curve(states, q_scaled: float, theta_grid,
         if bad.any():  # woe_step raises the first bad entry's error
             woe_step(states[0], q_scaled, float(grid[bad.argmax()]),
                      tail_mass=tail_mass)
-        a_step, a_tail = q_scaled * a_pool[live], a_tail[live]
-        for r, state in enumerate(states):
-            out[r, live] = _woe_ratio(state.n_col, state.remaining, q_scaled,
-                                      a_step, a_tail)
+        ratios = _woe_ratios([(s.n_col, s.remaining) for s in states],
+                             q_scaled, q_scaled * a_pool[live], a_tail[live])
+    for r, ratio in enumerate(ratios):
+        out[r, live] = ratio
     return out
 
 
@@ -251,15 +281,21 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
 
     Computed from the reduced closed form in which singleton alleles cancel
     structurally, so the value depends only on theta and on the frequencies
-    of the alleles with pooled count >= 2.  Exactly 1 at theta = 0.
+    of the alleles with pooled count >= 2.  With a. = (1 - theta) / theta it
+    is exp of one exactly rounded fsum over the term multiset
+
+        log(a. + k) for k < 4;  -log a. per singleton;
+        c log q_a and -log(q_a a. + k) for k < c per allele of count c >= 2.
+
+    Exactly 1 at theta = 0 and wherever a. overflows.
     """
     _check_pair_width(pair, freqs)
     theta = float(theta)
     if not 0.0 <= theta < 1.0:
         raise ParameterError(f"theta = {theta} outside [0, 1)")
-    if theta == 0.0:
+    a_total = _pool_mass(theta)
+    if a_total == math.inf:
         return 1.0
-    a_total = (1.0 - theta) / theta
     pooled = pair.pooled
     # one exactly rounded fsum over the whole term multiset, so pairs that
     # share multiplicity-bearing alleles agree bit for bit regardless of
@@ -332,14 +368,52 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     next ones; a class that needs more alleles than there are is left out.
     Singletons cancel, so every pair with the same multiplicity-bearing
     alleles gives the same bits; `validate` checks this.
+
+    The values are pair_ratio's bit for bit, and a bad grid raises its
+    error at the first bad theta.  Each of pair_ratio's terms is built once
+    per call as a column over the grid (log(a. + k), -log a., and
+    -log(q_a a. + k) per allele some class counts twice), and each value is
+    exp of math.fsum over the same multiset: fsum is exactly rounded, so
+    the order of the terms does not change a bit.
     """
     grid = [float(t) for t in theta_grid]
-    width = freqs.n_categories
+    for theta in grid:
+        if not 0.0 <= theta < 1.0:
+            raise ParameterError(f"theta = {theta} outside [0, 1)")
+    pools = list(map(_pool_mass, grid))
+    live = [k for k, a_total in enumerate(pools) if a_total != math.inf]
+    pools = [pools[k] for k in live]
+
+    def log_column(values, k):
+        """[log(v + k) for v in values]"""
+        return list(map(math.log, map(float(k).__add__, values)))
+
+    # each class as {allele: pooled count} of its canonical pair; alleles
+    # it does not carry add nothing to pair_ratio's sum
+    classes = [(MultiplicityClass(mult), Counter(chain(*alleles)))
+               for mult, alleles in _CANONICAL_PAIRS
+               if max(map(max, alleles)) < freqs.n_categories]
+    head = [log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
+    neg_log_pool = list(map(operator.neg, head[0]))
+    most = {}  # allele -> its largest count >= 2 in any class
+    for _, counts in classes:
+        for a, c in counts.items():
+            if c >= 2:
+                most[a] = max(c, most.get(a, 0))
+    neg_log_step = {}  # allele -> columns -log(q_a a. + k) for k < most
+    for a, c in most.items():
+        alpha = list(map(freqs.extended_probs[a].__mul__, pools))
+        neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
+                           for k in range(c)]
     curves: dict[MultiplicityClass, np.ndarray] = {}
-    for mult, alleles in _CANONICAL_PAIRS:
-        if max(map(max, alleles)) >= width:
-            continue
-        pair = GenotypePair(*(genotype_from_alleles(g, width) for g in alleles))
-        curves[MultiplicityClass(mult)] = np.asarray(
-            [pair_ratio(pair, freqs, t) for t in grid])
+    for cls, counts in classes:
+        columns = list(head)
+        for a, c in counts.items():
+            if c == 1:
+                columns.append(neg_log_pool)
+            else:
+                columns.append(repeat(c * freqs.log_extended_probs[a]))
+                columns += neg_log_step[a][:c]
+        curves[cls] = curve = np.ones(len(grid))
+        curve[live] = list(map(math.exp, map(math.fsum, zip(*columns))))
     return curves

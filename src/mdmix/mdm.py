@@ -141,7 +141,8 @@ def _log_step(q_a: float, q_tail: float, col, free,
     n = sum(col)
     rem = sum(free)
     pool = q_a + q_tail
-    terms = [log_binomial(f, c) for f, c in zip(free, col)]
+    # log C(f, 0) is an exact zero, and fsum is exactly rounded
+    terms = [log_binomial(f, c) for f, c in zip(free, col) if c]
     terms += [n * math.log(q_a / pool), (rem - n) * math.log(q_tail / pool),
               log_scaled_rising(q_a * scale, n),
               log_scaled_rising(q_tail * scale, rem - n),
@@ -160,7 +161,10 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     suffix = _suffix_sums(q)
     free = table.row_sums
     terms = []
+    # once no draw is free, every later step is an exact zero
     for a, col in enumerate(list(zip(*table.counts))[:-1]):
+        if not any(free):
+            break
         terms.append(_log_step(q[a], suffix[a + 1], col, free, a_total))
         free = [f - c for f, c in zip(free, col)]
     return math.fsum(terms)

@@ -123,7 +123,9 @@ class DispersionModel:
 
     alpha_total lies in (0, inf] and is inf exactly at theta = 0; the
     Dirichlet parameters over the extended categories are q_a alpha_total.
-    Construct through theta_to_alpha() or DispersionModel.from_alpha().
+    theta must be 1 / (1 + alpha_total) to within 4 ulps (the maps either
+    way round by at most 2).  Construct through theta_to_alpha() or
+    DispersionModel.from_alpha().
     """
 
     theta: float
@@ -131,11 +133,17 @@ class DispersionModel:
     alpha_total: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            raise ParameterError(f"theta = {self.theta} outside [0, 1)")
-        if not self.alpha_total > 0.0:
+        theta, a_total = self.theta, self.alpha_total
+        if not (0.0 <= theta < 1.0):
+            raise ParameterError(f"theta = {theta} outside [0, 1)")
+        if not a_total > 0.0:
             raise ParameterError(
-                f"alpha_total = {self.alpha_total} is not strictly positive")
+                f"alpha_total = {a_total} is not strictly positive")
+        if ((theta == 0.0) != (a_total == math.inf)
+                or abs(theta - 1.0 / (1.0 + a_total)) > 4.0 * math.ulp(theta)):
+            raise ParameterError(
+                f"theta = {theta} and alpha_total = {a_total} disagree: "
+                "theta must be 1 / (1 + alpha_total)")
 
     @classmethod
     def from_alpha(cls, alpha) -> "DispersionModel":

@@ -198,6 +198,19 @@ def test_ratio_curve_lists_all_classes(tmp_path, freq_file):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_ratio_curve_at_a_subnormal_theta(tmp_path):
+    # (1 - theta) / theta overflows below about 5.6e-309: the ratio is the
+    # theta -> 0 limit 1, not a traceback
+    freqs = tmp_path / "f.csv"
+    freqs.write_text("locus,allele,frequency\n"
+                     + "".join(f"D1,{a},{q}\n"
+                               for a, q in zip("abcd", (0.1, 0.2, 0.3, 0.4))))
+    out = tmp_path / "ratio.csv"
+    assert main(["ratio-curve", "--freqs", str(freqs), "--locus", "D1",
+                 "--theta-grid", "0,1e-310", "--out", str(out)]) == 0
+    assert {row[2] for row in read_rows(out)[1:]} == {"1"}
+
+
 # ---------------------------------------------------------------------------
 # sample
 

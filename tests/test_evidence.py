@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mdmix.evidence
 import mdmix.validation
@@ -23,6 +25,11 @@ from mdmix.mdm import _log_step
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))
 
 THETA_GRID = tuple(k / 100.0 for k in range(0, 51))
+
+# each class's pair with its multiplicities on the lowest-index alleles
+CANONICAL = {"(4)": ((0, 0), (0, 0)), "(3)": ((0, 0), (0, 1)),
+             "(2,2)": ((0, 0), (1, 1)), "(2)": ((0, 0), (1, 2)),
+             "()": ((0, 1), (2, 3))}
 
 
 def pair_of(first, second, width=6):
@@ -279,9 +286,6 @@ def test_pair_ratio_curves_cover_all_classes():
         assert values[0] == 1.0  # theta = 0 column
     # each curve is the class's pair with multiplicities on the
     # lowest-index alleles; a class shows up once A has room for it
-    canonical = {"(4)": ((0, 0), (0, 0)), "(3)": ((0, 0), (0, 1)),
-                 "(2,2)": ((0, 0), (1, 1)), "(2)": ((0, 0), (1, 2)),
-                 "()": ((0, 1), (2, 3))}
     expected = {1: {"(4)"}, 2: {"(2,2)", "(3)", "(4)"},
                 3: {"(2)", "(2,2)", "(3)", "(4)"}}
     grid = (0.0, 0.01, 0.1, 0.3)
@@ -290,25 +294,86 @@ def test_pair_ratio_curves_cover_all_classes():
         freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
         curves = {cls.label: values
                   for cls, values in pair_ratio_curves(freqs, grid).items()}
-        assert set(curves) == expected.get(width, set(canonical))
+        assert set(curves) == expected.get(width, set(CANONICAL))
         for label, values in curves.items():
-            pair = pair_of(*canonical[label], width=width)
+            pair = pair_of(*CANONICAL[label], width=width)
             assert list(values) == [pair_ratio(pair, freqs, t) for t in grid]
 
 
 def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
-    # the curves cost 5 pair ratios per grid point, whatever the width
-    calls = []
+    # the curves share their logs across classes: 10 per nonzero grid point
+    # (4 head columns, 4 for allele 0 and 2 for allele 1), whatever the width
+    counts = []
+    for width in (6, 40):
+        calls = []
 
-    def counting(pair, freqs, theta):
-        calls.append(theta)
-        return pair_ratio(pair, freqs, theta)
+        def counting_log(x, *base):
+            calls.append(x)
+            return math.log(x, *base)
 
-    monkeypatch.setattr(mdmix.evidence, "pair_ratio", counting)
-    weights = tuple(range(1, 13))
-    freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
-    assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
-    assert len(calls) == 5 * len(THETA_GRID)
+        monkeypatch.setattr(mdmix.evidence, "math",
+                            SimpleNamespace(**{**vars(math),
+                                               "log": counting_log}))
+        weights = tuple(range(1, width + 1))
+        freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
+        assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts == [10 * (len(THETA_GRID) - 1)] * 2
+
+
+def test_pair_ratio_is_one_where_the_pool_overflows():
+    # below about 5.6e-309, (1 - theta) / theta overflows to inf: the
+    # theta -> 0 limit, not an inf - inf in the sum
+    freqs = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+    for theta in (1e-310, 5e-324):
+        for pair in enumerate_genotype_pairs(4):
+            assert pair_ratio(pair, freqs, theta) == 1.0
+    curves = pair_ratio_curves(PANEL, (0.0, 1e-310, 5e-324, 0.1))
+    for values in curves.values():
+        assert list(values[:3]) == [1.0, 1.0, 1.0]
+
+
+_EDGE_THETAS = (0.0, -0.0, 1e-300, 1.0 - 1e-16)
+
+
+@given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
+       st.lists(st.floats(0.0, 0.999), max_size=8), st.randoms())
+def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
+    freqs = AlleleFrequencies(tuple(w / math.fsum(weights) for w in weights))
+    grid = list(thetas) + list(_EDGE_THETAS)
+    rnd.shuffle(grid)
+    width = freqs.n_categories
+    curves = pair_ratio_curves(freqs, grid)
+    assert {cls.label for cls in curves} == {
+        label for label, alleles in CANONICAL.items()
+        if max(map(max, alleles)) < width}
+    for cls, values in curves.items():
+        pair = pair_of(*CANONICAL[cls.label], width=width)
+        want = np.array([pair_ratio(pair, freqs, t) for t in grid])
+        assert values.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, 20),
+                          st.integers(0, 20)), min_size=1, max_size=30),
+       st.floats(1e-3, 0.999), st.sampled_from((1.0, 0.3, 1e-6)),
+       st.lists(st.floats(0.0, 0.999), max_size=6))
+def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas):
+    # states in any order, with repeats and mixed contributor counts, share
+    # factors and running products; each row must still be the bits of its
+    # own woe_step product
+    states = []
+    for contribs, n_col, s_prev in specs:
+        capacity = 2 * contribs
+        n_col = n_col % (capacity + 1)
+        states.append(MarginState(n_col=n_col,
+                                  s_prev=s_prev % (capacity - n_col + 1),
+                                  n_contributors=contribs))
+    grid = list(thetas) + list(_EDGE_THETAS)
+    curve = woe_curve(states, q, grid, tail_mass=mass)
+    want = np.array([[woe_step(s, q, t, tail_mass=mass) for t in grid]
+                     for s in states])
+    assert curve.tobytes() == want.tobytes()
 
 
 def test_validate_catches_a_ratio_that_depends_on_singleton_positions(

@@ -105,6 +105,22 @@ def test_theta_whose_alpha_is_not_a_positive_double_rejected():
         theta_to_alpha(tiny, 0.9999999999999999)
 
 
+def test_theta_and_alpha_total_must_agree():
+    f = AlleleFrequencies((0.5, 0.5))
+    for theta, alpha_total in ((0.0, 5.0), (0.1, math.inf), (0.1, 5.0),
+                               (1.0 / 6.0 + 1e-15, 5.0)):
+        with pytest.raises(ParameterError,
+                           match=r"theta = .* and alpha_total = .* disagree"):
+            DispersionModel(theta=theta, freqs=f, alpha_total=alpha_total)
+    # 1 / (1 + 5) and (1 - theta) / theta round within a few ulps
+    assert DispersionModel(theta=1.0 / 6.0, freqs=f, alpha_total=5.0)
+    assert DispersionModel(theta=0.0, freqs=f, alpha_total=math.inf)
+    for theta in (1e-300, 1e-12, 0.3, 0.9999999999999999):
+        model = theta_to_alpha(f, theta)
+        assert DispersionModel(theta=theta, freqs=f,
+                               alpha_total=model.alpha_total) == model
+
+
 # ---------------------------------------------------------------------------
 # CountTable
 
