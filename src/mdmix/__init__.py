@@ -49,8 +49,6 @@ from .model import (
     theta_to_alpha,
 )
 from .moments import (
-    FactorialOrder,
-    covariance,
     covariance_matrix,
     factorial_moment,
     mean_matrix,
@@ -63,7 +61,6 @@ __all__ = [
     "AlleleFrequencies",
     "CountTable",
     "DispersionModel",
-    "FactorialOrder",
     "FrequencyFileError",
     "GenotypePair",
     "LocusFrequencies",
@@ -79,7 +76,6 @@ __all__ = [
     "TableError",
     "conditional_over_alleles",
     "conditional_over_profiles",
-    "covariance",
     "covariance_matrix",
     "factorial_moment",
     "genotype_from_alleles",

@@ -113,11 +113,6 @@ class MultiplicityClass:
         return "(" + ",".join(str(m) for m in self.multiplicities) + ")"
 
 
-def multiplicity_class(pair: GenotypePair) -> MultiplicityClass:
-    """The class of a pair: pooled counts >= 2, largest first."""
-    return MultiplicityClass(tuple(c for c in pair.pooled if c >= 2))
-
-
 @dataclass(frozen=True)
 class MarginState:
     """A pooled chain margin: column count n_col after s_prev earlier draws
@@ -287,7 +282,8 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
         log(a. + k) for k < 4;  -log a. per singleton;
         c log q_a and -log(q_a a. + k) for k < c per allele of count c >= 2.
 
-    Exactly 1 at theta = 0 and wherever a. overflows.
+    Exactly 1 at theta = 0 and wherever a. overflows; a ParameterError
+    where q_a a. underflows to 0 for an allele of count >= 2.
     """
     _check_pair_width(pair, freqs)
     theta = float(theta)
@@ -308,8 +304,11 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
             # q_a / alpha_a reduces to 1 / a_total exactly
             terms.append(-math.log(a_total))
             continue
+        alpha = q_a * a_total
+        if not alpha:
+            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
         terms.append(c * log_q)
-        terms.extend(-math.log(q_a * a_total + k) for k in range(c))
+        terms.extend(-math.log(alpha + k) for k in range(c))
     return math.exp(math.fsum(terms))
 
 
@@ -369,12 +368,13 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     Singletons cancel, so every pair with the same multiplicity-bearing
     alleles gives the same bits; `validate` checks this.
 
-    The values are pair_ratio's bit for bit, and a bad grid raises its
-    error at the first bad theta.  Each of pair_ratio's terms is built once
-    per call as a column over the grid (log(a. + k), -log a., and
-    -log(q_a a. + k) per allele some class counts twice), and each value is
-    exp of math.fsum over the same multiset: fsum is exactly rounded, so
-    the order of the terms does not change a bit.
+    The values are pair_ratio's bit for bit.  A theta outside [0, 1), and
+    then one where q_a a. underflows, raises pair_ratio's error at the
+    first such theta.  Each of pair_ratio's terms is built once per call as
+    a column over the grid (log(a. + k), -log a., and -log(q_a a. + k) per
+    allele some class counts twice), and each value is exp of math.fsum
+    over the same multiset: fsum is exactly rounded, so the order of the
+    terms does not change a bit.
     """
     grid = [float(t) for t in theta_grid]
     for theta in grid:
@@ -401,10 +401,14 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
             if c >= 2:
                 most[a] = max(c, most.get(a, 0))
     neg_log_step = {}  # allele -> columns -log(q_a a. + k) for k < most
-    for a, c in most.items():
+    # least q_a first: if any q_a a. underflows to 0, the least one does
+    for a in sorted(most, key=freqs.extended_probs.__getitem__):
         alpha = list(map(freqs.extended_probs[a].__mul__, pools))
+        if 0.0 in alpha:
+            raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
+                                 "makes alpha 0 or inf")
         neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
-                           for k in range(c)]
+                           for k in range(most[a])]
     curves: dict[MultiplicityClass, np.ndarray] = {}
     for cls, counts in classes:
         columns = list(head)

@@ -103,24 +103,32 @@ def _suffix_sums(values) -> list[float]:
     return suffix
 
 
-def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
-    """Log pmf of the joint table; independent multinomials at theta = 0."""
-    _check_table(table, params)
-    freqs = params.model.freqs
-    a_total = params.model.alpha_total
-    # a zero cell or column adds only exact zeros, and fsum is exactly
-    # rounded, so only nonzero ones get terms
-    cols = table.col_sums
+def _dirichlet_terms(model: DispersionModel, cols, total: int) -> list:
+    """Log terms of the Dirichlet moment prod_a (alpha_a)_{c_a} / (a.)_total
+    with total = sum_a c_a: c_a log q_a + L(q_a a., c_a) per nonzero column,
+    and -L(a., total), for mdm_log_pmf and moments.factorial_moment to add
+    their own terms to.  A zero column adds only exact zeros, and both sum
+    with the exactly rounded fsum, so it gets no terms."""
+    freqs = model.freqs
+    a_total = model.alpha_total
     counts = list(filter(None, cols))
-    terms = [-log_scaled_rising(a_total, table.total)]
-    terms += map(log_factorial, table.row_sums)
-    terms += map(operator.neg, map(log_factorial, filter(
-        None, chain.from_iterable(table.counts))))
+    terms = [-log_scaled_rising(a_total, total)]
     terms += map(operator.mul, counts,
                  compress(freqs.log_extended_probs, cols))
     terms += map(log_scaled_rising,
                  map(a_total.__mul__, compress(freqs.extended_probs, cols)),
                  counts)
+    return terms
+
+
+def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
+    """Log pmf of the joint table; independent multinomials at theta = 0."""
+    _check_table(table, params)
+    terms = _dirichlet_terms(params.model, table.col_sums, table.total)
+    terms += map(log_factorial, table.row_sums)
+    # a zero cell adds log 0! = 0.0, so it gets no term either
+    terms += map(operator.neg, map(log_factorial, filter(
+        None, chain.from_iterable(table.counts))))
     return math.fsum(terms)
 
 
@@ -177,9 +185,7 @@ def marginal_over_alleles(params: MdmParams, keep: SubsetSpec) -> MdmParams:
     gets the summed frequency; row sums, theta and alpha_total are
     unchanged.
     """
-    width = params.n_categories
-    keep.validate_for(width)
-    dropped = keep.complement(width)
+    dropped = keep.complement(params.n_categories)
     if not dropped:
         raise ParameterError("keep must be a proper subset of the categories")
     q = params.model.freqs.extended_probs
@@ -198,9 +204,7 @@ def conditional_over_alleles(params: MdmParams, observed: CountTable,
     renormalize and alpha_total scales by their mass, so the implied theta
     changes (and stays 0 at theta = 0).
     """
-    width = params.n_categories
-    observed_subset.validate_for(width)
-    kept = observed_subset.complement(width)
+    kept = observed_subset.complement(params.n_categories)
     if not kept:
         raise ParameterError("conditioning on every category leaves nothing")
     if observed.n_profiles != params.n_profiles:
@@ -244,7 +248,6 @@ def conditional_over_profiles(params: MdmParams, observed: CountTable,
     draw): q' = (alpha + c) / (a. + n) and a.' = a. + n.  At theta = 0
     (a. = inf) rows are independent, and q and theta come out unchanged.
     """
-    observed_subset.validate_for(params.n_profiles)
     kept = observed_subset.complement(params.n_profiles)
     if not kept:
         raise ParameterError("conditioning on every profile leaves nothing")

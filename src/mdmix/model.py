@@ -112,10 +112,6 @@ class AlleleFrequencies:
                            tuple(map(math.log, extended)))
         object.__setattr__(self, "n_categories", len(extended))
 
-    @property
-    def has_rest(self) -> bool:
-        return self.rest_mass > 0.0
-
 
 @dataclass(frozen=True)
 class DispersionModel:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .mdm import MdmParams, mdm_log_pmf
 from .model import CountTable, SizeGuardError, SubsetSpec, TableError, _as_int
-from .moments import FactorialOrder
 
 MAX_TABLES = 10 ** 8
 
@@ -107,11 +106,12 @@ def oracle_pmf_sum(params: MdmParams) -> float:
                      enumerate_tables(params.row_sums, params.n_categories))
 
 
-def oracle_moment(order: FactorialOrder, params: MdmParams) -> float:
-    """E prod n_ia^(r_ia) by direct summation over the support."""
+def oracle_moment(order: CountTable, params: MdmParams) -> float:
+    """E prod n_ia^(r_ia), the orders in a CountTable, by direct summation
+    over the support."""
     tables, probs = _support_and_probs(params)
     weight = probs.copy()
-    for i, row in enumerate(order.orders):
+    for i, row in enumerate(order.counts):
         for a, r in enumerate(row):
             cell = tables[:, i, a].astype(float)
             for k in range(r):
@@ -131,14 +131,12 @@ def oracle_marginal_over_alleles(params: MdmParams, keep: SubsetSpec,
                                  collapsed: CountTable) -> float:
     """P(kept columns and the collapsed remainder equal `collapsed`),
     by summing the full pmf over matching tables."""
-    width = params.n_categories
-    keep.validate_for(width)
+    dropped = list(keep.complement(params.n_categories))
     if collapsed.n_categories != len(keep.indices) + 1:
         raise TableError(
             f"collapsed table must have {len(keep.indices) + 1} columns"
         )
     tables, probs = _support_and_probs(params)
-    dropped = list(keep.complement(width))
     image = np.concatenate(
         [tables[:, :, list(keep.indices)],
          tables[:, :, dropped].sum(axis=2, keepdims=True)], axis=2)

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
-                   MarginState, MdmParams, MdmSampler, SubsetSpec, covariance,
+from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
+                   MarginState, MdmParams, MdmSampler, SubsetSpec,
                    covariance_matrix, factorial_moment, mdm_log_pmf,
                    mean_matrix, pair_ratio, pair_ratio_curves,
                    pair_ratio_via_pmfs, pair_ratio_via_steps, theta_to_alpha,
@@ -107,7 +107,7 @@ def all_orders(n_profiles, n_categories, max_total):
     cells = n_profiles * n_categories
     for values in itertools.product(range(max_total + 1), repeat=cells):
         if 0 < sum(values) <= max_total:
-            yield FactorialOrder(tuple(
+            yield CountTable(tuple(
                 tuple(values[i * n_categories:(i + 1) * n_categories])
                 for i in range(n_profiles)))
 
@@ -137,14 +137,15 @@ def test_05_moments_match_enumeration():
 
     # an empty profile contributes nothing
     empty = MdmParams((0, 2), DispersionModel.from_alpha((1.0, 1.0)))
-    assert factorial_moment(FactorialOrder(((1, 0), (0, 0))), empty) == 0.0
+    assert factorial_moment(CountTable(((1, 0), (0, 0))), empty) == 0.0
     assert mean_matrix(empty)[0, 0] == 0.0
 
     # spot values: q = 0.1, theta = 0.03, two draws per profile
     spot = MdmParams((2, 2),
                      theta_to_alpha(AlleleFrequencies((0.1, 0.4, 0.5)), 0.03))
-    assert covariance(spot, 0, 0, 0, 0) == pytest.approx(0.1854, abs=1e-12)
-    assert covariance(spot, 0, 0, 1, 0) == pytest.approx(0.0108, abs=1e-12)
+    cov = covariance_matrix(spot)
+    assert cov[0, 0] == pytest.approx(0.1854, abs=1e-12)
+    assert cov[0, 1 * 3 + 0] == pytest.approx(0.0108, abs=1e-12)
 
 
 def test_06_step_ratios_behave_across_the_margin_grid():
@@ -254,9 +255,10 @@ def test_08_sampler_is_exact_and_fast():
 
     emp_mean = np.einsum("k,kia->ia", weights, tables)
     exact_mean = mean_matrix(params)
+    exact_cov = covariance_matrix(params)
     for i in range(n_p):
         for a in range(n_c):
-            se = math.sqrt(covariance(params, i, a, i, a) / n_big)
+            se = math.sqrt(exact_cov[i * n_c + a, i * n_c + a] / n_big)
             assert abs(emp_mean[i, a] - exact_mean[i, a]) < 3.0 * se
 
     flat = tables.reshape(len(keys), n_p * n_c)
@@ -264,7 +266,7 @@ def test_08_sampler_is_exact_and_fast():
     emp_cov = np.einsum("k,ki,kj->ij", weights, flat, flat) - np.outer(mu, mu)
     for x in range(n_p * n_c):
         for y in range(x, n_p * n_c):
-            exact = covariance(params, x // n_c, x % n_c, y // n_c, y % n_c)
+            exact = exact_cov[x, y]
             centred = (flat[:, x] - mu[x]) * (flat[:, y] - mu[y])
             var_hat = float(weights @ (centred - emp_cov[x, y]) ** 2)
             se = math.sqrt(var_hat / n_big)

@@ -211,6 +211,24 @@ def test_ratio_curve_at_a_subnormal_theta(tmp_path):
     assert {row[2] for row in read_rows(out)[1:]} == {"1"}
 
 
+def test_ratio_curve_where_alpha_underflows_is_a_usage_error(tmp_path,
+                                                             capsys):
+    # q_a (1 - theta) / theta underflows to 0 for the first allele, which
+    # the (4) class counts four times
+    freqs = tmp_path / "f.csv"
+    freqs.write_text("locus,allele,frequency\n"
+                     + "".join(f"D1,{a},{q}\n" for a, q in
+                               zip("abcd", (1e-320, 0.2, 0.3, 0.4))))
+    code = main(["ratio-curve", "--freqs", str(freqs), "--locus", "D1",
+                 "--theta-grid", "0,0.9999999999999999",
+                 "--out", str(tmp_path / "ratio.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdmix ratio-curve: error: theta = "
+                          "0.9999999999999999 makes alpha 0 or inf")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # sample
 

@@ -18,7 +18,7 @@ from mdmix import (AlleleFrequencies, GenotypePair, MarginState,
                    genotype_from_alleles, pair_ratio, pair_ratio_curves,
                    pair_ratio_via_pmfs, pair_ratio_via_steps, woe_curve,
                    woe_margin_grid, woe_step)
-from mdmix.evidence import enumerate_genotype_pairs, multiplicity_class
+from mdmix.evidence import enumerate_genotype_pairs
 from mdmix.mdm import _log_step
 
 # a six-category reference panel: five named alleles and a rest class
@@ -60,19 +60,6 @@ def test_genotype_pair_requires_two_draws_each():
 def test_pooled_counts():
     pair = pair_of((0, 1), (0, 0), width=3)
     assert pair.pooled == (3, 1, 0)
-
-
-def test_multiplicity_classes_cover_all_five_shapes():
-    cases = {
-        ((0, 1), (2, 3)): (),
-        ((0, 0), (1, 2)): (2,),
-        ((0, 1), (0, 1)): (2, 2),
-        ((0, 0), (0, 1)): (3,),
-        ((0, 0), (0, 0)): (4,),
-    }
-    for (first, second), expected in cases.items():
-        cls = multiplicity_class(pair_of(first, second, width=4))
-        assert cls.multiplicities == expected
 
 
 def test_multiplicity_class_labels():
@@ -332,6 +319,39 @@ def test_pair_ratio_is_one_where_the_pool_overflows():
     curves = pair_ratio_curves(PANEL, (0.0, 1e-310, 5e-324, 0.1))
     for values in curves.values():
         assert list(values[:3]) == [1.0, 1.0, 1.0]
+
+
+# q_a (1 - theta) / theta underflows to 0 for q_1 = 1e-320 from theta =
+# 0.9999 on, and for q_0 = 1e-310 as well at theta = 1 - 2**-53
+TINY = AlleleFrequencies((1e-310, 1e-320, 0.3, 0.4))
+
+
+def _alpha_error(theta):
+    return f"theta = {theta} makes alpha 0 or inf"
+
+
+def test_pair_ratio_refuses_an_alpha_that_underflows():
+    for theta in (0.9999, 1.0 - 2.0 ** -53):
+        with pytest.raises(ParameterError) as model_err:
+            mdmix.evidence.theta_to_alpha(TINY, theta)
+        assert str(model_err.value) == _alpha_error(theta)
+        with pytest.raises(ParameterError) as err:
+            pair_ratio(pair_of((0, 1), (1, 2), width=5), TINY, theta)
+        assert str(err.value) == _alpha_error(theta)
+    # a singleton cancels, so its allele never forms q_a a.: allele 1 at
+    # 0.9999, and allele 0 where its own q_a a. is still positive
+    for first in ((0, 1), (0, 0)):
+        value = pair_ratio(pair_of(first, (2, 3), width=5), TINY, 0.9999)
+        assert 0.0 < value < math.inf
+
+
+def test_pair_ratio_curves_refuse_an_alpha_at_the_first_theta_it_underflows():
+    for grid in ((0.5, 0.9999, 1.0 - 2.0 ** -53),
+                 (0.0, 1.0 - 2.0 ** -53, 0.9999)):
+        with pytest.raises(ParameterError) as err:
+            pair_ratio_curves(TINY, grid)
+        assert str(err.value) == _alpha_error(grid[1])
+    assert len(pair_ratio_curves(TINY, (0.0, 0.5, 0.99))) == 5
 
 
 _EDGE_THETAS = (0.0, -0.0, 1e-300, 1.0 - 1e-16)

@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FactorialOrder, GenotypePair, MdmParams, ParameterError,
+                   GenotypePair, MdmParams, ParameterError,
                    factorial_moment, mdm_chain_log_pmf, mdm_log_pmf,
                    pair_ratio, theta_to_alpha, woe_curve, woe_margin_grid,
                    woe_step)
@@ -148,7 +148,7 @@ def _orders(params: MdmParams, max_total: int):
     cells = params.n_profiles * params.n_categories
     for flat in itertools.product(range(max_total + 1), repeat=cells):
         if sum(flat) <= max_total:
-            yield FactorialOrder(tuple(
+            yield CountTable(tuple(
                 flat[i:i + params.n_categories]
                 for i in range(0, cells, params.n_categories)))
 

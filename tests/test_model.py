@@ -20,7 +20,6 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
 
 def test_rest_mass_is_inferred_from_the_shortfall():
     f = AlleleFrequencies((0.1, 0.2))
-    assert f.has_rest
     assert f.rest_mass == pytest.approx(0.7, abs=1e-15)
     assert f.extended_probs == pytest.approx((0.1, 0.2, 0.7))
     assert f.n_categories == 3
@@ -28,7 +27,7 @@ def test_rest_mass_is_inferred_from_the_shortfall():
 
 def test_full_simplex_has_no_rest_category():
     f = AlleleFrequencies((0.25, 0.75))
-    assert not f.has_rest
+    assert f.rest_mass == 0.0
     assert f.extended_probs == (0.25, 0.75)
     assert f.n_categories == 2
 
@@ -236,9 +235,8 @@ def test_read_frequency_csv_round_trip(tmp_path):
     assert set(table) == {"L1", "L2"}
     l1 = table["L1"]
     assert l1.allele_names == ("a", "b")
-    assert l1.freqs.has_rest
     assert l1.freqs.rest_mass == pytest.approx(0.5)
-    assert not table["L2"].freqs.has_rest
+    assert table["L2"].freqs.rest_mass == 0.0
 
 
 def test_read_frequency_csv_reports_offending_line(tmp_path):

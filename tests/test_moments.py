@@ -8,8 +8,8 @@ import itertools
 import numpy as np
 import pytest
 
-from mdmix import (AlleleFrequencies, DispersionModel, FactorialOrder,
-                   MdmParams, ParameterError, covariance, covariance_matrix,
+from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
+                   MdmParams, ParameterError, covariance_matrix,
                    factorial_moment, mean_matrix, theta_to_alpha)
 from mdmix.oracle import oracle_moment
 
@@ -21,19 +21,19 @@ def all_orders(n_profiles, n_categories, max_total):
         if 0 < sum(values) <= max_total:
             rows = tuple(tuple(values[i * n_categories:(i + 1) * n_categories])
                          for i in range(n_profiles))
-            yield FactorialOrder(rows)
+            yield CountTable(rows)
 
 
 def test_factorial_moment_flat_pair():
     # single profile of two draws, alpha = (2, 2): E n_1 (n_1 - 1) = 0.6
     params = MdmParams((2,), DispersionModel.from_alpha((2.0, 2.0)))
-    assert factorial_moment(FactorialOrder(((2, 0),)), params) == \
+    assert factorial_moment(CountTable(((2, 0),)), params) == \
         pytest.approx(0.6, abs=1e-15)
 
 
 def test_factorial_moment_vanishes_beyond_row_capacity():
     params = MdmParams((2,), DispersionModel.from_alpha((2.0, 2.0)))
-    assert factorial_moment(FactorialOrder(((2, 1),)), params) == 0.0
+    assert factorial_moment(CountTable(((2, 1),)), params) == 0.0
 
 
 def test_factorial_moment_matches_enumeration():
@@ -69,9 +69,10 @@ def test_covariance_spot_values():
     freqs = AlleleFrequencies((0.1, 0.4, 0.5))
     params = MdmParams((2, 2), theta_to_alpha(freqs, 0.03))
     # same cell: 2 * 0.1 * 0.9 * (1 + 0.03)
-    assert covariance(params, 0, 0, 0, 0) == pytest.approx(0.1854, abs=1e-14)
+    cov = covariance_matrix(params)
+    assert cov[0, 0] == pytest.approx(0.1854, abs=1e-14)
     # same category across profiles: 2 * 2 * 0.1 * 0.9 * 0.03
-    assert covariance(params, 0, 0, 1, 0) == pytest.approx(0.0108, abs=1e-14)
+    assert cov[0, 1 * 3 + 0] == pytest.approx(0.0108, abs=1e-14)
 
 
 def test_covariance_matches_factorial_moments():
@@ -82,32 +83,34 @@ def test_covariance_matches_factorial_moments():
     def mean(i, a):
         rows = [[0] * 3, [0] * 3]
         rows[i][a] = 1
-        return factorial_moment(FactorialOrder(tuple(map(tuple, rows))), params)
+        return factorial_moment(CountTable(tuple(map(tuple, rows))), params)
 
     def raw_second(i, a, j, b):
         rows = [[0] * 3, [0] * 3]
         rows[i][a] += 1
         rows[j][b] += 1
-        cross = factorial_moment(FactorialOrder(tuple(map(tuple, rows))),
+        cross = factorial_moment(CountTable(tuple(map(tuple, rows))),
                                  params)
         if (i, a) == (j, b):
             return cross + mean(i, a)
         return cross
 
+    cov = covariance_matrix(params)
     for i in range(2):
         for a in range(3):
             for j in range(2):
                 for b in range(3):
                     derived = raw_second(i, a, j, b) - mean(i, a) * mean(j, b)
-                    assert covariance(params, i, a, j, b) == \
+                    assert cov[i * 3 + a, j * 3 + b] == \
                         pytest.approx(derived, abs=1e-12)
 
 
 def test_covariance_cross_profile_vanishes_at_theta_zero():
     freqs = AlleleFrequencies((0.2, 0.8))
     params = MdmParams((2, 2), theta_to_alpha(freqs, 0.0))
-    assert covariance(params, 0, 0, 1, 0) == 0.0
-    assert covariance(params, 0, 0, 1, 1) == 0.0
+    cov = covariance_matrix(params)
+    assert cov[0, 1 * 2 + 0] == 0.0
+    assert cov[0, 1 * 2 + 1] == 0.0
 
 
 def test_covariance_matrix_properties():
@@ -125,13 +128,15 @@ def test_covariance_matrix_properties():
 
 def test_zero_row_sum_is_handled():
     params = MdmParams((0, 2), DispersionModel.from_alpha((1.0, 1.0)))
-    order = FactorialOrder(((1, 0), (0, 0)))
+    order = CountTable(((1, 0), (0, 0)))
     assert factorial_moment(order, params) == 0.0
     assert mean_matrix(params)[0, 0] == 0.0
-    assert covariance(params, 0, 0, 0, 0) == 0.0
+    assert covariance_matrix(params)[0, 0] == 0.0
 
 
 def test_order_dimensions_are_checked():
     params = MdmParams((2,), DispersionModel.from_alpha((1.0, 1.0)))
     with pytest.raises(ParameterError):
-        factorial_moment(FactorialOrder(((1, 0, 0),)), params)
+        factorial_moment(CountTable(((1, 0, 0),)), params)
+    with pytest.raises(ParameterError):
+        factorial_moment(CountTable(((1, 0), (0, 0))), params)

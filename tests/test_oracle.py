@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import chisquare
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FactorialOrder, MdmParams, MdmSampler, SizeGuardError,
+                   MdmParams, MdmSampler, SizeGuardError,
                    TableError, mdm_log_pmf, theta_to_alpha)
 from mdmix.oracle import (count_tables, enumerate_tables,
                           enumerate_tables_with_margins, oracle_moment,
@@ -79,7 +79,7 @@ def test_oracle_pmf_sums_to_one():
 def test_oracle_moment_means():
     params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 3.0)))
     # E n_11 = 2 * 0.25
-    order = FactorialOrder(((1, 0), (0, 0)))
+    order = CountTable(((1, 0), (0, 0)))
     assert oracle_moment(order, params) == pytest.approx(0.5, abs=1e-13)
 
 

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from mdmix import (AlleleFrequencies, CountTable, FactorialOrder, MdmParams,
+from mdmix import (AlleleFrequencies, CountTable, MdmParams,
                    ParameterError, factorial_moment, mdm_chain_log_pmf,
                    mdm_log_pmf, theta_to_alpha, woe_margin_grid, woe_step)
 from mdmix.cli import main
@@ -145,7 +145,7 @@ def test_factorial_moment_where_the_products_overflow(theta):
     # whose rising products alone overflow a double for small theta
     params = MdmParams((100,), theta_to_alpha(AlleleFrequencies((0.5, 0.5)),
                                               theta))
-    got = factorial_moment(FactorialOrder(((50, 50),)), params)
+    got = factorial_moment(CountTable(((50, 50),)), params)
     if theta == 0:
         want = mpmath.factorial(100) * mpmath.mpf(0.5) ** 100
     else:
@@ -163,7 +163,7 @@ def test_factorial_moment_beyond_the_double_range_is_an_error(theta):
     params = MdmParams((400,), theta_to_alpha(AlleleFrequencies((0.5, 0.5)),
                                               theta))
     with pytest.raises(ParameterError, match=re.escape("((150, 150),)")):
-        factorial_moment(FactorialOrder(((150, 150),)), params)
+        factorial_moment(CountTable(((150, 150),)), params)
 
 
 @pytest.mark.parametrize("tail_mass", [1.0, 0.3])
