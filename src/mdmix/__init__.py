@@ -12,7 +12,6 @@ in mdmix.oracle and the log-domain helpers in mdmix.logspace.
 
 from .evidence import (
     GenotypePair,
-    MarginState,
     MultiplicityClass,
     genotype_from_alleles,
     pair_ratio,
@@ -64,7 +63,6 @@ __all__ = [
     "FrequencyFileError",
     "GenotypePair",
     "LocusFrequencies",
-    "MarginState",
     "MdmParams",
     "MdmSampler",
     "MdmixError",

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
 
 from .evidence import pair_ratio_curves, woe_curve, woe_margin_grid
 from .mdm import MdmParams, mdm_log_pmf
@@ -90,6 +91,13 @@ MAX_THETA_GRID_POINTS = 10_001
 
 # most contributors woe-curve takes: 231 states, 58,905 rows by default
 MAX_WOE_CONTRIBUTORS = 10
+
+# most table cells (profiles x categories) moments takes: the covariance
+# matrix has cells^2 entries, 32 MiB of doubles at the cap
+MAX_MOMENT_CELLS = 2_048
+
+# most draws (the row total) and most table cells sample takes
+MAX_SAMPLE_SIZE = 10 ** 6
 
 
 def _checked_grid(name: str, grid: tuple[float, ...]) -> tuple[float, ...]:
@@ -256,6 +264,11 @@ def cmd_pmf(cfg: argparse.Namespace) -> int:
 def cmd_moments(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     entry = _select_locus(freq_db, cfg.locus)
+    n_cells = len(cfg.rows) * entry.freqs.n_categories
+    if n_cells > MAX_MOMENT_CELLS:
+        raise ParameterError(f"rows: {len(cfg.rows)} profiles x "
+                             f"{entry.freqs.n_categories} categories is "
+                             f"{n_cells} cells, at most {MAX_MOMENT_CELLS}")
     params = MdmParams(row_sums=cfg.rows,
                        model=theta_to_alpha(entry.freqs, cfg.theta))
     means = mean_matrix(params).ravel()
@@ -263,11 +276,11 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     # cell (i, a) of the table is entry i * A + a of means and cov
     cells = [(str(i + 1), str(a + 1)) for i in range(params.n_profiles)
              for a in range(params.n_categories)]
-    out_rows = [("mean", *cell, "", "", _fmt(m))
-                for cell, m in zip(cells, means)]
-    for x, cell in enumerate(cells):
-        out_rows.extend(("cov", *cell, *other, _fmt(cov[x, y]))
-                        for y, other in enumerate(cells))
+    # cells^2 covariance rows: streamed to the writer, never held
+    out_rows = chain(
+        (("mean", *cell, "", "", _fmt(m)) for cell, m in zip(cells, means)),
+        (("cov", *cell, *other, _fmt(cov[x, y]))
+         for x, cell in enumerate(cells) for y, other in enumerate(cells)))
     _write_csv(cfg.out,
                ("kind", "profile", "allele", "profile2", "allele2", "value"),
                out_rows)
@@ -303,6 +316,10 @@ def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
 def cmd_sample(cfg: argparse.Namespace) -> int:
     freq_db = read_frequency_csv(cfg.freqs)
     entry = _select_locus(freq_db, cfg.locus)
+    n_cells = len(cfg.rows) * entry.freqs.n_categories
+    if sum(cfg.rows) > MAX_SAMPLE_SIZE or n_cells > MAX_SAMPLE_SIZE:
+        raise ParameterError(f"rows: {sum(cfg.rows)} draws into {n_cells} "
+                             f"cells, at most {MAX_SAMPLE_SIZE} of each")
     params = MdmParams(row_sums=cfg.rows,
                        model=theta_to_alpha(entry.freqs, cfg.theta))
     sampler = MdmSampler(params, cfg.seed)

@@ -23,7 +23,8 @@ pooled column count n.a of the draws still free, a beta-binomial with
 success probability Q_a = q_a / sum_{b >= a} q_b (a binomial at
 theta = 0), split hypergeometrically across the rows' remaining counts;
 one step is the private kernel _log_step, and mdm_chain_log_pmf is their
-sum.
+sum.  A step over an empty column is the chance that none of the free
+draws lands in it, which leaves three terms.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -144,12 +145,17 @@ def _log_step(q_a: float, q_tail: float, col, free,
         * exp(L(q_a scale, n) + L(q_tail scale, rem-n)
               - L((q_a + q_tail) scale, rem)),
 
-    a binomial at scale = inf.
+    a binomial at scale = inf.  Every term left out, a binomial of a zero
+    cell or, for an empty column (n = 0), the terms in n, is an exact zero,
+    and fsum is exactly rounded, so the bits are those of the full sum.
     """
     n = sum(col)
     rem = sum(free)
     pool = q_a + q_tail
-    # log C(f, 0) is an exact zero, and fsum is exactly rounded
+    if not n:
+        return math.fsum((rem * math.log(q_tail / pool),
+                          log_scaled_rising(q_tail * scale, rem),
+                          -log_scaled_rising(pool * scale, rem)))
     terms = [log_binomial(f, c) for f, c in zip(free, col) if c]
     terms += [n * math.log(q_a / pool), (rem - n) * math.log(q_tail / pool),
               log_scaled_rising(q_a * scale, n),
@@ -162,19 +168,24 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     """Log pmf assembled column by column from _log_step.
 
     Telescopes to mdm_log_pmf; independent code path for cross-checks.
+    The last column's step is certain (its tail is empty), and once no
+    draw is free every later step is an exact zero, so neither is taken.
     """
     _check_table(table, params)
     q = params.model.freqs.extended_probs
     a_total = params.model.alpha_total
     suffix = _suffix_sums(q)
     free = table.row_sums
+    rem = table.total
     terms = []
-    # once no draw is free, every later step is an exact zero
-    for a, col in enumerate(list(zip(*table.counts))[:-1]):
-        if not any(free):
+    for a, col, n in zip(range(len(q) - 1), zip(*table.counts),
+                         table.col_sums):
+        if not rem:
             break
         terms.append(_log_step(q[a], suffix[a + 1], col, free, a_total))
-        free = [f - c for f, c in zip(free, col)]
+        if n:
+            free = [f - c for f, c in zip(free, col)]
+            rem -= n
     return math.fsum(terms)
 
 

@@ -222,6 +222,17 @@ class CountTable:
         return len(self.counts[0])
 
 
+def _built_table(counts, row_sums, total: int) -> CountTable:
+    """A CountTable over counts the library built itself: a non-empty tuple
+    of equally long, non-empty tuples of non-negative ints whose sums are
+    row_sums and total.  Sets the fields without CountTable's checks and
+    computes only col_sums."""
+    table = object.__new__(CountTable)
+    vars(table).update(counts=counts, row_sums=row_sums,
+                       col_sums=tuple(map(sum, zip(*counts))), total=total)
+    return table
+
+
 @dataclass(frozen=True)
 class ProfileCounts:
     """Allele counts for a single profile: one row of a CountTable."""

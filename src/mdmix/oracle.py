@@ -7,22 +7,29 @@ Enumeration order is deterministic: row 1 varies slowest, and within a row
 compositions descend lexicographically, (2,0), (1,1), (0,2).
 
 The sampler draws the pooled allele sequence one trial at a time with urn
-weights alpha_a + (previous draws of a) -- the plain q_a at theta = 0 --
-and deals the sequence into consecutive profile slots.  Urn sequences are
+weights alpha_a + (previous draws of a) -- the plain q_a at theta = 0, where
+a trial bisects their fixed running sums instead of scanning them -- and
+deals the sequence into consecutive profile slots.  Urn sequences are
 exchangeable, so given the pooled multiset every arrangement is equally
 likely and the dealt table follows the joint law exactly.
+
+The enumeration and the sampler build their tables with model._built_table,
+which skips CountTable's checks of counts the library made itself.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
 from .mdm import MdmParams, mdm_log_pmf
-from .model import CountTable, SizeGuardError, SubsetSpec, TableError, _as_int
+from .model import (CountTable, SizeGuardError, SubsetSpec, TableError,
+                    _as_int, _built_table)
 
 MAX_TABLES = 10 ** 8
 
@@ -68,8 +75,11 @@ def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
             f"{n} tables exceed the enumeration limit of {MAX_TABLES}"
         )
     rows = tuple(_as_int(s, "row sum") for s in row_sums)
+    if not rows:
+        raise TableError("a table needs at least one profile row")
+    total = sum(rows)
     for counts in _raw_tables(rows, n_categories):
-        yield CountTable(counts)
+        yield _built_table(counts, rows, total)
 
 
 def enumerate_tables_with_margins(row_sums, col_sums) -> Iterator[CountTable]:
@@ -183,35 +193,49 @@ class MdmSampler:
         self._buf = self._rng.random(self._BUF)
         self._pos = 0
 
-    def _uniform(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._rng.random(self._BUF)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+    def _uniforms(self, n: int) -> list[float]:
+        """The next n uniforms of the stream, as Python floats."""
+        out = []
+        while len(out) < n:
+            if self._pos == len(self._buf):
+                self._buf = self._rng.random(self._BUF)
+                self._pos = 0
+            take = min(n - len(out), len(self._buf) - self._pos)
+            out += self._buf[self._pos:self._pos + take].tolist()
+            self._pos += take
+        return out
 
     def draw_counts(self) -> tuple[tuple[int, ...], ...]:
         """One table as a raw tuple matrix."""
         width = self._width
-        extra = [0] * width
-        seq = []
-        total_w = self._w_total
         weights = self._weights
-        urn = self._urn
-        for _ in range(self._n_total):
-            pick = self._uniform() * total_w
-            acc = 0.0
-            a = width - 1
-            for b in range(width):
-                acc += weights[b] + extra[b] if urn else weights[b]
-                if pick < acc:
-                    a = b
-                    break
-            seq.append(a)
-            if urn:
+        total_w = self._w_total
+        uniforms = self._uniforms(self._n_total)
+        if self._urn:
+            # urn[b] is alpha_b plus the draws of b so far, formed as one sum
+            extra = [0] * width
+            urn = list(weights)
+            seq = []
+            for u in uniforms:
+                pick = u * total_w
+                acc = 0.0
+                a = width - 1
+                for b, w in enumerate(urn):
+                    acc += w
+                    if pick < acc:
+                        a = b
+                        break
+                seq.append(a)
                 extra[a] += 1
+                urn[a] = weights[a] + extra[a]
                 total_w += 1.0
+        else:
+            # the first b with pick < cum[b], as the urn scan finds it;
+            # a pick at or past the last sum falls through to the last b
+            cum = list(accumulate(weights))
+            last = width - 1
+            seq = [min(bisect_right(cum, u * total_w), last)
+                   for u in uniforms]
         counts = []
         pos = 0
         for r in self._rows:
@@ -223,5 +247,4 @@ class MdmSampler:
         return tuple(counts)
 
     def draw(self) -> CountTable:
-        return CountTable(self.draw_counts())
-
+        return _built_table(self.draw_counts(), self._rows, self._n_total)

@@ -19,13 +19,13 @@ import pytest
 from scipy.stats import chisquare
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MarginState, MdmParams, MdmSampler, SubsetSpec,
-                   covariance_matrix, factorial_moment, mdm_log_pmf,
-                   mean_matrix, pair_ratio, pair_ratio_curves,
-                   pair_ratio_via_pmfs, pair_ratio_via_steps, theta_to_alpha,
-                   woe_margin_grid, woe_step)
+                   MdmParams, MdmSampler, SubsetSpec, covariance_matrix,
+                   factorial_moment, mdm_log_pmf, mean_matrix, pair_ratio,
+                   pair_ratio_curves, pair_ratio_via_pmfs,
+                   pair_ratio_via_steps, theta_to_alpha, woe_margin_grid,
+                   woe_step)
 from mdmix.cli import main
-from mdmix.evidence import enumerate_genotype_pairs
+from mdmix.evidence import MarginState, enumerate_genotype_pairs
 from mdmix.oracle import enumerate_tables
 from mdmix.validation import (suite_chain_equivalence, suite_hypergeometric,
                               suite_marginal_conditional, suite_moments,

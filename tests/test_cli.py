@@ -12,7 +12,8 @@ import pytest
 
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, TableError,
                    mdm_log_pmf, theta_to_alpha)
-from mdmix.cli import (MAX_WOE_CONTRIBUTORS, main, parse_theta_grid,
+from mdmix.cli import (MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
+                       MAX_WOE_CONTRIBUTORS, main, parse_theta_grid,
                        read_table_csv)
 
 FREQ_CSV = """locus,allele,frequency
@@ -147,6 +148,27 @@ def test_moments_schema_and_mean_value(tmp_path, freq_file):
     assert float(first_cov[5]) == pytest.approx(2 * 0.25 * 1.1, rel=1e-14)
 
 
+@pytest.fixture
+def one_allele_file(tmp_path):
+    # one category, so a table has exactly one cell per profile
+    path = tmp_path / "one.csv"
+    path.write_text("locus,allele,frequency\nD0,1,1.0\n")
+    return str(path)
+
+
+def test_moments_above_the_cell_cap_is_a_usage_error(tmp_path, capsys,
+                                                     one_allele_file):
+    rows = ",".join(["1"] * (MAX_MOMENT_CELLS + 1))
+    out = tmp_path / "mom.csv"
+    assert main(["moments", "--freqs", one_allele_file, "--theta", "0.1",
+                 "--rows", rows, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mdmix moments: error: rows: {MAX_MOMENT_CELLS + 1} profiles x 1 "
+        f"categories is {MAX_MOMENT_CELLS + 1} cells, at most "
+        f"{MAX_MOMENT_CELLS}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # woe-curve
 
@@ -253,6 +275,26 @@ def test_sample_is_reproducible_and_reports_metadata(tmp_path, capsys,
     main(["sample", "--freqs", freq_file, "--locus", "D1", "--theta", "0.1",
           "--rows", "2,2", "--seed", "42", "--out", str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("rows", ["draws", "cells"])
+def test_sample_above_the_size_cap_is_a_usage_error(tmp_path, capsys,
+                                                    one_allele_file, rows):
+    if rows == "draws":
+        row_sums, n_draws, n_cells = [MAX_SAMPLE_SIZE + 1], \
+            MAX_SAMPLE_SIZE + 1, 1
+    else:
+        row_sums, n_draws, n_cells = [0] * (MAX_SAMPLE_SIZE + 1), 0, \
+            MAX_SAMPLE_SIZE + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rows": row_sums}))
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--config", str(cfg), "--freqs", one_allele_file,
+                 "--theta", "0.1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mdmix sample: error: rows: {n_draws} draws into {n_cells} cells, "
+        f"at most {MAX_SAMPLE_SIZE} of each\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ from hypothesis import given, strategies as st
 
 import mdmix.evidence
 import mdmix.validation
-from mdmix import (AlleleFrequencies, GenotypePair, MarginState,
-                   MultiplicityClass, ParameterError, ProfileCounts,
-                   genotype_from_alleles, pair_ratio, pair_ratio_curves,
-                   pair_ratio_via_pmfs, pair_ratio_via_steps, woe_curve,
-                   woe_margin_grid, woe_step)
-from mdmix.evidence import enumerate_genotype_pairs
+from mdmix import (AlleleFrequencies, GenotypePair, MultiplicityClass,
+                   ParameterError, ProfileCounts, genotype_from_alleles,
+                   pair_ratio, pair_ratio_curves, pair_ratio_via_pmfs,
+                   pair_ratio_via_steps, woe_curve, woe_margin_grid, woe_step)
+from mdmix.evidence import MarginState, enumerate_genotype_pairs
 from mdmix.mdm import _log_step
 
 # a six-category reference panel: five named alleles and a rest class

@@ -17,6 +17,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    hypergeometric_log_pmf, marginal_over_alleles,
                    marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
                    theta_to_alpha)
+from mdmix.logspace import log_binomial, log_scaled_rising
 from mdmix.mdm import _log_step
 from mdmix.oracle import (enumerate_tables, enumerate_tables_with_margins,
                           oracle_marginal_over_alleles,
@@ -143,6 +144,65 @@ def test_chain_matches_joint_at_theta_zero_exactly():
     for t in enumerate_tables((2, 2), 3):
         assert mdm_chain_log_pmf(t, params) == pytest.approx(
             mdm_log_pmf(t, params), abs=1e-12)
+
+
+def _reference_step(q_a, q_tail, col, free, scale):
+    # one step with every term, zero cells and empty columns included
+    n = sum(col)
+    rem = sum(free)
+    pool = q_a + q_tail
+    terms = [log_binomial(f, c) for f, c in zip(free, col)]
+    terms += [n * math.log(q_a / pool), (rem - n) * math.log(q_tail / pool),
+              log_scaled_rising(q_a * scale, n),
+              log_scaled_rising(q_tail * scale, rem - n),
+              -log_scaled_rising(pool * scale, rem)]
+    return math.fsum(terms)
+
+
+def _reference_chain(table, params):
+    # one fsum per step and one over the steps, every column but the last;
+    # tails[a] = q[a] + ... + q[-1], added from the right
+    q = params.model.freqs.extended_probs
+    tails = [0.0]
+    for x in reversed(q):
+        tails.append(tails[-1] + x)
+    tails.reverse()
+    steps = []
+    free = table.row_sums
+    for a, col in enumerate(list(zip(*table.counts))[:-1]):
+        steps.append(_reference_step(q[a], tails[a + 1], col, free,
+                                     params.model.alpha_total))
+        free = [f - c for f, c in zip(free, col)]
+    return math.fsum(steps)
+
+
+@st.composite
+def _sparse_tables(draw):
+    width = draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 10))
+    empty_cols = draw(st.sets(st.integers(0, width - 1)))
+    empty_rows = draw(st.sets(st.integers(0, n_rows - 1)))
+    counts = []
+    for i in range(n_rows):
+        row = draw(st.lists(st.sampled_from((0, 0, 1, 2, 7)),
+                            min_size=width, max_size=width))
+        counts.append(tuple(0 if i in empty_rows or a in empty_cols else x
+                            for a, x in enumerate(row)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=width,
+                            max_size=width))
+    return CountTable(tuple(counts)), [w / sum(weights) for w in weights]
+
+
+@given(_sparse_tables(),
+       st.sampled_from((0.0, 1e-300, 1e-6, 0.3, 1.0 - 1e-9)))
+def test_chain_keeps_the_bits_of_the_full_step_sum(case, theta):
+    # the chain leaves out exact zeros only: empty columns' terms in n,
+    # zero cells, and the steps after the last free draw
+    table, probs = case
+    freqs = AlleleFrequencies(tuple(probs), rest_mass=0.0)
+    params = MdmParams(table.row_sums, theta_to_alpha(freqs, theta))
+    assert mdm_chain_log_pmf(table, params).hex() == \
+        _reference_chain(table, params).hex()
 
 
 # ---------------------------------------------------------------------------

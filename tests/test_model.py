@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FrequencyFileError, MarginState, ParameterError,
-                   ProfileCounts, SubsetSpec, TableError, read_frequency_csv,
-                   theta_to_alpha)
+                   FrequencyFileError, ParameterError, ProfileCounts,
+                   SubsetSpec, TableError, read_frequency_csv, theta_to_alpha)
+from mdmix.evidence import MarginState
 
 
 # ---------------------------------------------------------------------------

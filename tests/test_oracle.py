@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import mdmix.oracle
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    MdmParams, MdmSampler, SizeGuardError,
                    TableError, mdm_log_pmf, theta_to_alpha)
@@ -132,3 +134,90 @@ def test_sampler_handles_unequal_row_sums():
     params = MdmParams((1, 3), DispersionModel.from_alpha((2.0, 2.0)))
     t = MdmSampler(params, 99).draw()
     assert t.row_sums == (1, 3)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.2])
+def test_draw_is_the_checked_table_of_its_counts(theta):
+    freqs = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+    params = MdmParams((3, 0, 5, 1), theta_to_alpha(freqs, theta))
+    sampler, twin = MdmSampler(params, 5), MdmSampler(params, 5)
+    for _ in range(200):
+        got, want = sampler.draw(), CountTable(twin.draw_counts())
+        assert type(got) is CountTable
+        assert (got.counts, got.row_sums, got.col_sums, got.total) == \
+            (want.counts, want.row_sums, want.col_sums, want.total)
+        assert got == want and hash(got) == hash(want)
+
+
+def test_enumerated_tables_are_the_checked_tables_of_their_counts():
+    for t in enumerate_tables((2, 0, 3), 3):
+        want = CountTable(t.counts)
+        assert (t.counts, t.row_sums, t.col_sums, t.total) == \
+            (want.counts, want.row_sums, want.col_sums, want.total)
+        assert t == want and hash(t) == hash(want)
+
+
+def test_draw_builds_its_table_without_the_module_name(monkeypatch):
+    # the table comes from model's own constructor, not the name
+    # CountTable in mdmix.oracle, which may be rebound to a wrapper
+    def refuse(counts):
+        raise AssertionError("oracle.CountTable was called")
+
+    monkeypatch.setattr(mdmix.oracle, "CountTable", refuse)
+    params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 2.0, 3.0)))
+    t = MdmSampler(params, 3).draw()
+    assert t == CountTable(t.counts)
+
+
+def _scan_counts(params, uniforms):
+    # theta = 0 by a linear scan: the first category whose running sum of
+    # q exceeds u sum(q), and the last one when none does
+    q = params.model.freqs.extended_probs
+    total = math.fsum(q)
+    seq = []
+    for u in uniforms:
+        pick = u * total
+        acc = 0.0
+        a = len(q) - 1
+        for b, w in enumerate(q):
+            acc += w
+            if pick < acc:
+                a = b
+                break
+        seq.append(a)
+    counts = []
+    for i, r in enumerate(params.row_sums):
+        start = sum(params.row_sums[:i])
+        counts.append(tuple(seq[start:start + r].count(a)
+                            for a in range(len(q))))
+    return tuple(counts)
+
+
+# 0.5 + 4e-17 rounds back to 0.5, so the running sums repeat 0.5 a hundred
+# times, and fsum(q) = 1 + 4e-15 lies above the last running sum 1.0
+_ABSORBED = AlleleFrequencies((0.5,) + (4e-17,) * 100 + (0.5,))
+
+
+def test_theta_zero_draws_match_a_linear_scan():
+    params = MdmParams((7, 0, 9000), theta_to_alpha(_ABSORBED, 0.0))
+    sampler = MdmSampler(params, 17)
+    stream = np.random.Generator(np.random.PCG64(17)).random(3 * 9007)
+    for k in range(3):
+        uniforms = stream[k * 9007:(k + 1) * 9007].tolist()
+        assert sampler.draw_counts() == _scan_counts(params, uniforms)
+
+
+def test_theta_zero_draws_match_a_linear_scan_at_the_edges():
+    # picks on and just below the repeated running sum 0.5, and picks on
+    # and past the last running sum 1.0, which fall through to the last
+    # category
+    params = MdmParams((3, 3), theta_to_alpha(_ABSORBED, 0.0))
+    total = math.fsum(_ABSORBED.extended_probs)
+    uniforms = [0.0, 0.5 / total, math.nextafter(0.5 / total, 0.0),
+                math.nextafter(0.5 / total, 1.0), 1.0 / total,
+                math.nextafter(1.0, 0.0)]
+    picks = [u * total for u in uniforms]
+    assert picks.count(0.5) == 2 and picks[-2] == 1.0 and picks[-1] > 1.0
+    sampler = MdmSampler(params, 0)
+    sampler._uniforms = lambda n: uniforms[:n]
+    assert sampler.draw_counts() == _scan_counts(params, uniforms)
