@@ -49,11 +49,17 @@ GENOTYPE_SIZE = 2
 
 @dataclass(frozen=True)
 class GenotypePair:
-    """Two diploid profiles over the same categories."""
+    """Two diploid profiles over the same categories.
+
+    carried lists the (allele, pooled count) pairs with a count above 0, in
+    allele order: at most four, whatever the number of categories.
+    """
 
     first: ProfileCounts
     second: ProfileCounts
     n_categories: int = field(init=False, repr=False, compare=False)
+    carried: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         for name, prof in (("first", self.first), ("second", self.second)):
@@ -65,6 +71,9 @@ class GenotypePair:
         if self.first.n_categories != self.second.n_categories:
             raise ParameterError("profiles span different category counts")
         object.__setattr__(self, "n_categories", self.first.n_categories)
+        pooled = self.pooled
+        object.__setattr__(self, "carried",
+                           tuple(compress(enumerate(pooled), pooled)))
 
     @property
     def pooled(self) -> tuple[int, ...]:
@@ -292,23 +301,22 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
     a_total = _pool_mass(theta)
     if a_total == math.inf:
         return 1.0
-    pooled = pair.pooled
     # one exactly rounded fsum over the whole term multiset, so pairs that
     # share multiplicity-bearing alleles agree bit for bit regardless of
     # where their singletons sit
-    terms = [math.log(a_total + k) for k in range(2 * GENOTYPE_SIZE)]
-    for q_a, log_q, c in compress(zip(freqs.extended_probs,
-                                      freqs.log_extended_probs, pooled),
-                                  pooled):
+    terms = [math.log(a_total), math.log(a_total + 1),
+             math.log(a_total + 2), math.log(a_total + 3)]
+    # q_a / alpha_a reduces to 1 / a_total exactly for a singleton
+    singleton = -terms[0]
+    for a, c in pair.carried:
         if c == 1:
-            # q_a / alpha_a reduces to 1 / a_total exactly
-            terms.append(-math.log(a_total))
+            terms.append(singleton)
             continue
-        alpha = q_a * a_total
+        alpha = freqs.extended_probs[a] * a_total
         if not alpha:
             raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
-        terms.append(c * log_q)
-        terms.extend(-math.log(alpha + k) for k in range(c))
+        terms.append(c * freqs.log_extended_probs[a])
+        terms += [-math.log(alpha + k) for k in range(c)]
     return math.exp(math.fsum(terms))
 
 

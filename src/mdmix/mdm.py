@@ -296,11 +296,8 @@ def hypergeometric_log_pmf(table: CountTable) -> float:
     P(n | rows, cols) = prod_i n_i.! prod_a n.a! / (n..! prod_ia n_ia!).
     """
     terms = [-log_factorial(table.total)]
-    for r in table.row_sums:
-        terms.append(log_factorial(r))
-    for c in table.col_sums:
-        terms.append(log_factorial(c))
-    for row in table.counts:
-        for x in row:
-            terms.append(-log_factorial(x))
+    terms += map(log_factorial, chain(table.row_sums, table.col_sums))
+    # a zero cell adds -log 0! = -0.0, so it gets no term either
+    terms += map(operator.neg, map(log_factorial, filter(
+        None, chain.from_iterable(table.counts))))
     return math.fsum(terms)

@@ -66,18 +66,38 @@ def covariance_matrix(params: MdmParams) -> np.ndarray:
     different profile, same:      n_i. n_j. q_a (1-q_a) theta
     different profile, different: -n_i. n_j. q_a q_b theta
 
-    Each form is evaluated left to right, as written.
+    Each form is evaluated left to right, as written, with the count
+    subtracted from 0.0 where it is negated (+0.0, not -0.0, for a zero row
+    sum).  The forms fill one preallocated matrix from the last to the
+    first, each over the cells it shares with the ones before, so the peak
+    memory stays near the result's.
     """
     q = np.asarray(params.model.freqs.extended_probs)
     n = np.asarray(params.row_sums, dtype=float)
     theta = params.model.theta
-    same_profile = np.eye(len(n), dtype=bool)
-    # axes (i, a, j, b); 0.0 - count, unlike -count, is +0.0 for a zero
-    # row sum
-    count = np.where(same_profile, n[:, None], n[:, None] * n)[:, None, :, None]
-    factor = np.where(same_profile, 1.0 + (n[:, None] - 1.0) * theta, theta)
-    q_a = q[:, None, None]
-    out = np.where(np.eye(len(q), dtype=bool)[:, None, :],
-                   count * q_a * (1.0 - q_a), (0.0 - count) * q_a * q)
-    out = out * factor[:, None, :, None]
+    factor = 1.0 + (n - 1.0) * theta
+    out = np.empty((len(n), len(q), len(n), len(q)))  # axes (i, a, j, b)
+    # different profile, different category; every cell for now
+    np.multiply(n[:, None, None, None], n[:, None], out=out)
+    np.subtract(0.0, out, out=out)
+    for x in (q[:, None, None], q, theta):
+        np.multiply(out, x, out=out)
+    # different profile, same category, one profile i at a time: numpy
+    # would copy the whole a = b view to update it in place.  einsum with
+    # no summed index returns a writeable view
+    for i, n_i in enumerate(n):
+        cells = np.einsum("aja->aj", out[i])
+        np.multiply(n_i, n, out=cells)
+        for x in (q[:, None], 1.0 - q[:, None], theta):
+            np.multiply(cells, x, out=cells)
+    # same profile, different category; every i = j cell for now
+    cells = np.einsum("iaib->iab", out)
+    np.subtract(0.0, n[:, None, None], out=cells)
+    for x in (q[:, None], q, factor[:, None, None]):
+        np.multiply(cells, x, out=cells)
+    # same profile, same category
+    cells = np.einsum("iaia->ia", out)
+    np.multiply(n[:, None], q, out=cells)
+    for x in (1.0 - q, factor[:, None]):
+        np.multiply(cells, x, out=cells)
     return out.reshape(len(n) * len(q), len(n) * len(q))

@@ -4,12 +4,15 @@
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from dataclasses import fields
+from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import mdmix.evidence
 import mdmix.validation
@@ -261,6 +264,86 @@ def test_pair_ratio_closed_form_doubleton():
                 * (a + 1.0) * (a + 2.0) * (a + 3.0) / a)
     assert pair_ratio(pair, freqs, theta) == pytest.approx(expected,
                                                            rel=1e-13)
+
+
+def dense_pair_ratio(pair, freqs, theta):
+    """pair_ratio as a scan of the pooled counts over every category."""
+    if pair.n_categories != freqs.n_categories:
+        raise ParameterError(
+            f"pair spans {pair.n_categories} categories, frequencies have "
+            f"{freqs.n_categories}")
+    theta = float(theta)
+    if not 0.0 <= theta < 1.0:
+        raise ParameterError(f"theta = {theta} outside [0, 1)")
+    a_total = (1.0 - theta) / theta if theta else math.inf
+    if a_total == math.inf:
+        return 1.0
+    pooled = tuple(map(operator.add, pair.first.counts, pair.second.counts))
+    terms = [math.log(a_total + k) for k in range(4)]
+    for q_a, log_q, c in compress(zip(freqs.extended_probs,
+                                      freqs.log_extended_probs, pooled),
+                                  pooled):
+        if c == 1:
+            terms.append(-math.log(a_total))
+            continue
+        alpha = q_a * a_total
+        if not alpha:
+            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
+        terms.append(c * log_q)
+        terms.extend(-math.log(alpha + k) for k in range(c))
+    return math.exp(math.fsum(terms))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except ParameterError as err:
+        return type(err), str(err)
+
+
+# tiny weights are taken as probabilities as they are, and q_a a.
+# underflows to 0 at theta = 0.9 for the two tiniest
+_TINY = (5e-324, 1e-322, 1e-310)
+_WEIGHTS = st.lists(st.one_of(st.floats(1e-6, 1.0), st.sampled_from(_TINY)),
+                    min_size=41, max_size=41)
+
+
+@given(st.integers(1, 42), st.booleans(), st.floats(1e-6, 1.0), _WEIGHTS,
+       st.lists(st.integers(0, 41), min_size=4, max_size=4),
+       st.integers(0, 19).map(lambda k: (k == 19) - (k == 18)),
+       st.sampled_from((0.0, 5e-324, 1e-300, 1e-15, 0.01, 0.9, 1.0, -0.1)))
+# allele 1 (q = 5e-324) counted twice underflows after the rest of the
+# width checks; counted once, it cancels
+@example(4, True, 0.5, [5e-324, 0.5] + [1.0] * 39, [1, 1, 0, 2], 0, 0.9)
+@example(4, True, 0.5, [5e-324, 0.5] + [1.0] * 39, [1, 0, 0, 2], 0, 0.9)
+@example(4, True, 0.5, [5e-324, 0.5] + [1.0] * 39, [1, 1, 0, 2], 19, 0.9)
+@example(4, True, 0.5, [5e-324, 0.5] + [1.0] * 39, [1, 1, 0, 2], 0, 1.0)
+def test_pair_ratio_is_the_dense_scan_bit_for_bit(width, rest, lead, weights,
+                                                   alleles, skew, theta):
+    # the frequencies span `width` categories, the last a rest class when
+    # `rest`; the pair spans width + skew (skew -1 or +1 one time in 20),
+    # so a skewed pair is refused
+    rest = rest and width > 1
+    named = [lead, *weights][:width - rest]
+    scale = math.fsum(w for w in named if w not in _TINY) / (0.8 if rest
+                                                              else 1.0)
+    freqs = AlleleFrequencies(tuple(w if w in _TINY else w / scale
+                                    for w in named))
+    assert freqs.n_categories == width
+    span = max(1, width + skew)
+    first, second = (genotype_from_alleles([a % span for a in two], span)
+                     for two in (alleles[:2], alleles[2:]))
+    pair = GenotypePair(first, second)
+    assert pair.carried == tuple((a, c) for a, c in enumerate(pair.pooled)
+                                 if c)
+    assert (_outcome(pair_ratio, pair, freqs, theta)
+            == _outcome(dense_pair_ratio, pair, freqs, theta))
+    # carried is derived: equality, hash and repr see the profiles only
+    twin = GenotypePair(first, second)
+    assert twin == pair and hash(twin) == hash(pair)
+    assert repr(pair) == f"GenotypePair(first={first!r}, second={second!r})"
+    assert [f.name for f in fields(GenotypePair) if f.compare] == [
+        "first", "second"]
 
 
 def test_pair_ratio_curves_cover_all_classes():

@@ -4,9 +4,12 @@
 from __future__ import annotations
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    MdmParams, ParameterError, covariance_matrix,
@@ -124,6 +127,50 @@ def test_covariance_matrix_properties():
         for j in range(2):
             block = cov[x, j * 3:(j + 1) * 3]
             assert block.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def dense_covariance(params):
+    """covariance_matrix with every branch built over all (i, a, j, b)."""
+    q = np.asarray(params.model.freqs.extended_probs)
+    n = np.asarray(params.row_sums, dtype=float)
+    theta = params.model.theta
+    same_profile = np.eye(len(n), dtype=bool)
+    count = np.where(same_profile, n[:, None], n[:, None] * n)[:, None, :, None]
+    factor = np.where(same_profile, 1.0 + (n[:, None] - 1.0) * theta, theta)
+    q_a = q[:, None, None]
+    out = np.where(np.eye(len(q), dtype=bool)[:, None, :],
+                   count * q_a * (1.0 - q_a), (0.0 - count) * q_a * q)
+    out = out * factor[:, None, :, None]
+    return out.reshape(len(n) * len(q), len(n) * len(q))
+
+
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12),
+       st.booleans(),
+       st.lists(st.sampled_from((0, 1, 2, 7, 10 ** 6)), min_size=1,
+                max_size=6),
+       st.sampled_from((0.0, 1e-300, 1e-12, 0.03, 0.5, 1.0 - 1e-9)))
+def test_covariance_is_the_dense_form_bit_for_bit(weights, rest, rows, theta):
+    total = math.fsum(weights) * (1.25 if rest else 1.0)
+    freqs = AlleleFrequencies(tuple(w / total for w in weights))
+    params = MdmParams(tuple(rows), theta_to_alpha(freqs, theta))
+    assert covariance_matrix(params).tobytes() == \
+        dense_covariance(params).tobytes()
+
+
+@pytest.mark.parametrize("n_profiles, n_categories",
+                         [(512, 1), (256, 2), (16, 32), (1, 512)])
+def test_covariance_peak_memory_is_about_the_result(n_profiles,
+                                                    n_categories):
+    freqs = AlleleFrequencies((1.0 / n_categories,) * n_categories)
+    params = MdmParams((2,) * n_profiles, theta_to_alpha(freqs, 0.03))
+    tracemalloc.start()
+    try:
+        cov = covariance_matrix(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.nbytes == (n_profiles * n_categories) ** 2 * 8
+    assert peak <= 1.1 * cov.nbytes, (peak, cov.nbytes)
 
 
 def test_zero_row_sum_is_handled():

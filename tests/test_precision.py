@@ -10,15 +10,17 @@ and an lgamma(n + alpha) - lgamma(alpha) difference would lose every digit.
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from mdmix import (AlleleFrequencies, CountTable, MdmParams,
-                   ParameterError, factorial_moment, mdm_chain_log_pmf,
-                   mdm_log_pmf, theta_to_alpha, woe_margin_grid, woe_step)
+from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
+                   ParameterError, factorial_moment, genotype_from_alleles,
+                   mdm_chain_log_pmf, mdm_log_pmf, pair_ratio,
+                   theta_to_alpha, woe_margin_grid, woe_step)
 from mdmix.cli import main
 from mdmix.logspace import log_scaled_rising
 
@@ -176,6 +178,50 @@ def test_woe_step_matches_mpmath_at_every_theta(theta, tail_mass):
             want = oracle_woe(state.n_col, state.remaining, q_scaled, theta,
                               tail_mass)
             assert abs(got / want - 1) <= WOE_REL_TOL, (state, q_scaled, got,
+                                                        float(want))
+
+
+def nrc_identical_pair_ratio(p_a, p_b, theta):
+    """pair_ratio of the pair (g, g) from published closed forms; g = ab,
+    or the homozygote aa when p_b is None.
+
+    The ratio is P0(g)^2 / (P(g) CMP(g)): P0(g) is the genotype's
+    probability at theta = 0, P(g) its probability under theta,
+    2 p_a p_b (1 - theta) or p (theta + (1 - theta) p), and CMP(g) the
+    conditional match probability of NRC II (1996) eq. 4.10.
+    """
+    theta = mpmath.mpf(theta)
+    if p_b is None:
+        p = mpmath.mpf(p_a)
+        at_zero = p * p
+        single = p * (theta + (1 - theta) * p)
+        match = (2 * theta + (1 - theta) * p) * (3 * theta + (1 - theta) * p)
+    else:
+        p_a, p_b = mpmath.mpf(p_a), mpmath.mpf(p_b)
+        at_zero = 2 * p_a * p_b
+        single = 2 * p_a * p_b * (1 - theta)
+        match = 2 * (theta + (1 - theta) * p_a) * (theta + (1 - theta) * p_b)
+    match /= (1 + theta) * (1 + 2 * theta)
+    return at_zero ** 2 / (single * match)
+
+
+@pytest.mark.parametrize("theta", [1e-6 * (0.9 / 1e-6) ** (k / 12)
+                                   for k in range(13)])
+def test_pair_ratio_of_identical_genotypes_matches_nrc_ii(theta):
+    rnd = random.Random(f"nrc-ii:{theta}")
+    for _ in range(20):
+        weights = [rnd.uniform(1e-3, 1.0) for _ in range(rnd.randint(2, 30))]
+        freqs = AlleleFrequencies(tuple(w / math.fsum(weights) * 0.9
+                                        for w in weights))
+        width = freqs.n_categories
+        for a, b in ((rnd.randrange(width), rnd.randrange(width)),
+                     (rnd.randrange(width),) * 2):
+            g = genotype_from_alleles((a, b), width)
+            got = pair_ratio(GenotypePair(g, g), freqs, theta)
+            q = freqs.extended_probs
+            want = nrc_identical_pair_ratio(q[a], None if a == b else q[b],
+                                            theta)
+            assert abs(got / want - 1) <= WOE_REL_TOL, (a, b, got,
                                                         float(want))
 
 
