@@ -228,6 +228,12 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     if args.seed < 0:
         raise ParameterError(
             f"seed: expected a non-negative int, got {args.seed}")
+    if args.rows is not None and min(args.rows) < 0:
+        raise ParameterError(
+            f"rows: expected a list of non-negative int, got {args.rows}")
+    if args.contributors < 1:
+        raise ParameterError(
+            f"contributors: expected an int >= 1, got {args.contributors}")
     if args.contributors > MAX_WOE_CONTRIBUTORS:
         raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
                              f"got {args.contributors}")

@@ -156,9 +156,25 @@ class MarginState:
 
 
 def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
-    """tail_mass (1 - theta) / theta; inf at theta = 0, the limit in which
-    every ratio here is exactly 1, and inf where the quotient overflows."""
+    """tail_mass (1 - theta) / theta for theta in [0, 1); inf at theta = 0,
+    where every ratio here is exactly 1, and where the quotient overflows."""
+    if not 0.0 <= theta < 1.0:
+        raise ParameterError(f"theta = {theta} outside [0, 1)")
     return tail_mass * (1.0 - theta) / theta if theta else math.inf
+
+
+def _woe_pool(q_scaled: float, theta: float, tail_mass: float) -> float:
+    """woe_step's checks in order (Q, theta, tail_mass, then an a_tail that
+    underflows to 0), and its pooled mass: inf where the ratio is 1."""
+    if not 0.0 < q_scaled < 1.0:
+        raise ParameterError(f"Q = {q_scaled} outside (0, 1)")
+    a_pool = _pool_mass(theta, tail_mass)
+    if not 0.0 < tail_mass <= 1.0:
+        raise ParameterError(f"tail_mass = {tail_mass} outside (0, 1]")
+    if (1.0 - q_scaled) * a_pool == 0.0:
+        raise ParameterError(
+            f"tail_mass = {tail_mass} underflows at theta = {theta}")
+    return a_pool
 
 
 def woe_step(margin: MarginState, q_scaled: float, theta: float,
@@ -172,22 +188,11 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     Q^n (1-Q)^(rem-n) cancels against the rising products factor by factor,
     so nothing cancels numerically as a_pool = (1-theta)/theta grows.
     """
-    if not 0.0 < q_scaled < 1.0:
-        raise ParameterError(f"Q = {q_scaled} outside (0, 1)")
-    if not 0.0 <= theta < 1.0:
-        raise ParameterError(f"theta = {theta} outside [0, 1)")
-    if not 0.0 < tail_mass <= 1.0:
-        raise ParameterError(f"tail_mass = {tail_mass} outside (0, 1]")
-    a_pool = _pool_mass(theta, tail_mass)
+    a_pool = _woe_pool(q_scaled, theta, tail_mass)
     if a_pool == math.inf:  # theta = 0, or 1 + O(1 / a_pool) rounds to 1
         return 1.0
-    a_step = q_scaled * a_pool
-    a_tail = (1.0 - q_scaled) * a_pool
-    if a_tail == 0.0:
-        raise ParameterError(
-            f"tail_mass = {tail_mass} underflows at theta = {theta}")
     return _woe_ratios([(margin.n_col, margin.remaining)], q_scaled,
-                       a_step, a_tail)[0]
+                       q_scaled * a_pool, (1.0 - q_scaled) * a_pool)[0]
 
 
 def _woe_ratios(keys, q_scaled: float, a_step, a_tail) -> list:
@@ -244,28 +249,25 @@ def woe_curve(states, q_scaled: float, theta_grid,
 
     One _woe_ratios call over the whole grid gives every row, so states
     with the same column count share their factors and running products;
-    the values are woe_step's bit for bit.  Bad input raises the error
-    woe_step raises at the first state and the first theta where it would
-    fail.
+    the values are woe_step's bit for bit.  Each theta goes through
+    woe_step's checks in grid order, so bad input raises the error woe_step
+    raises at the first theta where it would fail.
     """
-    grid = np.array([float(t) for t in theta_grid])
+    grid = [float(t) for t in theta_grid]
     out = np.ones((len(states), len(grid)))
     if not out.size:
         return out
-    # Python floats never warn, so neither does this: theta = +-0 and an
-    # overflowing pool give woe_step's 1.0, and a subnormal a_tail can
-    # overflow a factor to inf in woe_step as here
+    pools = [_woe_pool(q_scaled, theta, tail_mass) for theta in grid]
+    # an index array: numpy converts a list index anew for every row
+    live = np.array([k for k, a_pool in enumerate(pools)
+                     if a_pool != math.inf], dtype=np.intp)
+    a_pool = np.array(pools)[live]
+    # Python floats never warn, so neither does this: a subnormal a_tail
+    # can overflow a factor to inf in woe_step as here
     with np.errstate(all="ignore"):
-        a_pool = tail_mass * (1.0 - grid) / grid
-        live = (grid != 0.0) & (a_pool != np.inf)
-        a_tail = (1.0 - q_scaled) * a_pool
-        bad = ~((0.0 <= grid) & (grid < 1.0)) | (live & (a_tail == 0.0))
-        bad[0] |= not (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0)
-        if bad.any():  # woe_step raises the first bad entry's error
-            woe_step(states[0], q_scaled, float(grid[bad.argmax()]),
-                     tail_mass=tail_mass)
         ratios = _woe_ratios([(s.n_col, s.remaining) for s in states],
-                             q_scaled, q_scaled * a_pool[live], a_tail[live])
+                             q_scaled, q_scaled * a_pool,
+                             (1.0 - q_scaled) * a_pool)
     for r, ratio in enumerate(ratios):
         out[r, live] = ratio
     return out
@@ -296,8 +298,6 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
     """
     _check_pair_width(pair, freqs)
     theta = float(theta)
-    if not 0.0 <= theta < 1.0:
-        raise ParameterError(f"theta = {theta} outside [0, 1)")
     a_total = _pool_mass(theta)
     if a_total == math.inf:
         return 1.0
@@ -385,9 +385,6 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     terms does not change a bit.
     """
     grid = [float(t) for t in theta_grid]
-    for theta in grid:
-        if not 0.0 <= theta < 1.0:
-            raise ParameterError(f"theta = {theta} outside [0, 1)")
     pools = list(map(_pool_mass, grid))
     live = [k for k, a_total in enumerate(pools) if a_total != math.inf]
     pools = [pools[k] for k in live]

@@ -20,6 +20,7 @@ which skips CountTable's checks of counts the library made itself.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
@@ -28,8 +29,8 @@ from typing import Iterator
 import numpy as np
 
 from .mdm import MdmParams, mdm_log_pmf
-from .model import (CountTable, SizeGuardError, SubsetSpec, TableError,
-                    _as_int, _built_table)
+from .model import (CountTable, ParameterError, SizeGuardError, SubsetSpec,
+                    TableError, _as_int, _built_table)
 
 MAX_TABLES = 10 ** 8
 
@@ -170,16 +171,22 @@ class MdmSampler:
     """Streaming exact sampler for one parameter set.
 
     Two samplers built with the same seed produce the same table sequence.
-    Randomness comes from numpy's PCG64 as a buffered uniform stream; the
-    identifier below is recorded in CLI output metadata.
+    Each table's uniforms come straight from numpy's PCG64 generator; the
+    identifier below is recorded in CLI output metadata.  The seed is a
+    non-negative int.
     """
 
     algorithm = "pcg64-urn-deal-v1"
-    _BUF = 8192
 
     def __init__(self, params: MdmParams, seed: int):
+        try:
+            self.seed = operator.index(seed)
+            if isinstance(seed, bool) or self.seed < 0:
+                raise TypeError
+        except TypeError:
+            raise ParameterError(
+                f"seed: expected a non-negative int, got {seed!r}") from None
         self.params = params
-        self.seed = int(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         model = params.model
         # theta = 0 draws from q itself, with no urn reinforcement
@@ -190,20 +197,10 @@ class MdmSampler:
         self._rows = params.row_sums
         self._n_total = params.n_total
         self._width = params.n_categories
-        self._buf = self._rng.random(self._BUF)
-        self._pos = 0
 
     def _uniforms(self, n: int) -> list[float]:
         """The next n uniforms of the stream, as Python floats."""
-        out = []
-        while len(out) < n:
-            if self._pos == len(self._buf):
-                self._buf = self._rng.random(self._BUF)
-                self._pos = 0
-            take = min(n - len(out), len(self._buf) - self._pos)
-            out += self._buf[self._pos:self._pos + take].tolist()
-            self._pos += take
-        return out
+        return self._rng.random(n).tolist()
 
     def draw_counts(self) -> tuple[tuple[int, ...], ...]:
         """One table as a raw tuple matrix."""

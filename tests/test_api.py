@@ -83,25 +83,48 @@ def _mentions_theta(node) -> bool:
                for n in ast.walk(node))
 
 
+# the functions where theta = 0 is tested: the model's flag for it, its
+# alpha = inf limit, the sampler's choice of a fixed or a reinforced urn,
+# and the pooled mass the ratios in evidence share
+THETA_ZERO_SITES = [
+    "evidence._pool_mass",
+    "model.DispersionModel.__post_init__",
+    "model.theta_to_alpha",
+    "oracle.MdmSampler.__init__",
+]
+
+
+def _theta_zero_tests(tree, scope):
+    """Yield the scope of each theta = 0 test under tree: an == or !=
+    comparison of a theta-named value with 0, or a bare theta-named value
+    as the test of an if, a conditional expression or a while."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        scope = f"{scope}.{tree.name}"
+    if isinstance(tree, ast.Compare):
+        sides = [tree.left, *tree.comparators]
+        if (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops)
+                and any(map(_mentions_theta, sides))
+                and any(isinstance(side, ast.Constant)
+                        and side.value == 0 for side in sides)):
+            yield scope
+    elif isinstance(tree, (ast.If, ast.IfExp, ast.While)):
+        if isinstance(tree.test, (ast.Name, ast.Attribute)) and (
+                _mentions_theta(tree.test)):
+            yield scope
+    for child in ast.iter_child_nodes(tree):
+        yield from _theta_zero_tests(child, scope)
+
+
 def test_no_theta_zero_branch_in_the_pmf_and_moment_code():
     # theta = 0 is alpha_total = inf, where every scaled rising term is
-    # exactly 0; a comparison of theta with 0 here is a dispatch the
-    # formulas do not need
+    # exactly 0 and every ratio exactly 1; a new comparison of theta with 0
+    # is a copy of a dispatch the formulas do not need
     found = []
-    for name in ("mdm.py", "moments.py"):
-        tree = ast.parse((SRC / name).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Compare):
-                sides = [node.left, *node.comparators]
-                if (any(map(_mentions_theta, sides))
-                        and any(isinstance(side, ast.Constant)
-                                and side.value == 0 for side in sides)):
-                    found.append(f"{name}:{node.lineno}")
-            elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
-                if isinstance(node.test, (ast.Name, ast.Attribute)) and (
-                        _mentions_theta(node.test)):
-                    found.append(f"{name}:{node.lineno}")
-    assert found == []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += _theta_zero_tests(tree, path.stem)
+    assert sorted(found) == THETA_ZERO_SITES
     assert not hasattr(mdmix.logspace, "log_rising")
 
 

@@ -379,6 +379,10 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     ("woe-curve", "--tail-mass", "heavy"),
     ("woe-curve", "--q-values", "0.1,high"),
     ("moments", "--rows", "two,2"),
+    # a value of the right type outside the field's range
+    ("woe-curve", "--contributors", "0"),
+    ("woe-curve", "--contributors", "-1"),
+    ("moments", "--rows", "2,-1"),
 ])
 def test_config_value_of_the_wrong_type_is_a_usage_error(
         tmp_path, capsys, command, field, value):

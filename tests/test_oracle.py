@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 
 import mdmix.oracle
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MdmParams, MdmSampler, SizeGuardError,
+                   MdmParams, MdmSampler, ParameterError, SizeGuardError,
                    TableError, mdm_log_pmf, theta_to_alpha)
 from mdmix.oracle import (count_tables, enumerate_tables,
                           enumerate_tables_with_margins, oracle_moment,
@@ -103,6 +103,14 @@ def test_sampler_seeds_differ():
     assert a != b
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+def test_sampler_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 2.0, 3.0)))
+    with pytest.raises(ParameterError, match=r"^seed: expected a "
+                       r"non-negative int, got "):
+        MdmSampler(params, seed)
+
+
 def _gof_pvalue(params, seed, n_draws):
     support = {t.counts: math.exp(mdm_log_pmf(t, params))
                for t in enumerate_tables(params.row_sums,
@@ -169,6 +177,16 @@ def test_draw_builds_its_table_without_the_module_name(monkeypatch):
     assert t == CountTable(t.counts)
 
 
+def _dealt(params, seq):
+    # the category sequence dealt into consecutive profile slots
+    counts = []
+    for i, r in enumerate(params.row_sums):
+        start = sum(params.row_sums[:i])
+        counts.append(tuple(seq[start:start + r].count(a)
+                            for a in range(params.n_categories)))
+    return tuple(counts)
+
+
 def _scan_counts(params, uniforms):
     # theta = 0 by a linear scan: the first category whose running sum of
     # q exceeds u sum(q), and the last one when none does
@@ -185,12 +203,7 @@ def _scan_counts(params, uniforms):
                 a = b
                 break
         seq.append(a)
-    counts = []
-    for i, r in enumerate(params.row_sums):
-        start = sum(params.row_sums[:i])
-        counts.append(tuple(seq[start:start + r].count(a)
-                            for a in range(len(q))))
-    return tuple(counts)
+    return _dealt(params, seq)
 
 
 # 0.5 + 4e-17 rounds back to 0.5, so the running sums repeat 0.5 a hundred
@@ -221,3 +234,40 @@ def test_theta_zero_draws_match_a_linear_scan_at_the_edges():
     sampler = MdmSampler(params, 0)
     sampler._uniforms = lambda n: uniforms[:n]
     assert sampler.draw_counts() == _scan_counts(params, uniforms)
+
+
+def _urn_counts(params, uniforms):
+    # theta > 0 by an urn scan: weights alpha_b plus the draws of b, formed
+    # as one sum, over a total of fsum(alpha) plus 1.0 per draw; the first
+    # category whose running sum exceeds u times the total, and the last
+    # one when none does
+    alpha = params.model.alpha
+    extra = [0] * len(alpha)
+    total = math.fsum(alpha)
+    seq = []
+    for u in uniforms:
+        pick = u * total
+        acc = 0.0
+        a = len(alpha) - 1
+        for b in range(len(alpha)):
+            acc += alpha[b] + extra[b]
+            if pick < acc:
+                a = b
+                break
+        seq.append(a)
+        extra[a] += 1
+        total += 1.0
+    return _dealt(params, seq)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.3, 0.9])
+def test_urn_draws_match_one_contiguous_uniform_stream(theta):
+    # 1,000 tables of 20 draws read 20,000 uniforms, across the 8,192 and
+    # 16,384 boundaries of any fixed-size refill
+    freqs = AlleleFrequencies((0.05, 0.1, 0.2, 0.25, 0.4))
+    params = MdmParams((7, 0, 13), theta_to_alpha(freqs, theta))
+    sampler = MdmSampler(params, 23)
+    stream = np.random.Generator(np.random.PCG64(23)).random(20_000)
+    for k in range(1_000):
+        uniforms = stream[k * 20:(k + 1) * 20].tolist()
+        assert sampler.draw_counts() == _urn_counts(params, uniforms)
