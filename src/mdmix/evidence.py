@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .model import (
     ParameterError,
     ProfileCounts,
     _as_int,
+    _pool_mass,
     theta_to_alpha,
 )
 
@@ -153,14 +153,6 @@ class MarginState:
     def remaining(self) -> int:
         """Draws still to be placed before this column is counted."""
         return GENOTYPE_SIZE * self.n_contributors - self.s_prev
-
-
-def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
-    """tail_mass (1 - theta) / theta for theta in [0, 1); inf at theta = 0,
-    where every ratio here is exactly 1, and where the quotient overflows."""
-    if not 0.0 <= theta < 1.0:
-        raise ParameterError(f"theta = {theta} outside [0, 1)")
-    return tail_mass * (1.0 - theta) / theta if theta else math.inf
 
 
 def _woe_pool(q_scaled: float, theta: float, tail_mass: float) -> float:
@@ -358,12 +350,14 @@ def enumerate_genotype_pairs(n_categories: int):
             yield GenotypePair(genotypes[gi], genotypes[gj])
 
 
+# each class's canonical pair as GenotypePair.carried gives it: the
+# (allele, pooled count) pairs, multiplicities first and singletons next
 _CANONICAL_PAIRS = (
-    ((4,), ((0, 0), (0, 0))),
-    ((3,), ((0, 0), (0, 1))),
-    ((2, 2), ((0, 0), (1, 1))),
-    ((2,), ((0, 0), (1, 2))),
-    ((), ((0, 1), (2, 3))),
+    ((0, 4),),
+    ((0, 3), (1, 1)),
+    ((0, 2), (1, 2)),
+    ((0, 2), (1, 1), (2, 1)),
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
 )
 
 
@@ -393,16 +387,17 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
         """[log(v + k) for v in values]"""
         return list(map(math.log, map(float(k).__add__, values)))
 
-    # each class as {allele: pooled count} of its canonical pair; alleles
-    # it does not carry add nothing to pair_ratio's sum
-    classes = [(MultiplicityClass(mult), Counter(chain(*alleles)))
-               for mult, alleles in _CANONICAL_PAIRS
-               if max(map(max, alleles)) < freqs.n_categories]
+    # alleles a canonical pair does not carry add nothing to pair_ratio's
+    # sum; its last allele is its largest
+    classes = [(MultiplicityClass(tuple(c for _, c in carried if c >= 2)),
+                carried)
+               for carried in _CANONICAL_PAIRS
+               if carried[-1][0] < freqs.n_categories]
     head = [log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
     neg_log_pool = list(map(operator.neg, head[0]))
     most = {}  # allele -> its largest count >= 2 in any class
-    for _, counts in classes:
-        for a, c in counts.items():
+    for _, carried in classes:
+        for a, c in carried:
             if c >= 2:
                 most[a] = max(c, most.get(a, 0))
     neg_log_step = {}  # allele -> columns -log(q_a a. + k) for k < most
@@ -415,9 +410,9 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
         neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
                            for k in range(most[a])]
     curves: dict[MultiplicityClass, np.ndarray] = {}
-    for cls, counts in classes:
+    for cls, carried in classes:
         columns = list(head)
-        for a, c in counts.items():
+        for a, c in carried:
             if c == 1:
                 columns.append(neg_log_pool)
             else:

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, compress
 
 from .logspace import log_binomial, log_factorial, log_scaled_rising
 from .model import (
-    AlleleFrequencies,
     CountTable,
     DispersionModel,
     ParameterError,
@@ -199,11 +198,12 @@ def marginal_over_alleles(params: MdmParams, keep: SubsetSpec) -> MdmParams:
     dropped = keep.complement(params.n_categories)
     if not dropped:
         raise ParameterError("keep must be a proper subset of the categories")
-    q = params.model.freqs.extended_probs
+    model = params.model
+    q = model.freqs.extended_probs
     probs = tuple(q[a] for a in keep.indices) + (
         math.fsum(q[a] for a in dropped),)
-    new_model = replace(params.model, freqs=AlleleFrequencies(probs))
-    return MdmParams(row_sums=params.row_sums, model=new_model)
+    return MdmParams(row_sums=params.row_sums, model=_scaled_model(
+        probs, model.alpha_total, model.theta))
 
 
 def conditional_over_alleles(params: MdmParams, observed: CountTable,

@@ -1,7 +1,7 @@
 """Shared parameter and count-table types.
 
-The model family: allele probabilities q over A categories, optionally
-extended by a "rest" class that absorbs unlisted mass, and a coancestry
+The model family: allele probabilities q over A categories, extended by a
+"rest" class when they leave mass unlisted, and a coancestry
 (overdispersion) coefficient theta in [0, 1).  The derived Dirichlet
 parameters are
 
@@ -9,7 +9,8 @@ parameters are
 
 so theta = 1 / (1 + alpha_total).  theta = 0 is the limit alpha_total =
 inf, the independent multinomial; every formula downstream takes it as
-that limit, with no case of its own.
+that limit, with no case of its own.  The types take only what they cannot
+derive: the rest class and alpha_total are computed on construction.
 
 Everything in this module is immutable after construction and safe to
 share across threads.
@@ -66,18 +67,18 @@ def _as_ints(values, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AlleleFrequencies:
-    """Allele probabilities for one locus, plus an optional rest class.
+    """Allele probabilities for one locus, plus an inferred rest class.
 
-    probs holds the named alleles, each strictly positive.  If they sum to
-    s < 1 and no rest_mass is given, rest_mass = 1 - s is inferred; the
-    rest class behaves as an ordinary (A+1)-th category everywhere.  An
-    explicit rest_mass is binding and the total must be 1 within 1e-12.
-    extended_probs (the named probabilities plus the rest class when it
-    carries mass), their logs and n_categories are computed on construction.
+    probs holds the named alleles, each strictly positive, summing to
+    s <= 1 within 1e-12.  rest_mass is always the shortfall 1 - s, or 0.0
+    when that is at most 1e-12; the rest class behaves as an ordinary
+    (A+1)-th category everywhere.  rest_mass, extended_probs (the named
+    probabilities plus the rest class when it carries mass), their logs and
+    n_categories are computed on construction.
     """
 
     probs: tuple[float, ...]
-    rest_mass: float | None = None
+    rest_mass: float = field(init=False)
     extended_probs: tuple[float, ...] = field(init=False, repr=False,
                                               compare=False)
     log_extended_probs: tuple[float, ...] = field(init=False, repr=False,
@@ -94,16 +95,7 @@ class AlleleFrequencies:
         s = math.fsum(probs)
         if s > 1.0 + PROB_SUM_TOL:
             raise ParameterError(f"probabilities sum to {s} > 1")
-        if self.rest_mass is None:
-            rest = 1.0 - s if 1.0 - s > PROB_SUM_TOL else 0.0
-        else:
-            rest = float(self.rest_mass)
-            if rest < 0.0:
-                raise ParameterError(f"rest_mass = {rest} is negative")
-            if abs(s + rest - 1.0) > PROB_SUM_TOL:
-                raise ParameterError(
-                    f"probs + rest_mass sum to {s + rest}, expected 1"
-                )
+        rest = 1.0 - s if 1.0 - s > PROB_SUM_TOL else 0.0
         extended = probs + (rest,) if rest > 0.0 else probs
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "rest_mass", rest)
@@ -113,33 +105,35 @@ class AlleleFrequencies:
         object.__setattr__(self, "n_categories", len(extended))
 
 
+def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
+    """tail_mass (1 - theta) / theta for theta in [0, 1): the only check of
+    a caller's theta.  inf at theta = 0, the multinomial limit, and where
+    the quotient overflows."""
+    if not 0.0 <= theta < 1.0:
+        raise ParameterError(f"theta = {theta} outside [0, 1)")
+    return tail_mass * (1.0 - theta) / theta if theta else math.inf
+
+
 @dataclass(frozen=True)
 class DispersionModel:
-    """theta, the frequencies q and the Dirichlet mass alpha_total.
+    """theta, the frequencies q and the Dirichlet mass alpha_total derived
+    from theta as (1 - theta) / theta, inf exactly at theta = 0.
 
-    alpha_total lies in (0, inf] and is inf exactly at theta = 0; the
-    Dirichlet parameters over the extended categories are q_a alpha_total.
-    theta must be 1 / (1 + alpha_total) to within 4 ulps (the maps either
-    way round by at most 2).  Construct through theta_to_alpha() or
-    DispersionModel.from_alpha().
+    The Dirichlet parameters over the extended categories are
+    q_a alpha_total.  A theta > 0 whose alpha_total overflows, or whose
+    q_a alpha_total underflows to 0, is a ParameterError.
     """
 
     theta: float
     freqs: AlleleFrequencies
-    alpha_total: float
+    alpha_total: float = field(init=False)
 
     def __post_init__(self):
-        theta, a_total = self.theta, self.alpha_total
-        if not (0.0 <= theta < 1.0):
-            raise ParameterError(f"theta = {theta} outside [0, 1)")
-        if not a_total > 0.0:
-            raise ParameterError(
-                f"alpha_total = {a_total} is not strictly positive")
-        if ((theta == 0.0) != (a_total == math.inf)
-                or abs(theta - 1.0 / (1.0 + a_total)) > 4.0 * math.ulp(theta)):
-            raise ParameterError(
-                f"theta = {theta} and alpha_total = {a_total} disagree: "
-                "theta must be 1 / (1 + alpha_total)")
+        a_total = _pool_mass(self.theta)
+        if self.theta and not (a_total < math.inf and a_total * min(
+                self.freqs.extended_probs) > 0.0):
+            raise ParameterError(f"theta = {self.theta} makes alpha 0 or inf")
+        object.__setattr__(self, "alpha_total", a_total)
 
     @classmethod
     def from_alpha(cls, alpha) -> "DispersionModel":
@@ -150,7 +144,10 @@ class DispersionModel:
         for k, a in enumerate(alpha):
             if not math.isfinite(a) or a <= 0.0:
                 raise ParameterError(f"alpha[{k}] = {a} is not strictly positive")
-        total = math.fsum(alpha)
+        try:
+            total = math.fsum(alpha)
+        except OverflowError:
+            raise ParameterError("alpha sums past the largest float") from None
         return _scaled_model(tuple(a / total for a in alpha), total)
 
     @property
@@ -158,27 +155,29 @@ class DispersionModel:
         """q_a alpha_total per extended category; all inf at theta = 0."""
         return tuple(map(self.alpha_total.__mul__, self.freqs.extended_probs))
 
-def _scaled_model(probs, alpha_total: float) -> DispersionModel:
-    """The model over the extended probabilities probs with Dirichlet mass
-    alpha_total, so theta = 1 / (1 + alpha_total)."""
-    return DispersionModel(theta=1.0 / (1.0 + alpha_total),
-                           freqs=AlleleFrequencies(tuple(probs)),
-                           alpha_total=alpha_total)
+
+def _scaled_model(probs, alpha_total: float,
+                  theta: float | None = None) -> DispersionModel:
+    """The model over the extended probabilities probs with an alpha_total
+    in (0, inf] the library derived, and theta, 1 / (1 + alpha_total) unless
+    given.  Skips DispersionModel's checks, so both keep their bits, and
+    refuses only a theta that rounds to 1."""
+    freqs = AlleleFrequencies(tuple(probs))
+    if theta is None:
+        theta = 1.0 / (1.0 + alpha_total)
+    if not theta < 1.0:
+        raise ParameterError(f"theta = {theta} outside [0, 1)")
+    model = object.__new__(DispersionModel)
+    vars(model).update(theta=theta, freqs=freqs, alpha_total=alpha_total)
+    return model
 
 
 def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     """Map (q, theta) to alpha_total = (1-theta)/theta; theta = 0 maps to
     alpha_total = inf, the multinomial limit.
     """
-    theta = float(theta)
-    if not (0.0 <= theta < 1.0):
-        raise ParameterError(f"theta = {theta} outside [0, 1)")
-    if theta == 0.0:
-        return DispersionModel(theta=0.0, freqs=freqs, alpha_total=math.inf)
-    scale = (1.0 - theta) / theta
-    if not (math.isfinite(scale) and scale * min(freqs.extended_probs) > 0.0):
-        raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
-    return DispersionModel(theta=theta, freqs=freqs, alpha_total=scale)
+    # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
+    return DispersionModel(float(theta) + 0.0, freqs)
 
 
 @dataclass(frozen=True)

@@ -83,21 +83,33 @@ def _mentions_theta(node) -> bool:
                for n in ast.walk(node))
 
 
-# the functions where theta = 0 is tested: the model's flag for it, its
-# alpha = inf limit, the sampler's choice of a fixed or a reinforced urn,
-# and the pooled mass the ratios in evidence share
+# the functions where theta = 0 is tested: its alpha_total = inf limit in
+# the one function that checks theta and forms (1 - theta) / theta, the
+# model's refusal of an alpha_total that overflows or underflows only at
+# theta > 0, and the sampler's choice of a fixed or a reinforced urn
 THETA_ZERO_SITES = [
-    "evidence._pool_mass",
     "model.DispersionModel.__post_init__",
-    "model.theta_to_alpha",
+    "model._pool_mass",
     "oracle.MdmSampler.__init__",
 ]
 
 
+def _tests_theta_truth(test) -> bool:
+    """Whether test is a bare theta-named value or has one as an operand
+    of and, or or not, at any depth."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _tests_theta_truth(test.operand)
+    if isinstance(test, ast.BoolOp):
+        return any(map(_tests_theta_truth, test.values))
+    return isinstance(test, (ast.Name, ast.Attribute)) and (
+        _mentions_theta(test))
+
+
 def _theta_zero_tests(tree, scope):
     """Yield the scope of each theta = 0 test under tree: an == or !=
-    comparison of a theta-named value with 0, or a bare theta-named value
-    as the test of an if, a conditional expression or a while."""
+    comparison of a theta-named value with 0, or the test of an if, a
+    conditional expression or a while that takes a theta-named value's
+    truth, bare or as an operand of and, or and not."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
         scope = f"{scope}.{tree.name}"
@@ -109,11 +121,21 @@ def _theta_zero_tests(tree, scope):
                         and side.value == 0 for side in sides)):
             yield scope
     elif isinstance(tree, (ast.If, ast.IfExp, ast.While)):
-        if isinstance(tree.test, (ast.Name, ast.Attribute)) and (
-                _mentions_theta(tree.test)):
+        if _tests_theta_truth(tree.test):
             yield scope
     for child in ast.iter_child_nodes(tree):
         yield from _theta_zero_tests(child, scope)
+
+
+def test_theta_zero_scan_counts_every_truth_test_of_theta():
+    found = _theta_zero_tests(ast.parse(
+        "def f(theta, x, m):\n"
+        "    if x and theta: pass\n"
+        "    while not (x or m.theta): pass\n"
+        "    y = 1 if not theta else 2\n"
+        "    if theta == 0.0 or x: pass\n"
+        "    if x and theta > 0.5: pass\n"), "m")
+    assert list(found) == ["m.f"] * 4
 
 
 def test_no_theta_zero_branch_in_the_pmf_and_moment_code():

@@ -199,7 +199,7 @@ def test_chain_keeps_the_bits_of_the_full_step_sum(case, theta):
     # the chain leaves out exact zeros only: empty columns' terms in n,
     # zero cells, and the steps after the last free draw
     table, probs = case
-    freqs = AlleleFrequencies(tuple(probs), rest_mass=0.0)
+    freqs = AlleleFrequencies(tuple(probs))
     params = MdmParams(table.row_sums, theta_to_alpha(freqs, theta))
     assert mdm_chain_log_pmf(table, params).hex() == \
         _reference_chain(table, params).hex()

@@ -1,0 +1,90 @@
+# SPDX-License-Identifier: Apache-2.0
+"""Metamorphic identities between the parameter transforms and the pmf.
+
+None of these needs an oracle, and all hold at any table size, so they
+reach tables far beyond enumeration: up to 6 rows, 30 columns and 3,000
+counts per cell, with theta 0 or log-uniform on [1e-15, 1 - 1e-9].
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, strategies as st
+
+from mdmix import (AlleleFrequencies, CountTable, MdmParams, SubsetSpec,
+                   conditional_over_profiles, marginal_over_alleles,
+                   marginal_over_profiles, mdm_log_pmf, theta_to_alpha)
+
+REL_TOL = 1e-12
+THETA_MAX = 1.0 - 1e-9
+
+THETAS = st.one_of(
+    st.just(0.0),
+    st.floats(math.log(1e-15), math.log(THETA_MAX)).map(
+        lambda x: min(math.exp(x), THETA_MAX)))
+
+
+@st.composite
+def _cases(draw, min_rows=1):
+    """(table, params) over 2 to 30 categories, the last one a rest class
+    half the time, at a theta from THETAS."""
+    width = draw(st.integers(2, 30))
+    n_rows = draw(st.integers(min_rows, 6))
+    cell = st.one_of(st.just(0), st.integers(0, 3000))
+    counts = tuple(tuple(draw(st.lists(cell, min_size=width,
+                                       max_size=width)))
+                   for _ in range(n_rows))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=width,
+                            max_size=width))
+    total = math.fsum(weights)
+    probs = tuple(w / total for w in weights)
+    if draw(st.booleans()):
+        probs = probs[:-1]
+    table = CountTable(counts)
+    model = theta_to_alpha(AlleleFrequencies(probs), draw(THETAS))
+    return table, MdmParams(table.row_sums, model)
+
+
+def _close(value, expected):
+    assert abs(value - expected) <= REL_TOL * abs(expected), (
+        value, expected)
+
+
+@given(_cases(), st.data())
+def test_collapsing_columns_keeps_theta_and_alpha_total_bit_for_bit(
+        case, data):
+    _, params = case
+    width = params.n_categories
+    keep = data.draw(st.lists(st.integers(0, width - 1), min_size=1,
+                              max_size=width - 1, unique=True))
+    model = marginal_over_alleles(params, SubsetSpec(sorted(keep))).model
+    assert model.theta.hex() == params.model.theta.hex()
+    assert model.alpha_total.hex() == params.model.alpha_total.hex()
+
+
+@given(_cases(min_rows=2), st.data())
+def test_conditioning_on_rows_one_at_a_time_matches_all_at_once(case, data):
+    table, params = case
+    n_seen = data.draw(st.integers(1, table.n_profiles - 1))
+    seen, rest = table.counts[:n_seen], CountTable(table.counts[n_seen:])
+    at_once = conditional_over_profiles(params, CountTable(seen),
+                                        SubsetSpec(range(n_seen)))
+    one_at_a_time = params
+    for row in seen:
+        one_at_a_time = conditional_over_profiles(
+            one_at_a_time, CountTable((row,)), SubsetSpec((0,)))
+    _close(mdm_log_pmf(rest, one_at_a_time), mdm_log_pmf(rest, at_once))
+
+
+@given(_cases(min_rows=2))
+def test_row_chain_rule(case):
+    # log P(n) = log P(row 1) + log P(rows 2.. | row 1); both terms are
+    # log probabilities, so their sum does not cancel
+    table, params = case
+    first = CountTable(table.counts[:1])
+    rest = CountTable(table.counts[1:])
+    head = mdm_log_pmf(first, marginal_over_profiles(params, SubsetSpec((0,))))
+    tail = mdm_log_pmf(rest, conditional_over_profiles(params, first,
+                                                       SubsetSpec((0,))))
+    _close(math.fsum((head, tail)), mdm_log_pmf(table, params))

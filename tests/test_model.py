@@ -23,6 +23,9 @@ def test_rest_mass_is_inferred_from_the_shortfall():
     assert f.rest_mass == pytest.approx(0.7, abs=1e-15)
     assert f.extended_probs == pytest.approx((0.1, 0.2, 0.7))
     assert f.n_categories == 3
+    # the rest class is always inferred, never given
+    with pytest.raises(TypeError):
+        AlleleFrequencies((0.1, 0.2), rest_mass=0.7)
 
 
 def test_full_simplex_has_no_rest_category():
@@ -30,12 +33,6 @@ def test_full_simplex_has_no_rest_category():
     assert f.rest_mass == 0.0
     assert f.extended_probs == (0.25, 0.75)
     assert f.n_categories == 2
-
-
-def test_explicit_rest_mass_must_close_the_simplex():
-    AlleleFrequencies((0.1, 0.2), rest_mass=0.7)
-    with pytest.raises(ParameterError):
-        AlleleFrequencies((0.1, 0.2), rest_mass=0.5)
 
 
 def test_probabilities_must_be_positive():
@@ -105,19 +102,20 @@ def test_theta_whose_alpha_is_not_a_positive_double_rejected():
 
 
 def test_theta_and_alpha_total_must_agree():
+    # alpha_total is derived from theta, never given
     f = AlleleFrequencies((0.5, 0.5))
-    for theta, alpha_total in ((0.0, 5.0), (0.1, math.inf), (0.1, 5.0),
-                               (1.0 / 6.0 + 1e-15, 5.0)):
-        with pytest.raises(ParameterError,
-                           match=r"theta = .* and alpha_total = .* disagree"):
-            DispersionModel(theta=theta, freqs=f, alpha_total=alpha_total)
-    # 1 / (1 + 5) and (1 - theta) / theta round within a few ulps
-    assert DispersionModel(theta=1.0 / 6.0, freqs=f, alpha_total=5.0)
-    assert DispersionModel(theta=0.0, freqs=f, alpha_total=math.inf)
-    for theta in (1e-300, 1e-12, 0.3, 0.9999999999999999):
-        model = theta_to_alpha(f, theta)
-        assert DispersionModel(theta=theta, freqs=f,
-                               alpha_total=model.alpha_total) == model
+    for theta in (0.0, 1e-300, 1e-12, 1.0 / 6.0, 0.3, 0.9999999999999999):
+        assert DispersionModel(theta, f) == theta_to_alpha(f, theta)
+    with pytest.raises(TypeError):
+        DispersionModel(theta=1.0 / 6.0, freqs=f, alpha_total=5.0)
+
+
+def test_from_alpha_refuses_a_total_that_is_not_finite():
+    with pytest.raises(ParameterError, match="^alpha sums past"):
+        DispersionModel.from_alpha((1e308, 1e308))
+    # a total so small that theta = 1 / (1 + total) rounds to 1
+    with pytest.raises(ParameterError, match=r"^theta = 1.0 outside"):
+        DispersionModel.from_alpha((1e-300, 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -271,3 +271,26 @@ def test_urn_draws_match_one_contiguous_uniform_stream(theta):
     for k in range(1_000):
         uniforms = stream[k * 20:(k + 1) * 20].tolist()
         assert sampler.draw_counts() == _urn_counts(params, uniforms)
+
+
+def test_urn_weights_are_alpha_plus_draws_formed_as_one_sum():
+    # at theta = 0.3 the first weight after four draws of category 0 is
+    # alpha_0 + 4 as one sum, one ulp below alpha_0 with 1 added four
+    # times; the fifth pick lands on that sum, so it passes category 0 by
+    # the one sum and stays in it by the running increments
+    freqs = AlleleFrequencies((0.05, 0.1, 0.2, 0.25, 0.4))
+    params = MdmParams((5,), theta_to_alpha(freqs, 0.3))
+    alpha = params.model.alpha
+    one_sum = alpha[0] + 4
+    added = alpha[0]
+    total = math.fsum(alpha)
+    for _ in range(4):
+        added += 1
+        total += 1.0
+    u = 0.6499999999999999
+    assert u * total == one_sum < added
+    uniforms = [0.0] * 4 + [u]
+    sampler = MdmSampler(params, 0)
+    sampler._uniforms = lambda n: uniforms[:n]
+    assert sampler.draw_counts() == ((4, 1, 0, 0, 0),)
+    assert _urn_counts(params, uniforms) == ((4, 1, 0, 0, 0),)
