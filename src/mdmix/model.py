@@ -117,11 +117,12 @@ def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
 @dataclass(frozen=True)
 class DispersionModel:
     """theta, the frequencies q and the Dirichlet mass alpha_total derived
-    from theta as (1 - theta) / theta, inf exactly at theta = 0.
+    from theta as (1 - theta) / theta: inf at theta = 0 and where the
+    quotient overflows, the one multinomial limit.
 
     The Dirichlet parameters over the extended categories are
-    q_a alpha_total.  A theta > 0 whose alpha_total overflows, or whose
-    q_a alpha_total underflows to 0, is a ParameterError.
+    q_a alpha_total.  A theta whose q_a alpha_total underflows to 0 is a
+    ParameterError; theta = -0.0 is stored as 0.0.
     """
 
     theta: float
@@ -129,11 +130,12 @@ class DispersionModel:
     alpha_total: float = field(init=False)
 
     def __post_init__(self):
-        a_total = _pool_mass(self.theta)
-        if self.theta and not (a_total < math.inf and a_total * min(
-                self.freqs.extended_probs) > 0.0):
-            raise ParameterError(f"theta = {self.theta} makes alpha 0 or inf")
-        object.__setattr__(self, "alpha_total", a_total)
+        # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
+        theta = float(self.theta) + 0.0
+        a_total = _pool_mass(theta)
+        if not a_total * min(self.freqs.extended_probs) > 0.0:
+            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
+        vars(self).update(theta=theta, alpha_total=a_total)
 
     @classmethod
     def from_alpha(cls, alpha) -> "DispersionModel":
@@ -176,8 +178,7 @@ def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     """Map (q, theta) to alpha_total = (1-theta)/theta; theta = 0 maps to
     alpha_total = inf, the multinomial limit.
     """
-    # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
-    return DispersionModel(float(theta) + 0.0, freqs)
+    return DispersionModel(theta, freqs)
 
 
 @dataclass(frozen=True)

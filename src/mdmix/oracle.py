@@ -7,8 +7,9 @@ Enumeration order is deterministic: row 1 varies slowest, and within a row
 compositions descend lexicographically, (2,0), (1,1), (0,2).
 
 The sampler draws the pooled allele sequence one trial at a time with urn
-weights alpha_a + (previous draws of a) -- the plain q_a at theta = 0, where
-a trial bisects their fixed running sums instead of scanning them -- and
+weights alpha_a + (previous draws of a) -- the plain q_a where alpha_total
+is inf (theta = 0 or a quotient that overflows), where a trial bisects
+their fixed running sums instead of scanning them -- and
 deals the sequence into consecutive profile slots.  Urn sequences are
 exchangeable, so given the pooled multiset every arrangement is equally
 likely and the dealt table follows the joint law exactly.
@@ -189,11 +190,15 @@ class MdmSampler:
         self.params = params
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         model = params.model
-        # theta = 0 draws from q itself, with no urn reinforcement
-        self._urn = model.theta != 0.0
+        # alpha_total = inf draws from q itself, with no urn reinforcement
+        self._urn = model.alpha_total != math.inf
         self._weights = list(model.alpha if self._urn
                              else model.freqs.extended_probs)
-        self._w_total = math.fsum(self._weights)
+        try:
+            self._w_total = math.fsum(self._weights)
+        except OverflowError:
+            raise ParameterError(f"theta = {model.theta}: the urn weights "
+                                 "sum past the largest float") from None
         self._rows = params.row_sums
         self._n_total = params.n_total
         self._width = params.n_categories

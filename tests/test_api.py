@@ -83,13 +83,19 @@ def _mentions_theta(node) -> bool:
                for n in ast.walk(node))
 
 
-# the functions where theta = 0 is tested: its alpha_total = inf limit in
-# the one function that checks theta and forms (1 - theta) / theta, the
-# model's refusal of an alpha_total that overflows or underflows only at
-# theta > 0, and the sampler's choice of a fixed or a reinforced urn
-THETA_ZERO_SITES = [
-    "model.DispersionModel.__post_init__",
-    "model._pool_mass",
+# the one function where theta = 0 is tested: it checks theta, forms
+# (1 - theta) / theta and returns its alpha_total = inf limit, which every
+# consumer reads as the limit, whatever the theta it came from
+THETA_ZERO_SITES = ["model._pool_mass"]
+
+# the functions that dispatch on the alpha_total = inf limit: the ratio
+# functions' exact 1, the kernel's exact 0 and the sampler's fixed urn
+INF_LIMIT_SITES = [
+    "evidence.pair_ratio",
+    "evidence.pair_ratio_curves",
+    "evidence.woe_curve",
+    "evidence.woe_step",
+    "logspace.log_scaled_rising",
     "oracle.MdmSampler.__init__",
 ]
 
@@ -105,36 +111,66 @@ def _tests_theta_truth(test) -> bool:
         _mentions_theta(test))
 
 
-def _theta_zero_tests(tree, scope):
-    """Yield the scope of each theta = 0 test under tree: an == or !=
-    comparison of a theta-named value with 0, or the test of an if, a
-    conditional expression or a while that takes a theta-named value's
-    truth, bare or as an operand of and, or and not."""
+def _tests_theta_zero(node) -> bool:
+    """An == or != comparison of a theta-named value with 0, or the test of
+    an if, a conditional expression or a while that takes a theta-named
+    value's truth, bare or as an operand of and, or and not."""
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(map(_mentions_theta, sides))
+                and any(isinstance(side, ast.Constant)
+                        and side.value == 0 for side in sides))
+    return (isinstance(node, (ast.If, ast.IfExp, ast.While))
+            and _tests_theta_truth(node.test))
+
+
+def _compares_with_inf(node) -> bool:
+    """A comparison with a name or attribute called inf, such as math.inf."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Name) and side.id == "inf"
+        or isinstance(side, ast.Attribute) and side.attr == "inf"
+        for side in (node.left, *node.comparators))
+
+
+def _sites(tree, scope, hit):
+    """Yield the dotted scope of each node under tree for which hit holds,
+    once per node."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
         scope = f"{scope}.{tree.name}"
-    if isinstance(tree, ast.Compare):
-        sides = [tree.left, *tree.comparators]
-        if (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops)
-                and any(map(_mentions_theta, sides))
-                and any(isinstance(side, ast.Constant)
-                        and side.value == 0 for side in sides)):
-            yield scope
-    elif isinstance(tree, (ast.If, ast.IfExp, ast.While)):
-        if _tests_theta_truth(tree.test):
-            yield scope
+    if hit(tree):
+        yield scope
     for child in ast.iter_child_nodes(tree):
-        yield from _theta_zero_tests(child, scope)
+        yield from _sites(child, scope, hit)
+
+
+def _package_sites(hit) -> list[str]:
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _sites(ast.parse(path.read_text()), path.stem, hit)
+    return sorted(found)
 
 
 def test_theta_zero_scan_counts_every_truth_test_of_theta():
-    found = _theta_zero_tests(ast.parse(
+    found = _sites(ast.parse(
         "def f(theta, x, m):\n"
         "    if x and theta: pass\n"
         "    while not (x or m.theta): pass\n"
         "    y = 1 if not theta else 2\n"
         "    if theta == 0.0 or x: pass\n"
-        "    if x and theta > 0.5: pass\n"), "m")
+        "    if x and theta > 0.5: pass\n"), "m", _tests_theta_zero)
+    assert list(found) == ["m.f"] * 4
+
+
+def test_limit_scan_counts_every_comparison_with_inf():
+    found = _sites(ast.parse(
+        "def f(a, m):\n"
+        "    if a == inf: pass\n"
+        "    y = a < math.inf\n"
+        "    z = [k for k in a if k != np.inf]\n"
+        "    w = a is m.inf or 0.0 < a\n"
+        "    v = [inf, math.inf]\n"), "m", _compares_with_inf)
     assert list(found) == ["m.f"] * 4
 
 
@@ -142,12 +178,14 @@ def test_no_theta_zero_branch_in_the_pmf_and_moment_code():
     # theta = 0 is alpha_total = inf, where every scaled rising term is
     # exactly 0 and every ratio exactly 1; a new comparison of theta with 0
     # is a copy of a dispatch the formulas do not need
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found += _theta_zero_tests(tree, path.stem)
-    assert sorted(found) == THETA_ZERO_SITES
+    assert _package_sites(_tests_theta_zero) == THETA_ZERO_SITES
     assert not hasattr(mdmix.logspace, "log_rising")
+
+
+def test_the_alpha_total_inf_limit_is_read_at_the_pinned_sites():
+    # a new site that tests alpha_total = inf is a new copy of the limit;
+    # one that goes is a consumer that no longer reads it
+    assert _package_sites(_compares_with_inf) == INF_LIMIT_SITES
 
 
 def test_every_imported_name_is_used():

@@ -4,11 +4,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, TableError,
                    mdm_log_pmf, theta_to_alpha)
@@ -115,15 +118,18 @@ def test_pmf_missing_required_option(capsys, freq_file, table_file):
     assert "--theta" in capsys.readouterr().err
 
 
-def test_pmf_theta_with_infinite_alpha_is_a_usage_error(capsys, freq_file,
-                                                        table_file):
-    # (1 - theta) / theta overflows to inf below theta ~ 5.6e-309
-    code = main(["pmf", "--freqs", freq_file, "--table", table_file,
-                 "--locus", "D1", "--theta", "1e-320"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("mdmix pmf: error: theta = ")
-    assert "Traceback" not in err
+def test_pmf_theta_with_infinite_alpha_is_the_multinomial_limit(
+        capsys, freq_file, table_file):
+    # (1 - theta) / theta overflows to inf below theta ~ 5.6e-309: the
+    # alpha_total = inf limit, whose pmf is theta = 0's
+    outputs = []
+    for theta in ("0", "1e-320"):
+        code = main(["pmf", "--freqs", freq_file, "--table", table_file,
+                     "--locus", "D1", "--theta", theta])
+        assert code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == outputs[1].out
+    assert outputs[1].err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +486,71 @@ def test_woe_curve_at_the_contributor_cap_runs(tmp_path):
                  "--out", str(out)]) == 0
     capacity = 2 * MAX_WOE_CONTRIBUTORS
     assert len(read_rows(out)) == 1 + (capacity + 1) * (capacity + 2) // 2
+
+
+# ---------------------------------------------------------------------------
+# edge inputs, every numeric subcommand
+
+EDGE_THETAS = ("0", "-0.0", "5e-324", "1e-320", "5.56e-309",
+               "5.562684646268097e-309", "1e-300", repr(1.0 - 2.0 ** -53),
+               "1", "nan", "inf")
+
+# loci whose frequencies sum to exactly 1, to 1 + 1e-13 (within the
+# tolerance), to 1 with a subnormal allele, and to 1/2 with a rest class;
+# each has three categories, as the table below
+EDGE_FREQ_CSV = """locus,allele,frequency
+exact,a,0.25
+exact,b,0.25
+exact,c,0.5
+over,a,0.3
+over,b,0.3
+over,c,0.4000000000001
+tiny,a,1e-310
+tiny,b,0.5
+tiny,c,0.5
+short,a,0.2
+short,b,0.3
+"""
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edge")
+    (root / "freqs.csv").write_text(EDGE_FREQ_CSV)
+    (root / "table.csv").write_text(
+        "profile,allele_1,allele_2,allele_3\ns,2,0,0\nu,1,0,1\n")
+    return str(root / "freqs.csv"), str(root / "table.csv")
+
+
+def _edge_argv(command, theta, locus, q, files):
+    freqs, table = files
+    if command in ("woe-curve", "ratio-curve"):
+        argv = [f"--theta-grid={theta}"]
+        argv += (["--q-values", q] if command == "woe-curve"
+                 else ["--freqs", freqs, "--locus", locus])
+    else:
+        argv = ["--freqs", freqs, "--locus", locus, f"--theta={theta}"]
+        argv += (["--table", table] if command == "pmf"
+                 else ["--rows", "2,2"])
+        argv += ["--seed", "3"] if command == "sample" else []
+    return [command, *argv]
+
+
+@settings(max_examples=250)
+@given(command=st.sampled_from(("pmf", "moments", "sample", "woe-curve",
+                                "ratio-curve")),
+       theta=st.sampled_from(EDGE_THETAS),
+       locus=st.sampled_from(("exact", "over", "tiny", "short")),
+       q=st.sampled_from(("0.25", "0.4000000000001", "1e-310")))
+@example(command="sample", theta="5.562684646268097e-309", locus="over",
+         q="0.25")
+def test_edge_inputs_exit_0_or_name_the_error(edge_files, command, theta,
+                                              locus, q):
+    # a raise out of main() would be the traceback of a CLI run
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(_edge_argv(command, theta, locus, q, edge_files))
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(f"mdmix {command}: error: ")

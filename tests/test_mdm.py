@@ -17,9 +17,13 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    hypergeometric_log_pmf, marginal_over_alleles,
                    marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
                    theta_to_alpha)
+from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
+                            pair_ratio, woe_step)
 from mdmix.logspace import log_binomial, log_scaled_rising
 from mdmix.mdm import _log_step
-from mdmix.oracle import (enumerate_tables, enumerate_tables_with_margins,
+from mdmix.moments import factorial_moment
+from mdmix.oracle import (MdmSampler, enumerate_tables,
+                          enumerate_tables_with_margins,
                           oracle_marginal_over_alleles,
                           oracle_marginal_over_profiles)
 
@@ -144,6 +148,47 @@ def test_chain_matches_joint_at_theta_zero_exactly():
     for t in enumerate_tables((2, 2), 3):
         assert mdm_chain_log_pmf(t, params) == pytest.approx(
             mdm_log_pmf(t, params), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-320, 1e-310])
+def test_theta_whose_alpha_total_overflows_is_theta_zero_bit_for_bit(theta):
+    # (1 - theta) / theta overflows to inf: the multinomial limit, read by
+    # every consumer as at theta = 0
+    freqs = AlleleFrequencies((0.2, 0.3, 0.4))
+    limit = MdmParams((2, 3), theta_to_alpha(freqs, theta))
+    zero = MdmParams((2, 3), theta_to_alpha(freqs, 0.0))
+    assert (limit.model.theta, limit.model.alpha_total) == (theta, math.inf)
+    tables = list(enumerate_tables((2, 3), 4))
+    for f in (mdm_log_pmf, mdm_chain_log_pmf, factorial_moment):
+        assert [f(t, limit) for t in tables] == [f(t, zero) for t in tables]
+    observed = CountTable(((1, 0, 1, 0),))
+    cols = CountTable(((1,), (0,)))
+    for transform, args in (
+            (marginal_over_alleles, (SubsetSpec((0, 2)),)),
+            (conditional_over_alleles, (cols, SubsetSpec((1,)))),
+            (marginal_over_profiles, (SubsetSpec((1,)),)),
+            (conditional_over_profiles, (observed, SubsetSpec((0,))))):
+        a, b = transform(limit, *args), transform(zero, *args)
+        width = b.n_categories
+        assert [mdm_log_pmf(t, a) for t in enumerate_tables(b.row_sums, width)
+                ] == [mdm_log_pmf(t, b) for t in enumerate_tables(b.row_sums,
+                                                                 width)]
+    draws = [MdmSampler(p, 3) for p in (limit, zero)]
+    assert [draws[0].draw_counts() for _ in range(20)] == [
+        draws[1].draw_counts() for _ in range(20)]
+    pair = GenotypePair(genotype_from_alleles((0, 0), 4),
+                        genotype_from_alleles((0, 1), 4))
+    assert pair_ratio(pair, freqs, theta) == 1.0
+    margin = MarginState(n_col=2, s_prev=0, n_contributors=2)
+    assert woe_step(margin, 0.2, theta) == 1.0
+    # the collapsed model keeps theta > 0 and alpha_total = inf, so it
+    # draws through the fixed urn of q, as at theta = 0
+    marg = marginal_over_alleles(limit, SubsetSpec((0,)))
+    assert (marg.model.theta, marg.model.alpha_total) == (theta, math.inf)
+    fixed = MdmSampler(marg, 3)
+    assert not fixed._urn
+    assert fixed.draw_counts() == MdmSampler(
+        marginal_over_alleles(zero, SubsetSpec((0,))), 3).draw_counts()
 
 
 def _reference_step(q_a, q_tail, col, free, scale):

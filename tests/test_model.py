@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FrequencyFileError, ParameterError, ProfileCounts,
-                   SubsetSpec, TableError, read_frequency_csv, theta_to_alpha)
+                   FrequencyFileError, MdmParams, ParameterError,
+                   ProfileCounts, SubsetSpec, TableError, covariance_matrix,
+                   read_frequency_csv, theta_to_alpha)
 from mdmix.evidence import MarginState
 
 
@@ -93,9 +94,10 @@ def test_theta_outside_unit_interval_rejected():
 
 
 def test_theta_whose_alpha_is_not_a_positive_double_rejected():
-    # (1 - theta) / theta overflows; q (1 - theta) / theta underflows
-    with pytest.raises(ParameterError, match="theta = 1e-320"):
-        theta_to_alpha(AlleleFrequencies((0.5, 0.5)), 1e-320)
+    # q (1 - theta) / theta underflows to 0; (1 - theta) / theta that
+    # overflows is the alpha_total = inf limit, as at theta = 0
+    model = theta_to_alpha(AlleleFrequencies((0.5, 0.5)), 1e-320)
+    assert (model.theta, model.alpha_total) == (1e-320, math.inf)
     tiny = AlleleFrequencies((1e-310, 1.0 - 1e-310))
     with pytest.raises(ParameterError, match="theta = 0.9999999999999999"):
         theta_to_alpha(tiny, 0.9999999999999999)
@@ -108,6 +110,16 @@ def test_theta_and_alpha_total_must_agree():
         assert DispersionModel(theta, f) == theta_to_alpha(f, theta)
     with pytest.raises(TypeError):
         DispersionModel(theta=1.0 / 6.0, freqs=f, alpha_total=5.0)
+
+
+def test_negative_zero_theta_is_zero_however_the_model_is_built():
+    # equal models give the same bits: theta = -0.0 would carry its sign
+    # into the theta-scaled cross-profile covariances
+    f = AlleleFrequencies((0.5, 0.5))
+    for model in (DispersionModel(-0.0, f), theta_to_alpha(f, -0.0)):
+        assert math.copysign(1.0, model.theta) == 1.0
+        cov = covariance_matrix(MdmParams((2, 2), model))
+        assert math.copysign(1.0, cov[0, 2]) == 1.0
 
 
 def test_from_alpha_refuses_a_total_that_is_not_finite():

@@ -111,6 +111,18 @@ def test_sampler_refuses_a_seed_that_is_not_a_non_negative_int(seed):
         MdmSampler(params, seed)
 
 
+def test_sampler_refuses_urn_weights_that_sum_past_the_largest_float():
+    # alpha_total is just below the largest double and the frequencies sum
+    # to 1 + 1e-13, within the tolerance, so the weights q_a alpha_total
+    # sum past it
+    freqs = AlleleFrequencies((0.3, 0.3, 0.4000000000001))
+    params = MdmParams((2, 2), theta_to_alpha(freqs, 5.562684646268097e-309))
+    assert math.isfinite(params.model.alpha_total)
+    with pytest.raises(ParameterError, match=r"^theta = 5\.56268464626809"
+                       r"7e-309: the urn weights sum past"):
+        MdmSampler(params, 0)
+
+
 def _gof_pvalue(params, seed, n_draws):
     support = {t.counts: math.exp(mdm_log_pmf(t, params))
                for t in enumerate_tables(params.row_sums,
