@@ -112,27 +112,27 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ParameterError(f"theta grid {spec!r} is not start:stop:step")
+            raise ParameterError(f"theta_grid {spec!r} is not start:stop:step")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise ParameterError(f"theta grid {spec!r} has non-numeric "
+            raise ParameterError(f"theta_grid {spec!r} has non-numeric "
                                  "fields") from None
         if not all(map(math.isfinite, (start, stop, step))):
-            raise ParameterError(f"theta grid {spec!r} has non-finite fields")
+            raise ParameterError(f"theta_grid {spec!r} has non-finite fields")
         if step <= 0 or stop < start:
-            raise ParameterError(f"theta grid {spec!r} is not increasing")
+            raise ParameterError(f"theta_grid {spec!r} is not increasing")
         # compare before rounding: a tiny step overflows the point count
         span = (stop - start) / step
         if not span < MAX_THETA_GRID_POINTS - 0.5:
-            raise ParameterError(f"theta grid {spec!r} has more than "
+            raise ParameterError(f"theta_grid {spec!r} has more than "
                                  f"{MAX_THETA_GRID_POINTS} points")
         n = int(round(span))
         grid = tuple(start + k * step for k in range(n + 1)
                      if start + k * step <= stop + 1e-12)
     else:
-        grid = _typed("theta grid", spec, float, many=True)
-    return _checked_grid("theta grid", grid)
+        grid = _typed("theta_grid", spec, float, many=True)
+    return _checked_grid("theta_grid", grid)
 
 
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:

@@ -245,7 +245,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
     woe_step's checks in grid order, so bad input raises the error woe_step
     raises at the first theta where it would fail.
     """
-    grid = [float(t) for t in theta_grid]
+    grid = list(theta_grid)
     out = np.ones((len(states), len(grid)))
     if not out.size:
         return out
@@ -289,7 +289,6 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
     where q_a a. underflows to 0 for an allele of count >= 2.
     """
     _check_pair_width(pair, freqs)
-    theta = float(theta)
     a_total = _pool_mass(theta)
     if a_total == math.inf:
         return 1.0
@@ -306,7 +305,7 @@ def pair_ratio(pair: GenotypePair, freqs: AlleleFrequencies,
             continue
         alpha = freqs.extended_probs[a] * a_total
         if not alpha:
-            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
+            raise ParameterError(f"theta = {theta} makes alpha 0")
         terms.append(c * freqs.log_extended_probs[a])
         terms += [-math.log(alpha + k) for k in range(c)]
     return math.exp(math.fsum(terms))
@@ -378,7 +377,7 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     over the same multiset: fsum is exactly rounded, so the order of the
     terms does not change a bit.
     """
-    grid = [float(t) for t in theta_grid]
+    grid = list(theta_grid)
     pools = list(map(_pool_mass, grid))
     live = [k for k, a_total in enumerate(pools) if a_total != math.inf]
     pools = [pools[k] for k in live]
@@ -406,7 +405,7 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
         alpha = list(map(freqs.extended_probs[a].__mul__, pools))
         if 0.0 in alpha:
             raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
-                                 "makes alpha 0 or inf")
+                                 "makes alpha 0")
         neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
                            for k in range(most[a])]
     curves: dict[MultiplicityClass, np.ndarray] = {}

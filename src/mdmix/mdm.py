@@ -45,6 +45,7 @@ from .model import (
     SubsetSpec,
     TableError,
     _as_ints,
+    _check_shape,
     _scaled_model,
 )
 
@@ -77,22 +78,15 @@ class MdmParams:
         return self.model.freqs.n_categories
 
 
-def _check_table(table: CountTable, params: MdmParams) -> None:
-    if table.n_profiles != params.n_profiles:
-        raise TableError(
-            f"table has {table.n_profiles} rows, params expect "
-            f"{params.n_profiles}"
-        )
-    if table.n_categories != params.n_categories:
-        raise TableError(
-            f"table has {table.n_categories} columns, model has "
-            f"{params.n_categories}"
-        )
-    if table.row_sums != params.row_sums:
-        raise TableError(
-            f"table row sums {table.row_sums} do not match params "
-            f"{params.row_sums}"
-        )
+def _check_table(table: CountTable, params: MdmParams,
+                 name: str = "table") -> None:
+    # equal row sums imply an equal row count, so a table that fits costs
+    # two comparisons, and the shape rule runs only to name a mismatch
+    if (table.row_sums != params.row_sums
+            or table.n_categories != params.n_categories):
+        _check_shape(name, table, params.n_profiles, params.n_categories)
+        raise TableError(f"{name} row sums {table.row_sums} do not match "
+                         f"params {params.row_sums}")
 
 
 def _suffix_sums(values) -> list[float]:
@@ -218,16 +212,8 @@ def conditional_over_alleles(params: MdmParams, observed: CountTable,
     kept = observed_subset.complement(params.n_categories)
     if not kept:
         raise ParameterError("conditioning on every category leaves nothing")
-    if observed.n_profiles != params.n_profiles:
-        raise TableError(
-            f"observed table has {observed.n_profiles} rows, params expect "
-            f"{params.n_profiles}"
-        )
-    if observed.n_categories != len(observed_subset.indices):
-        raise TableError(
-            f"observed table has {observed.n_categories} columns, subset "
-            f"names {len(observed_subset.indices)}"
-        )
+    _check_shape("observed", observed, params.n_profiles,
+                 len(observed_subset.indices))
     new_rows = []
     for i, (full, part) in enumerate(zip(params.row_sums, observed.row_sums)):
         if part > full:
@@ -262,22 +248,8 @@ def conditional_over_profiles(params: MdmParams, observed: CountTable,
     kept = observed_subset.complement(params.n_profiles)
     if not kept:
         raise ParameterError("conditioning on every profile leaves nothing")
-    if observed.n_profiles != len(observed_subset.indices):
-        raise TableError(
-            f"observed table has {observed.n_profiles} rows, subset names "
-            f"{len(observed_subset.indices)}"
-        )
-    if observed.n_categories != params.n_categories:
-        raise TableError(
-            f"observed table has {observed.n_categories} columns, model has "
-            f"{params.n_categories}"
-        )
-    for row_i, i in zip(observed.row_sums, observed_subset.indices):
-        if row_i != params.row_sums[i]:
-            raise TableError(
-                f"observed row for profile {i} sums to {row_i}, expected "
-                f"{params.row_sums[i]}"
-            )
+    _check_table(observed, marginal_over_profiles(params, observed_subset),
+                 "observed")
     rows = tuple(params.row_sums[i] for i in kept)
     model = params.model
     a_total = model.alpha_total

@@ -105,10 +105,23 @@ class AlleleFrequencies:
         object.__setattr__(self, "n_categories", len(extended))
 
 
+def _as_theta(theta) -> float:
+    """A caller's theta as a float; a bool, text (str or bytes-like) or what
+    float() refuses is a ParameterError in the CLI's words."""
+    if not isinstance(theta, (bool, str, bytes, bytearray, memoryview)):
+        try:
+            return float(theta)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParameterError(f"theta: expected float, got {theta!r}")
+
+
 def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
     """tail_mass (1 - theta) / theta for theta in [0, 1): the only check of
-    a caller's theta.  inf at theta = 0, the multinomial limit, and where
-    the quotient overflows."""
+    a caller's theta, after _as_theta.  inf at theta = 0, the multinomial
+    limit, and where the quotient overflows."""
+    if type(theta) is not float:  # the curve builders pass floats by the grid
+        theta = _as_theta(theta)
     if not 0.0 <= theta < 1.0:
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     return tail_mass * (1.0 - theta) / theta if theta else math.inf
@@ -131,10 +144,10 @@ class DispersionModel:
 
     def __post_init__(self):
         # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
-        theta = float(self.theta) + 0.0
+        theta = _as_theta(self.theta) + 0.0
         a_total = _pool_mass(theta)
         if not a_total * min(self.freqs.extended_probs) > 0.0:
-            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
+            raise ParameterError(f"theta = {theta} makes alpha 0")
         vars(self).update(theta=theta, alpha_total=a_total)
 
     @classmethod
@@ -220,6 +233,16 @@ class CountTable:
     @property
     def n_categories(self) -> int:
         return len(self.counts[0])
+
+
+def _check_shape(name: str, table: CountTable, rows: int, cols: int,
+                 error: type[MdmixError] = TableError) -> None:
+    """The one shape rule of every operation that takes a table: refuse one
+    that is not rows x cols with error, naming name and both shapes."""
+    shape = (table.n_profiles, table.n_categories)
+    if shape != (rows, cols):
+        raise error(f"{name} has shape {shape[0]} x {shape[1]}, expected "
+                    f"{rows} x {cols} (profiles x categories)")
 
 
 def _built_table(counts, row_sums, total: int) -> CountTable:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .mdm import MdmParams, _dirichlet_terms
-from .model import CountTable, ParameterError
+from .model import CountTable, ParameterError, _check_shape
 
 
 def factorial_moment(order: CountTable, params: MdmParams) -> float:
@@ -31,11 +31,8 @@ def factorial_moment(order: CountTable, params: MdmParams) -> float:
     Summed in logs, so a moment inside the double range is finite at every
     theta; one beyond it raises ParameterError.
     """
-    shape = (params.n_profiles, params.n_categories)
-    if (order.n_profiles, order.n_categories) != shape:
-        raise ParameterError(
-            f"orders have {order.n_profiles} rows and {order.n_categories} "
-            f"columns, params expect {shape[0]} and {shape[1]}")
+    _check_shape("order", order, params.n_profiles, params.n_categories,
+                 ParameterError)
     perms = 1
     for n_i, r_i in zip(params.row_sums, order.row_sums):
         if r_i > n_i:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .mdm import MdmParams, mdm_log_pmf
 from .model import (CountTable, ParameterError, SizeGuardError, SubsetSpec,
-                    TableError, _as_int, _built_table)
+                    TableError, _as_int, _built_table, _check_shape)
 
 MAX_TABLES = 10 ** 8
 
@@ -132,10 +132,7 @@ def oracle_moment(order: CountTable, params: MdmParams) -> float:
 
 
 def _matches(images: np.ndarray, table: CountTable) -> np.ndarray:
-    # rows of the support whose image equals `table`; a shape mismatch
-    # matches nothing
-    if images.shape[1:] != (table.n_profiles, table.n_categories):
-        return np.zeros(len(images), dtype=bool)
+    # rows of the support whose image, of table's shape, equals table
     return (images == np.asarray(table.counts)).all(axis=(1, 2))
 
 
@@ -144,10 +141,8 @@ def oracle_marginal_over_alleles(params: MdmParams, keep: SubsetSpec,
     """P(kept columns and the collapsed remainder equal `collapsed`),
     by summing the full pmf over matching tables."""
     dropped = list(keep.complement(params.n_categories))
-    if collapsed.n_categories != len(keep.indices) + 1:
-        raise TableError(
-            f"collapsed table must have {len(keep.indices) + 1} columns"
-        )
+    _check_shape("collapsed", collapsed, params.n_profiles,
+                 len(keep.indices) + 1)
     tables, probs = _support_and_probs(params)
     image = np.concatenate(
         [tables[:, :, list(keep.indices)],
@@ -159,10 +154,8 @@ def oracle_marginal_over_profiles(params: MdmParams, keep: SubsetSpec,
                                   sub_table: CountTable) -> float:
     """P(rows in `keep` equal `sub_table`), by summing the full pmf."""
     keep.validate_for(params.n_profiles)
-    if sub_table.n_profiles != len(keep.indices):
-        raise TableError(
-            f"sub table must have {len(keep.indices)} rows"
-        )
+    _check_shape("sub_table", sub_table, len(keep.indices),
+                 params.n_categories)
     tables, probs = _support_and_probs(params)
     return math.fsum(probs[_matches(tables[:, list(keep.indices), :],
                                     sub_table)])

@@ -288,7 +288,7 @@ def dense_pair_ratio(pair, freqs, theta):
             continue
         alpha = q_a * a_total
         if not alpha:
-            raise ParameterError(f"theta = {theta} makes alpha 0 or inf")
+            raise ParameterError(f"theta = {theta} makes alpha 0")
         terms.append(c * log_q)
         terms.extend(-math.log(alpha + k) for k in range(c))
     return math.exp(math.fsum(terms))
@@ -409,7 +409,7 @@ TINY = AlleleFrequencies((1e-310, 1e-320, 0.3, 0.4))
 
 
 def _alpha_error(theta):
-    return f"theta = {theta} makes alpha 0 or inf"
+    return f"theta = {theta} makes alpha 0"
 
 
 def test_pair_ratio_refuses_an_alpha_that_underflows():

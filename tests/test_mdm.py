@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MdmParams, SubsetSpec, TableError,
+                   MdmParams, ParameterError, SubsetSpec, TableError,
                    conditional_over_alleles, conditional_over_profiles,
                    hypergeometric_log_pmf, marginal_over_alleles,
                    marginal_over_profiles, mdm_chain_log_pmf, mdm_log_pmf,
@@ -87,6 +87,49 @@ def test_row_sum_mismatch_raises():
     params = MdmParams((2, 2), flat())
     with pytest.raises(TableError):
         mdm_log_pmf(CountTable(((1, 0), (1, 1))), params)
+    with pytest.raises(TableError, match=r"observed row sums \(1,\)"):
+        conditional_over_profiles(params, CountTable(((1, 0),)),
+                                  SubsetSpec((0,)))
+
+
+# params of two profiles of two draws over three categories, and each
+# operation that takes a table: (call, argument name, expected shape, error)
+SHAPED = MdmParams((2, 2), flat(width=3))
+FIRST = SubsetSpec((0,))
+TABLE_TAKERS = {
+    "mdm_log_pmf": (lambda t: mdm_log_pmf(t, SHAPED), "table", (2, 3),
+                    TableError),
+    "mdm_chain_log_pmf": (lambda t: mdm_chain_log_pmf(t, SHAPED), "table",
+                          (2, 3), TableError),
+    "conditional_over_alleles": (
+        lambda t: conditional_over_alleles(SHAPED, t, FIRST), "observed",
+        (2, 1), TableError),
+    "conditional_over_profiles": (
+        lambda t: conditional_over_profiles(SHAPED, t, FIRST), "observed",
+        (1, 3), TableError),
+    "factorial_moment": (lambda t: factorial_moment(t, SHAPED), "order",
+                         (2, 3), ParameterError),
+    "oracle_marginal_over_alleles": (
+        lambda t: oracle_marginal_over_alleles(SHAPED, FIRST, t),
+        "collapsed", (2, 2), TableError),
+    "oracle_marginal_over_profiles": (
+        lambda t: oracle_marginal_over_profiles(SHAPED, FIRST, t),
+        "sub_table", (1, 3), TableError),
+}
+
+
+@pytest.mark.parametrize("extra", [(1, 0), (0, 1)], ids=["row", "column"])
+@pytest.mark.parametrize("taker", TABLE_TAKERS)
+def test_every_table_of_the_wrong_shape_is_refused_alike(taker, extra):
+    call, name, (rows, cols), error = TABLE_TAKERS[taker]
+    bad = (rows + extra[0], cols + extra[1])
+    # rows of two draws, so only the shape is wrong
+    table = CountTable(((2,) + (0,) * (bad[1] - 1),) * bad[0])
+    with pytest.raises(error) as err:
+        call(table)
+    assert str(err.value) == (f"{name} has shape {bad[0]} x {bad[1]}, "
+                              f"expected {rows} x {cols} "
+                              "(profiles x categories)")
 
 
 def test_table_is_row_exchangeable_bit_for_bit():

@@ -8,10 +8,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FrequencyFileError, MdmParams, ParameterError,
-                   ProfileCounts, SubsetSpec, TableError, covariance_matrix,
-                   read_frequency_csv, theta_to_alpha)
+                   FrequencyFileError, GenotypePair, MdmParams,
+                   ParameterError, ProfileCounts, SubsetSpec, TableError,
+                   covariance_matrix, genotype_from_alleles, pair_ratio,
+                   pair_ratio_curves, read_frequency_csv, theta_to_alpha,
+                   woe_curve, woe_step)
 from mdmix.evidence import MarginState
 
 
@@ -91,6 +95,36 @@ def test_theta_outside_unit_interval_rejected():
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ParameterError):
             theta_to_alpha(f, bad)
+
+
+QUAD = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
+STATE = MarginState(n_col=2, s_prev=0, n_contributors=2)
+# each entry point that takes a caller's theta, as theta -> a value whose
+# float bits show in its repr
+THETA_TAKERS = {
+    "DispersionModel": lambda t: DispersionModel(t, QUAD),
+    "theta_to_alpha": lambda t: theta_to_alpha(QUAD, t),
+    "pair_ratio": lambda t: pair_ratio(GenotypePair(
+        genotype_from_alleles((0, 1), 4), genotype_from_alleles((0, 0), 4)),
+        QUAD, t).hex(),
+    "woe_step": lambda t: woe_step(STATE, 0.3, t).hex(),
+    "woe_curve": lambda t: woe_curve([STATE], 0.3, [t])[0, 0].hex(),
+    "pair_ratio_curves": lambda t: [
+        (c.label, v[0].hex())
+        for c, v in pair_ratio_curves(QUAD, [t]).items()],
+}
+
+
+@pytest.mark.parametrize("taker", THETA_TAKERS)
+def test_theta_that_is_not_a_number_is_refused_at_every_entry_point(taker):
+    call = THETA_TAKERS[taker]
+    for bad in ("abc", "0.1", b"0", bytearray(b"0"), True, None):
+        with pytest.raises(ParameterError) as err:
+            call(bad)
+        assert str(err.value) == f"theta: expected float, got {bad!r}"
+    # a number of another type gives the bits of the float
+    for number, same in ((np.float64(0.25), 0.25), (0, 0.0)):
+        assert repr(call(number)) == repr(call(same))
 
 
 def test_theta_whose_alpha_is_not_a_positive_double_rejected():
