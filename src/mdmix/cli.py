@@ -24,6 +24,8 @@ from .model import (
     MdmixError,
     ParameterError,
     TableError,
+    _as_count,
+    _as_counts,
     _read_csv,
     read_frequency_csv,
     theta_to_alpha,
@@ -35,7 +37,7 @@ from .validation import run_all_suites
 # name -> (kind, many, default, help).  The flag is --name with '-' for '_';
 # a --config file sets it under name.  _merge coerces a value from either by
 # _typed to kind (a non-empty tuple of kind when many), a theta_grid string
-# by parse_theta_grid.
+# by parse_theta_grid, and then takes each int through model._as_count.
 OPTIONS = {
     "freqs": (str, False, None,
               "allele-frequency CSV (locus,allele,frequency)"),
@@ -62,11 +64,12 @@ def _fmt(x: float) -> str:
 
 
 def _convert(value, kind):
-    """kind(value), refusing what kind() would silently truncate or
-    reinterpret: a bool as a number, a float as an int, and anything but a
-    str as a str."""
-    if (isinstance(value, bool) or (kind is int and isinstance(value, float))
-            or (kind is str and not isinstance(value, str))):
+    """kind(value), refusing what kind() would silently reinterpret: a bool
+    as a float, and anything but a str as a str.  Of an int it parses only
+    text; _merge checks every int value."""
+    if kind is int:
+        return int(value) if isinstance(value, str) else value
+    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
         raise TypeError(value)
     return kind(value)
 
@@ -225,15 +228,11 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
                 raise ParameterError(f"{name}: expected a non-empty list")
         setattr(args, name, value)
     _checked_grid("theta_grid", args.theta_grid)
-    if args.seed < 0:
-        raise ParameterError(
-            f"seed: expected a non-negative int, got {args.seed}")
-    if args.rows is not None and min(args.rows) < 0:
-        raise ParameterError(
-            f"rows: expected a list of non-negative int, got {args.rows}")
-    if args.contributors < 1:
-        raise ParameterError(
-            f"contributors: expected an int >= 1, got {args.contributors}")
+    args.seed = _as_count(args.seed, "seed", error=ParameterError)
+    if args.rows is not None:
+        args.rows = _as_counts(args.rows, "rows", error=ParameterError)
+    args.contributors = _as_count(args.contributors, "contributors", 1,
+                                  ParameterError)
     if args.contributors > MAX_WOE_CONTRIBUTORS:
         raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
                              f"got {args.contributors}")

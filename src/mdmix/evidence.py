@@ -39,7 +39,8 @@ from .model import (
     CountTable,
     ParameterError,
     ProfileCounts,
-    _as_int,
+    _as_count,
+    _as_counts,
     _pool_mass,
     theta_to_alpha,
 )
@@ -83,9 +84,10 @@ class GenotypePair:
 
 def genotype_from_alleles(alleles, n_categories: int) -> ProfileCounts:
     """Build a genotype profile from two 0-based allele indices."""
+    n_categories = _as_count(n_categories, "n_categories", 1, ParameterError)
     counts = [0] * n_categories
-    for a in alleles:
-        if not 0 <= a < n_categories:
+    for a in _as_counts(alleles, "alleles", error=ParameterError):
+        if a >= n_categories:
             raise ParameterError(f"allele index {a} out of range")
         counts[a] += 1
     prof = ProfileCounts(tuple(counts))
@@ -106,10 +108,8 @@ class MultiplicityClass:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        mult = tuple(sorted((int(m) for m in self.multiplicities),
-                            reverse=True))
-        if any(m < 2 for m in mult):
-            raise ParameterError("multiplicities below 2 are not recorded")
+        mult = tuple(sorted(_as_counts(self.multiplicities, "multiplicities",
+                                       2, ParameterError), reverse=True))
         if sum(mult) > 2 * GENOTYPE_SIZE:
             raise ParameterError(
                 f"multiplicities {mult} exceed the pooled total "
@@ -133,13 +133,10 @@ class MarginState:
     n_contributors: int
 
     def __post_init__(self):
-        n_col = _as_int(self.n_col, "n_col")
-        s_prev = _as_int(self.s_prev, "s_prev")
-        contribs = _as_int(self.n_contributors, "n_contributors")
-        if contribs < 1:
-            raise ParameterError(f"n_contributors = {contribs} must be >= 1")
-        if n_col < 0 or s_prev < 0:
-            raise ParameterError(f"negative margin state ({n_col}, {s_prev})")
+        n_col = _as_count(self.n_col, "n_col", error=ParameterError)
+        s_prev = _as_count(self.s_prev, "s_prev", error=ParameterError)
+        contribs = _as_count(self.n_contributors, "n_contributors", 1,
+                             ParameterError)
         capacity = GENOTYPE_SIZE * contribs
         if n_col + s_prev > capacity:
             raise ParameterError(
@@ -223,8 +220,8 @@ def woe_margin_grid(n_contributors: int = 2):
     A state with at most one draw remaining cannot show any correlation
     and its step ratio is identically 1; those states are flagged True.
     """
-    if n_contributors < 1:
-        raise ParameterError(f"n_contributors = {n_contributors} must be >= 1")
+    n_contributors = _as_count(n_contributors, "n_contributors", 1,
+                               ParameterError)
     capacity = 2 * n_contributors
     out = []
     for n_col in range(capacity + 1):

@@ -44,7 +44,7 @@ from .model import (
     ParameterError,
     SubsetSpec,
     TableError,
-    _as_ints,
+    _as_counts,
     _check_shape,
     _scaled_model,
 )
@@ -58,11 +58,9 @@ class MdmParams:
     model: DispersionModel
 
     def __post_init__(self):
-        rows = _as_ints(self.row_sums, "row_sums")
+        rows = _as_counts(self.row_sums, "row_sums", error=ParameterError)
         if not rows:
             raise ParameterError("at least one profile row is required")
-        if min(rows) < 0:
-            raise ParameterError(f"row sums {rows} contain a negative entry")
         object.__setattr__(self, "row_sums", rows)
 
     @property

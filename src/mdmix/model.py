@@ -12,6 +12,12 @@ inf, the independent multinomial; every formula downstream takes it as
 that limit, with no case of its own.  The types take only what they cannot
 derive: the rest class and alpha_total are computed on construction.
 
+A caller's integer (a count, a row sum, an index, a seed) goes through one
+rule, _as_count: operator.index takes it, so a numpy integer is an int,
+while a bool, a float and a value below the field's least value are an
+MdmixError naming the field and, in a sequence, the index:
+"seed: expected an int >= 0, got -1".  Upper bounds stay with each site.
+
 Everything in this module is immutable after construction and safe to
 share across threads.
 """
@@ -46,23 +52,34 @@ class FrequencyFileError(MdmixError, ValueError):
     """An allele-frequency CSV could not be parsed or validated."""
 
 
-def _as_int(value, what: str):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TableError(f"{what} must be an integer, got {value!r}") from None
+def _as_count(value, what: str, least: int = 0,
+              error: type[MdmixError] = TableError) -> int:
+    """The one conversion of a caller's integer: operator.index(value), at
+    least least.  A bool, what operator.index refuses (a float, text) and a
+    smaller value are an error naming what, in the CLI's words."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count >= least:
+                return count
+    raise error(f"{what}: expected an int >= {least}, got {value!r}")
 
 
-def _as_ints(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; the first one that is not an integer
-    is a TableError naming it as what[k]."""
+_INT = frozenset((int,))
+
+
+def _as_counts(values, what: str, least: int = 0,
+               error: type[MdmixError] = TableError) -> tuple[int, ...]:
+    """The values as a tuple of ints by _as_count, value k named what[k];
+    a tuple of exact ints (no bool) at or above least is taken as it is."""
     values = tuple(values)
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        for k, x in enumerate(values):
-            _as_int(x, f"{what}[{k}]")
-        raise
+    if values and _INT.issuperset(map(type, values)) and min(values) >= least:
+        return values
+    return tuple(_as_count(x, f"{what}[{k}]", least, error)
+                 for k, x in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -106,9 +123,13 @@ class AlleleFrequencies:
 
 
 def _as_theta(theta) -> float:
-    """A caller's theta as a float; a bool, text (str or bytes-like) or what
-    float() refuses is a ParameterError in the CLI's words."""
-    if not isinstance(theta, (bool, str, bytes, bytearray, memoryview)):
+    """A caller's theta as a float; a bool (numpy's too, known by its
+    dtype), text (str or bytes-like) or what float() refuses is a
+    ParameterError in the CLI's words."""
+    if type(theta) is float:
+        return theta
+    if not (isinstance(theta, (bool, str, bytes, bytearray, memoryview))
+            or getattr(getattr(theta, "dtype", None), "kind", None) == "b"):
         try:
             return float(theta)
         except (TypeError, ValueError, OverflowError):
@@ -207,19 +228,19 @@ class CountTable:
     total: int = field(init=False)
 
     def __post_init__(self):
-        counts = tuple(_as_ints(row, f"counts[{i}]")
-                       for i, row in enumerate(self.counts))
+        # row by row: its cells in order, then its width
+        counts = []
+        for i, row in enumerate(self.counts):
+            counts.append(_as_counts(row, f"counts[{i}]"))
+            width = len(counts[0])
+            if width == 0:
+                raise TableError("a table needs at least one allele column")
+            if len(counts[i]) != width:
+                raise TableError(f"row {i} has {len(counts[i])} entries, "
+                                 f"expected {width}")
         if not counts:
             raise TableError("a table needs at least one profile row")
-        width = len(counts[0])
-        if width == 0:
-            raise TableError("a table needs at least one allele column")
-        for i, row in enumerate(counts):
-            if len(row) != width:
-                raise TableError(f"row {i} has {len(row)} entries, expected {width}")
-            if min(row) < 0:
-                a = next(a for a, x in enumerate(row) if x < 0)
-                raise TableError(f"counts[{i}][{a}] = {row[a]} is negative")
+        counts = tuple(counts)
         row_sums = tuple(map(sum, counts))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_sums", row_sums)
@@ -263,12 +284,9 @@ class ProfileCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = _as_ints(self.counts, "counts")
+        counts = _as_counts(self.counts, "counts")
         if not counts:
             raise TableError("a profile needs at least one allele category")
-        if min(counts) < 0:
-            a = next(a for a, x in enumerate(counts) if x < 0)
-            raise TableError(f"counts[{a}] = {counts[a]} is negative")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -287,11 +305,9 @@ class SubsetSpec:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(_as_int(k, "subset index") for k in self.indices)
+        idx = _as_counts(self.indices, "indices", error=ParameterError)
         if not idx:
             raise ParameterError("subset must be non-empty")
-        if idx[0] < 0:
-            raise ParameterError(f"subset index {idx[0]} is negative")
         for a, b in zip(idx, idx[1:]):
             if b <= a:
                 raise ParameterError("subset indices must be strictly increasing")

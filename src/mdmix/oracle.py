@@ -21,7 +21,6 @@ which skips CountTable's checks of counts the library made itself.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
@@ -31,23 +30,20 @@ import numpy as np
 
 from .mdm import MdmParams, mdm_log_pmf
 from .model import (CountTable, ParameterError, SizeGuardError, SubsetSpec,
-                    TableError, _as_int, _built_table, _check_shape)
+                    TableError, _as_count, _as_counts, _built_table,
+                    _check_shape)
 
 MAX_TABLES = 10 ** 8
 
 
 def count_tables(row_sums, n_categories: int) -> int:
     """Number of tables with the given row sums: prod_i C(n_i.+A-1, A-1)."""
-    n_categories = _as_int(n_categories, "n_categories")
-    if n_categories < 1:
-        raise TableError("n_categories must be >= 1")
-    total = 1
-    for s in row_sums:
-        s = _as_int(s, "row sum")
-        if s < 0:
-            raise TableError(f"row sum {s} is negative")
-        total *= math.comb(s + n_categories - 1, n_categories - 1)
-    return total
+    width = _as_count(n_categories, "n_categories", least=1)
+    return _n_tables(_as_counts(row_sums, "row_sums"), width)
+
+
+def _n_tables(rows, width: int) -> int:
+    return math.prod(math.comb(s + width - 1, width - 1) for s in rows)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -71,26 +67,25 @@ def _raw_tables(row_sums, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
     """Every table with the given row sums, exactly once, in a fixed order."""
-    n = count_tables(row_sums, n_categories)
+    width = _as_count(n_categories, "n_categories", least=1)
+    rows = _as_counts(row_sums, "row_sums")
+    n = _n_tables(rows, width)
     if n > MAX_TABLES:
         raise SizeGuardError(
             f"{n} tables exceed the enumeration limit of {MAX_TABLES}"
         )
-    rows = tuple(_as_int(s, "row sum") for s in row_sums)
     if not rows:
         raise TableError("a table needs at least one profile row")
     total = sum(rows)
-    for counts in _raw_tables(rows, n_categories):
+    for counts in _raw_tables(rows, width):
         yield _built_table(counts, rows, total)
 
 
 def enumerate_tables_with_margins(row_sums, col_sums) -> Iterator[CountTable]:
     """Every table with both margins fixed, exactly once, in the order of
     `enumerate_tables`."""
-    rows = tuple(_as_int(s, "row sum") for s in row_sums)
-    cols = tuple(_as_int(s, "col sum") for s in col_sums)
-    if any(s < 0 for s in rows) or any(s < 0 for s in cols):
-        raise TableError("margins must be non-negative")
+    rows = _as_counts(row_sums, "row_sums")
+    cols = _as_counts(col_sums, "col_sums")
     if not rows or not cols:
         raise TableError("margins must be non-empty")
     if sum(rows) != sum(cols):
@@ -173,13 +168,7 @@ class MdmSampler:
     algorithm = "pcg64-urn-deal-v1"
 
     def __init__(self, params: MdmParams, seed: int):
-        try:
-            self.seed = operator.index(seed)
-            if isinstance(seed, bool) or self.seed < 0:
-                raise TypeError
-        except TypeError:
-            raise ParameterError(
-                f"seed: expected a non-negative int, got {seed!r}") from None
+        self.seed = _as_count(seed, "seed", error=ParameterError)
         self.params = params
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
         model = params.model

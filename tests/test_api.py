@@ -2,7 +2,8 @@
 """The public surface: every exported name resolves, the list of names is
 pinned, and every `mdmix.<name>` the benchmark reads is still there.
 Source checks keep theta = 0 a limit of the formulas rather than a case
-they branch on, and keep every module free of imports it does not use."""
+they branch on, keep one conversion of a caller's integer, and keep every
+module free of imports it does not use."""
 
 from __future__ import annotations
 
@@ -99,6 +100,22 @@ INF_LIMIT_SITES = [
     "oracle.MdmSampler.__init__",
 ]
 
+# the one function that converts a caller's integer: it alone reads
+# operator.index, so a bool, a float and a value below the field's least
+# value get one refusal at every site
+INT_SITES = ["model._as_count"]
+
+
+def _reads_operator_index(node) -> bool:
+    """operator.index, called or passed on, or index imported from
+    operator."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator" and any(
+            alias.name == "index" for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "index"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "operator")
+
 
 def _tests_theta_truth(test) -> bool:
     """Whether test is a bare theta-named value or has one as an operand
@@ -186,6 +203,23 @@ def test_the_alpha_total_inf_limit_is_read_at_the_pinned_sites():
     # a new site that tests alpha_total = inf is a new copy of the limit;
     # one that goes is a consumer that no longer reads it
     assert _package_sites(_compares_with_inf) == INF_LIMIT_SITES
+
+
+def test_operator_index_scan_counts_every_read():
+    found = _sites(ast.parse(
+        "from operator import index\n"
+        "def f(x, xs):\n"
+        "    y = operator.index(x)\n"
+        "    z = list(map(operator.index, xs))\n"
+        "    w = operator.indexOf(xs, x) + x.index(0)\n"), "m",
+        _reads_operator_index)
+    assert list(found) == ["m", "m.f", "m.f"]
+
+
+def test_a_callers_integer_is_converted_at_one_site():
+    # a new site that reads operator.index is a second copy of the rule
+    # that refuses a bool, a float and a value below the least value
+    assert _package_sites(_reads_operator_index) == INT_SITES
 
 
 def test_every_imported_name_is_used():

@@ -401,7 +401,9 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(
         argv = [command, "--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"mdmix {command}: error: {field}: expected")
+    # an entry of a list is named with its index, as rows[1]
+    assert re.match(rf"mdmix {command}: error: {field}(\[\d+\])?: expected",
+                    err)
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, freq_file):

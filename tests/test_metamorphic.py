@@ -64,6 +64,34 @@ def test_collapsing_columns_keeps_theta_and_alpha_total_bit_for_bit(
 
 
 @given(_cases(min_rows=2), st.data())
+def test_collapsing_columns_commutes_with_conditioning_on_rows(case, data):
+    table, params = case
+    width, n_rows = params.n_categories, table.n_profiles
+    keep = SubsetSpec(sorted(data.draw(st.lists(
+        st.integers(0, width - 1), min_size=1, max_size=width - 1,
+        unique=True))))
+    seen = SubsetSpec(sorted(data.draw(st.lists(
+        st.integers(0, n_rows - 1), min_size=1, max_size=n_rows - 1,
+        unique=True))))
+    dropped = keep.complement(width)
+
+    def collapsed(rows):
+        return CountTable(tuple(
+            tuple(table.counts[i][a] for a in keep.indices)
+            + (sum(table.counts[i][a] for a in dropped),) for i in rows))
+
+    observed = collapsed(seen.indices)
+    rest = collapsed(seen.complement(n_rows))
+    first_conditioned = marginal_over_alleles(conditional_over_profiles(
+        params, CountTable(table.counts[i] for i in seen.indices), seen),
+        keep)
+    first_collapsed = conditional_over_profiles(
+        marginal_over_alleles(params, keep), observed, seen)
+    _close(mdm_log_pmf(rest, first_conditioned),
+           mdm_log_pmf(rest, first_collapsed))
+
+
+@given(_cases(min_rows=2), st.data())
 def test_conditioning_on_rows_one_at_a_time_matches_all_at_once(case, data):
     table, params = case
     n_seen = data.draw(st.integers(1, table.n_profiles - 1))

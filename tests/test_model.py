@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +12,16 @@ from hypothesis import given, strategies as st
 import numpy as np
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   FrequencyFileError, GenotypePair, MdmParams,
-                   ParameterError, ProfileCounts, SubsetSpec, TableError,
-                   covariance_matrix, genotype_from_alleles, pair_ratio,
-                   pair_ratio_curves, read_frequency_csv, theta_to_alpha,
-                   woe_curve, woe_step)
+                   FrequencyFileError, GenotypePair, MdmParams, MdmSampler,
+                   MultiplicityClass, ParameterError, ProfileCounts,
+                   SubsetSpec, TableError, covariance_matrix,
+                   genotype_from_alleles, pair_ratio, pair_ratio_curves,
+                   read_frequency_csv, theta_to_alpha, woe_curve,
+                   woe_margin_grid, woe_step)
+from mdmix.cli import _build_parser, _merge
 from mdmix.evidence import MarginState
+from mdmix.oracle import (count_tables, enumerate_tables,
+                          enumerate_tables_with_margins)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +123,8 @@ THETA_TAKERS = {
 @pytest.mark.parametrize("taker", THETA_TAKERS)
 def test_theta_that_is_not_a_number_is_refused_at_every_entry_point(taker):
     call = THETA_TAKERS[taker]
-    for bad in ("abc", "0.1", b"0", bytearray(b"0"), True, None):
+    for bad in ("abc", "0.1", b"0", bytearray(b"0"), True, None,
+                np.False_, np.True_, np.array(False)):
         with pytest.raises(ParameterError) as err:
             call(bad)
         assert str(err.value) == f"theta: expected float, got {bad!r}"
@@ -199,28 +205,30 @@ def test_count_table_rejects_ragged_rows():
 def test_count_table_rejects_negative_counts():
     with pytest.raises(TableError):
         CountTable(((1, -1),))
-    with pytest.raises(TableError,
-                       match=r"^counts\[1\]\[2\] = -2 is negative$"):
+    with pytest.raises(TableError, match=r"^counts\[1\]\[2\]: expected an "
+                       r"int >= 0, got -2$"):
         CountTable(((1, 1, 0), (0, 3, -2)))
-    with pytest.raises(TableError, match=r"^counts\[1\] = -1 is negative$"):
+    with pytest.raises(TableError, match=r"^counts\[1\]: expected an int "
+                       r">= 0, got -1$"):
         ProfileCounts((0, -1, -2))
 
 
 def test_count_table_coerces_integer_like_values():
     import numpy as np
 
-    t = CountTable(((np.int64(1), np.int64(1)), (True, np.int64(0))))
+    t = CountTable(((np.int64(1), np.int64(1)), (1, np.int64(0))))
     assert t.counts == ((1, 1), (1, 0))
     assert all(type(x) is int for row in t.counts for x in row)
     assert (t.row_sums, t.col_sums, t.total) == ((2, 1), (2, 1), 3)
     for counts, message in [
-        (((1.5, 0.5),), "counts[0][0] must be an integer, got 1.5"),
-        (((1, 2.0),), "counts[0][1] must be an integer, got 2.0"),
-        # every cell is converted before any other check, and the first
-        # non-integer in row-major order is the one named
-        (((1, -1), (0, 1), (2, "x", 0.5)),
-         "counts[2][1] must be an integer, got 'x'"),
-        (((0, 1), (None,)), "counts[1][0] must be an integer, got None"),
+        (((1.5, 0.5),), "counts[0][0]: expected an int >= 0, got 1.5"),
+        (((1, 2.0),), "counts[0][1]: expected an int >= 0, got 2.0"),
+        (((1, 1), (True, 0)), "counts[1][0]: expected an int >= 0, got True"),
+        # rows are checked in order, each one's cells before its width, and
+        # the first bad cell is named
+        (((1, 1, 0), (0, 1, 0), (2, "x", -1)),
+         "counts[2][1]: expected an int >= 0, got 'x'"),
+        (((0, 1), (None, 0)), "counts[1][0]: expected an int >= 0, got None"),
     ]:
         with pytest.raises(TableError) as err:
             CountTable(counts)
@@ -260,6 +268,86 @@ def test_subset_spec_requires_strictly_increasing_indices():
         SubsetSpec((2, 1))
     with pytest.raises(ParameterError):
         SubsetSpec((1, 1))
+
+
+# ---------------------------------------------------------------------------
+# a caller's integers
+
+
+def _cli(command, name):
+    """The CLI's check of option name, as a flag or config value."""
+    def run(value):
+        args = _build_parser().parse_args([command])
+        setattr(args, name, value)
+        _merge(args)
+    return run
+
+
+PAIR_PARAMS = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 2.0, 3.0)))
+# every site that takes a caller's integer: value -> a call with the value
+# in the checked place, the error class, the field as named, and its least
+# value
+COUNT_SITES = {
+    "CountTable": (lambda v: CountTable(((1, 0), (2, v))), TableError,
+                   r"counts\[1\]\[1\]", 0),
+    "ProfileCounts": (lambda v: ProfileCounts((1, v)), TableError,
+                      r"counts\[1\]", 0),
+    "SubsetSpec": (lambda v: SubsetSpec((v,)), ParameterError,
+                   r"indices\[0\]", 0),
+    "MdmParams": (lambda v: MdmParams((2, v), PAIR_PARAMS.model), ParameterError,
+                  r"row_sums\[1\]", 0),
+    "MarginState.n_col": (lambda v: MarginState(v, 0, 2), ParameterError,
+                          "n_col", 0),
+    "MarginState.s_prev": (lambda v: MarginState(0, v, 2), ParameterError,
+                           "s_prev", 0),
+    "MarginState.n_contributors": (lambda v: MarginState(0, 0, v),
+                                   ParameterError, "n_contributors", 1),
+    "woe_margin_grid": (woe_margin_grid, ParameterError, "n_contributors", 1),
+    "genotype_from_alleles.alleles": (
+        lambda v: genotype_from_alleles((v, 1), 3), ParameterError,
+        r"alleles\[0\]", 0),
+    "genotype_from_alleles.n_categories": (
+        lambda v: genotype_from_alleles((0, 1), v), ParameterError,
+        "n_categories", 1),
+    "MultiplicityClass": (lambda v: MultiplicityClass((2, v)),
+                          ParameterError, r"multiplicities\[1\]", 2),
+    "count_tables.row_sums": (lambda v: count_tables((2, v), 3), TableError,
+                              r"row_sums\[1\]", 0),
+    "count_tables.n_categories": (lambda v: count_tables((2,), v),
+                                  TableError, "n_categories", 1),
+    "enumerate_tables.row_sums": (
+        lambda v: next(enumerate_tables((2, v), 3)), TableError,
+        r"row_sums\[1\]", 0),
+    "enumerate_tables.n_categories": (
+        lambda v: next(enumerate_tables((2,), v)), TableError,
+        "n_categories", 1),
+    "enumerate_tables_with_margins.row_sums": (
+        lambda v: next(enumerate_tables_with_margins((2, v), (2, 2))),
+        TableError, r"row_sums\[1\]", 0),
+    "enumerate_tables_with_margins.col_sums": (
+        lambda v: next(enumerate_tables_with_margins((2, 2), (2, v))),
+        TableError, r"col_sums\[1\]", 0),
+    "MdmSampler.seed": (lambda v: MdmSampler(PAIR_PARAMS, v), ParameterError,
+                        "seed", 0),
+    "cli.seed": (_cli("sample", "seed"), ParameterError, "seed", 0),
+    "cli.rows": (lambda v: _cli("moments", "rows")([2, v]), ParameterError,
+                 r"rows\[1\]", 0),
+    "cli.contributors": (_cli("woe-curve", "contributors"), ParameterError,
+                         "contributors", 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below least"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_a_callers_integer_is_refused_as_a_bool_a_float_or_below_least(
+        site, kind):
+    call, error, field, least = COUNT_SITES[site]
+    # 2.9 would truncate to 2, which MultiplicityClass records
+    value = {"bool": True, "float": 2.9 if least == 2 else 2.0,
+             "below least": least - 1}[kind]
+    with pytest.raises(error, match=rf"^{field}: expected an int >= {least}, "
+                       rf"got {re.escape(repr(value))}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------------------

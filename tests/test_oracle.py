@@ -106,8 +106,8 @@ def test_sampler_seeds_differ():
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
 def test_sampler_refuses_a_seed_that_is_not_a_non_negative_int(seed):
     params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 2.0, 3.0)))
-    with pytest.raises(ParameterError, match=r"^seed: expected a "
-                       r"non-negative int, got "):
+    with pytest.raises(ParameterError,
+                       match=r"^seed: expected an int >= 0, got "):
         MdmSampler(params, seed)
 
 
