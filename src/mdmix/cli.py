@@ -26,6 +26,7 @@ from .model import (
     TableError,
     _as_count,
     _as_counts,
+    _as_real,
     _read_csv,
     read_frequency_csv,
     theta_to_alpha,
@@ -64,14 +65,14 @@ def _fmt(x: float) -> str:
 
 
 def _convert(value, kind):
-    """kind(value), refusing what kind() would silently reinterpret: a bool
-    as a float, and anything but a str as a str.  Of an int it parses only
-    text; _merge checks every int value."""
-    if kind is int:
-        return int(value) if isinstance(value, str) else value
-    if isinstance(value, bool) or (kind is str and not isinstance(value, str)):
+    """kind(value) of text with no NUL, which no path or CSV field holds;
+    another value goes through _as_real for a float, is refused for a str
+    and kept for an int, which _merge checks."""
+    if isinstance(value, str) and "\0" not in value:
+        return kind(value)
+    if kind is str:
         raise TypeError(value)
-    return kind(value)
+    return _as_real(value, "value") if kind is float else value
 
 
 def _typed(name: str, value, kind, many: bool = False):
@@ -228,6 +229,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
                 raise ParameterError(f"{name}: expected a non-empty list")
         setattr(args, name, value)
     _checked_grid("theta_grid", args.theta_grid)
+    for q in args.q_values:
+        if not 0.0 < q < 1.0:
+            raise ParameterError(f"q_values value {q} outside (0, 1)")
     args.seed = _as_count(args.seed, "seed", error=ParameterError)
     if args.rows is not None:
         args.rows = _as_counts(args.rows, "rows", error=ParameterError)
@@ -274,6 +278,8 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
         raise ParameterError(f"rows: {len(cfg.rows)} profiles x "
                              f"{entry.freqs.n_categories} categories is "
                              f"{n_cells} cells, at most {MAX_MOMENT_CELLS}")
+    if max(cfg.rows) > 2 ** 511:  # n_i. n_j., so each covariance, is finite
+        raise ParameterError(f"rows: at most 2**511, got {max(cfg.rows)}")
     params = MdmParams(row_sums=cfg.rows,
                        model=theta_to_alpha(entry.freqs, cfg.theta))
     means = mean_matrix(params).ravel()

@@ -41,6 +41,8 @@ from .model import (
     ProfileCounts,
     _as_count,
     _as_counts,
+    _as_items,
+    _as_real,
     _pool_mass,
     theta_to_alpha,
 )
@@ -177,6 +179,8 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     Q^n (1-Q)^(rem-n) cancels against the rising products factor by factor,
     so nothing cancels numerically as a_pool = (1-theta)/theta grows.
     """
+    q_scaled = _as_real(q_scaled, "Q")
+    tail_mass = _as_real(tail_mass, "tail_mass")
     a_pool = _woe_pool(q_scaled, theta, tail_mass)
     if a_pool == math.inf:  # theta = 0, or 1 + O(1 / a_pool) rounds to 1
         return 1.0
@@ -242,10 +246,12 @@ def woe_curve(states, q_scaled: float, theta_grid,
     woe_step's checks in grid order, so bad input raises the error woe_step
     raises at the first theta where it would fail.
     """
-    grid = list(theta_grid)
+    grid = _as_items(theta_grid, "theta_grid", "float")
     out = np.ones((len(states), len(grid)))
     if not out.size:
         return out
+    q_scaled = _as_real(q_scaled, "Q")
+    tail_mass = _as_real(tail_mass, "tail_mass")
     pools = [_woe_pool(q_scaled, theta, tail_mass) for theta in grid]
     # an index array: numpy converts a list index anew for every row
     live = np.array([k for k, a_pool in enumerate(pools)
@@ -374,7 +380,7 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     over the same multiset: fsum is exactly rounded, so the order of the
     terms does not change a bit.
     """
-    grid = list(theta_grid)
+    grid = _as_items(theta_grid, "theta_grid", "float")
     pools = list(map(_pool_mass, grid))
     live = [k for k, a_total in enumerate(pools) if a_total != math.inf]
     pools = [pools[k] for k in live]

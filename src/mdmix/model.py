@@ -12,11 +12,11 @@ inf, the independent multinomial; every formula downstream takes it as
 that limit, with no case of its own.  The types take only what they cannot
 derive: the rest class and alpha_total are computed on construction.
 
-A caller's integer (a count, a row sum, an index, a seed) goes through one
-rule, _as_count: operator.index takes it, so a numpy integer is an int,
-while a bool, a float and a value below the field's least value are an
-MdmixError naming the field and, in a sequence, the index:
-"seed: expected an int >= 0, got -1".  Upper bounds stay with each site.
+A caller's value meets one rule of its kind: _as_count for an integer (what
+operator.index takes but a bool), _as_real for a real (what float() takes
+but a bool or text) and _as_items for a list (what tuple() takes but text).
+A refusal is an MdmixError naming the field and, in a list, the index:
+"seed: expected an int >= 0, got True".  Range checks stay with each site.
 
 Everything in this module is immutable after construction and safe to
 share across threads.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 PROB_SUM_TOL = 1e-12
@@ -54,9 +55,7 @@ class FrequencyFileError(MdmixError, ValueError):
 
 def _as_count(value, what: str, least: int = 0,
               error: type[MdmixError] = TableError) -> int:
-    """The one conversion of a caller's integer: operator.index(value), at
-    least least.  A bool, what operator.index refuses (a float, text) and a
-    smaller value are an error naming what, in the CLI's words."""
+    """The one conversion of a caller's integer, at least least."""
     if not isinstance(value, bool):
         try:
             count = operator.index(value)
@@ -68,18 +67,54 @@ def _as_count(value, what: str, least: int = 0,
     raise error(f"{what}: expected an int >= {least}, got {value!r}")
 
 
-_INT = frozenset((int,))
+_TEXT = (str, bytes, bytearray, memoryview)
+_INT, _FLOAT = frozenset((int,)), frozenset((float,))
+
+
+def _as_items(values, what: str, kind: str, error=ParameterError) -> tuple:
+    """The one conversion of a caller's list, named what in a refusal."""
+    try:
+        if type(values) is tuple or not isinstance(values, _TEXT):
+            return tuple(values)
+    except TypeError:
+        pass
+    raise error(f"{what}: expected a list of {kind}, got {values!r}")
 
 
 def _as_counts(values, what: str, least: int = 0,
                error: type[MdmixError] = TableError) -> tuple[int, ...]:
-    """The values as a tuple of ints by _as_count, value k named what[k];
-    a tuple of exact ints (no bool) at or above least is taken as it is."""
-    values = tuple(values)
+    """A list of ints by _as_items and _as_count, value k named what[k]."""
+    if type(values) is not tuple:  # tuple() of a tuple is the tuple itself
+        values = _as_items(values, what, "int", error)
     if values and _INT.issuperset(map(type, values)) and min(values) >= least:
         return values
     return tuple(_as_count(x, f"{what}[{k}]", least, error)
                  for k, x in enumerate(values))
+
+
+def _as_real(value, what: str) -> float:
+    """The one conversion of a caller's real; numpy's bool by its dtype."""
+    if type(value) is float:
+        return value
+    if not (isinstance(value, (bool, *_TEXT))
+            or getattr(getattr(value, "dtype", None), "kind", None) == "b"):
+        with suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ParameterError(f"{what}: expected float, got {value!r}")
+
+
+def _as_positives(values, what: str) -> tuple[float, ...]:
+    """A non-empty list of finite floats above 0, value k named what[k]."""
+    values = _as_items(values, what, "float")
+    if not _FLOAT.issuperset(map(type, values)):
+        values = tuple(_as_real(x, f"{what}[{k}]")
+                       for k, x in enumerate(values))
+    if not values:
+        raise ParameterError(f"{what}: expected a non-empty list")
+    for k, x in enumerate(values):
+        if not math.isfinite(x) or x <= 0.0:
+            raise ParameterError(f"{what}[{k}] = {x} is not strictly positive")
+    return values
 
 
 @dataclass(frozen=True)
@@ -103,12 +138,7 @@ class AlleleFrequencies:
     n_categories: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if not probs:
-            raise ParameterError("at least one allele probability is required")
-        for k, p in enumerate(probs):
-            if not math.isfinite(p) or p <= 0.0:
-                raise ParameterError(f"probs[{k}] = {p} is not strictly positive")
+        probs = _as_positives(self.probs, "probs")
         s = math.fsum(probs)
         if s > 1.0 + PROB_SUM_TOL:
             raise ParameterError(f"probabilities sum to {s} > 1")
@@ -122,27 +152,12 @@ class AlleleFrequencies:
         object.__setattr__(self, "n_categories", len(extended))
 
 
-def _as_theta(theta) -> float:
-    """A caller's theta as a float; a bool (numpy's too, known by its
-    dtype), text (str or bytes-like) or what float() refuses is a
-    ParameterError in the CLI's words."""
-    if type(theta) is float:
-        return theta
-    if not (isinstance(theta, (bool, str, bytes, bytearray, memoryview))
-            or getattr(getattr(theta, "dtype", None), "kind", None) == "b"):
-        try:
-            return float(theta)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ParameterError(f"theta: expected float, got {theta!r}")
-
-
 def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
     """tail_mass (1 - theta) / theta for theta in [0, 1): the only check of
-    a caller's theta, after _as_theta.  inf at theta = 0, the multinomial
+    a caller's theta, after _as_real.  inf at theta = 0, the multinomial
     limit, and where the quotient overflows."""
     if type(theta) is not float:  # the curve builders pass floats by the grid
-        theta = _as_theta(theta)
+        theta = _as_real(theta, "theta")
     if not 0.0 <= theta < 1.0:
         raise ParameterError(f"theta = {theta} outside [0, 1)")
     return tail_mass * (1.0 - theta) / theta if theta else math.inf
@@ -165,7 +180,7 @@ class DispersionModel:
 
     def __post_init__(self):
         # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
-        theta = _as_theta(self.theta) + 0.0
+        theta = _as_real(self.theta, "theta") + 0.0
         a_total = _pool_mass(theta)
         if not a_total * min(self.freqs.extended_probs) > 0.0:
             raise ParameterError(f"theta = {theta} makes alpha 0")
@@ -174,12 +189,7 @@ class DispersionModel:
     @classmethod
     def from_alpha(cls, alpha) -> "DispersionModel":
         """Recover (theta, q) from explicit Dirichlet parameters."""
-        alpha = tuple(float(a) for a in alpha)
-        if not alpha:
-            raise ParameterError("alpha must be non-empty")
-        for k, a in enumerate(alpha):
-            if not math.isfinite(a) or a <= 0.0:
-                raise ParameterError(f"alpha[{k}] = {a} is not strictly positive")
+        alpha = _as_positives(alpha, "alpha")
         try:
             total = math.fsum(alpha)
         except OverflowError:
@@ -230,7 +240,8 @@ class CountTable:
     def __post_init__(self):
         # row by row: its cells in order, then its width
         counts = []
-        for i, row in enumerate(self.counts):
+        for i, row in enumerate(_as_items(self.counts, "counts",
+                                          "lists of int", TableError)):
             counts.append(_as_counts(row, f"counts[{i}]"))
             width = len(counts[0])
             if width == 0:

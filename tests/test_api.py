@@ -2,8 +2,8 @@
 """The public surface: every exported name resolves, the list of names is
 pinned, and every `mdmix.<name>` the benchmark reads is still there.
 Source checks keep theta = 0 a limit of the formulas rather than a case
-they branch on, keep one conversion of a caller's integer, and keep every
-module free of imports it does not use."""
+they branch on, keep one conversion of a caller's integer and one of a
+caller's real, and keep every module free of imports it does not use."""
 
 from __future__ import annotations
 
@@ -104,6 +104,26 @@ INF_LIMIT_SITES = [
 # operator.index, so a bool, a float and a value below the field's least
 # value get one refusal at every site
 INT_SITES = ["model._as_count"]
+
+
+# the functions that call the builtin float on a value: the one conversion
+# of a caller's real, the two text parsers, output formatting and two values
+# the library built itself
+FLOAT_SITES = [
+    "cli._fmt",
+    "cli.parse_theta_grid",
+    "evidence.pair_ratio_curves.log_column",
+    "model._as_real",
+    "model.read_frequency_csv",
+    "oracle.oracle_moment",
+]
+
+
+def _calls_float(node) -> bool:
+    """A call of the name float with an argument that is not a constant."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+            and not all(isinstance(arg, ast.Constant) for arg in node.args))
 
 
 def _reads_operator_index(node) -> bool:
@@ -220,6 +240,22 @@ def test_a_callers_integer_is_converted_at_one_site():
     # a new site that reads operator.index is a second copy of the rule
     # that refuses a bool, a float and a value below the least value
     assert _package_sites(_reads_operator_index) == INT_SITES
+
+
+def test_float_scan_counts_every_call_on_a_value():
+    found = _sites(ast.parse(
+        "def f(x, xs, m):\n"
+        "    y = float(x) + float(m.p)\n"
+        "    z = tuple(float(p) for p in xs)\n"
+        "    w = float('inf'), float(), m.float(x), math.floor(x)\n"), "m",
+        _calls_float)
+    assert list(found) == ["m.f"] * 3
+
+
+def test_a_callers_real_is_converted_at_one_site():
+    # a new call of float on a value is a second copy of the rule that
+    # refuses a bool and text, unless it parses text or formats output
+    assert _package_sites(_calls_float) == FLOAT_SITES
 
 
 def test_every_imported_name_is_used():

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -15,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, TableError,
                    mdm_log_pmf, theta_to_alpha)
-from mdmix.cli import (MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
-                       MAX_WOE_CONTRIBUTORS, main, parse_theta_grid,
+from mdmix.cli import (COMMANDS, MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
+                       MAX_WOE_CONTRIBUTORS, OPTIONS, main, parse_theta_grid,
                        read_table_csv)
 
 FREQ_CSV = """locus,allele,frequency
@@ -556,3 +557,121 @@ def test_edge_inputs_exit_0_or_name_the_error(edge_files, command, theta,
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(f"mdmix {command}: error: ")
+
+
+# ---------------------------------------------------------------------------
+# generated --config files, every subcommand
+
+# files a config names, as tokens the test replaces with paths
+FILE_TOKENS = ("@freqs", "@table", "@missing", "@dir")
+# a value each option takes when it is right; sizes stay far below
+# MAX_MOMENT_CELLS and MAX_SAMPLE_SIZE
+RIGHT = {
+    "freqs": st.just("@freqs"),
+    "table": st.just("@table"),
+    "locus": st.sampled_from(("D1", "D2")),
+    "out": st.just("-"),
+    "theta": st.floats(0.0, 0.99),
+    "theta_grid": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
+    "rows": st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    "seed": st.integers(0, 2 ** 70),
+    "q_values": st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+    "contributors": st.integers(1, 3),
+    "tail_mass": st.floats(0.01, 1.0),
+}
+NUMBERS = st.one_of(
+    st.floats(), st.integers(-3, 12),
+    st.sampled_from((10 ** 7, 10 ** 30, 10 ** 400, -10 ** 400, 1e308,
+                     5e-324, -0.0)))
+# no '/' or '\\' in text: a path it names stays in the working directory
+TEXT = st.text(st.characters(blacklist_characters="/\\"), max_size=6)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), NUMBERS, TEXT,
+    st.sampled_from(FILE_TOKENS + ("0:0.5:0.1", "0:1:0", "nan:1:0.1",
+                                   "0.1,0.2", "2,2", "2,-1", "θ", "２,２",
+                                   "a\x00b")))
+WRONG = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=2), max_leaves=4)
+
+
+@st.composite
+def configs(draw):
+    """A subcommand and a config for it.  At most two options, the
+    subcommand's or others, get an edge value (a number, or a list of
+    numbers for a list option) or a value of any type; each other option of
+    the subcommand is right or absent.  Now and then a key is no option."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    odd = draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=2))
+    cfg = {}
+    for name, (_, many, _, _) in OPTIONS.items():
+        if name in odd:
+            edge = st.lists(NUMBERS, max_size=4) if many else NUMBERS
+            cfg[name] = draw(st.one_of(edge, WRONG))
+        elif name in COMMANDS[command][2] and draw(st.integers(0, 3)):
+            cfg[name] = draw(RIGHT[name])
+    if draw(st.sampled_from(range(8))) == 7:
+        cfg[draw(TEXT.filter(lambda key: key not in OPTIONS))] = draw(WRONG)
+    return command, cfg
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config")
+    (root / "dir").mkdir()
+    return root
+
+
+def _named(message: str, cfg: dict, paths: dict) -> bool:
+    """Whether message names an option, as a word, or a file the config
+    gave."""
+    files = [v for k, v in cfg.items()
+             if k in ("freqs", "table", "out") and isinstance(v, str)]
+    return (any(re.search(rf"(?<!\w){name}(?!\w)", message)
+                for name in OPTIONS)
+            or any(path in message for path in paths.values())
+            or any(repr(path) in message for path in files))
+
+
+@settings(max_examples=150)
+@given(configs())
+@example(("woe-curve", {"q_values": [1e308]}))
+@example(("moments", {"freqs": "@freqs", "locus": "D2", "theta": 0.1,
+                      "rows": [10 ** 400]}))
+@example(("pmf", {"freqs": "a\x00b", "table": "@table", "theta": 0.1}))
+def test_generated_config_exits_0_or_names_the_field(config_dir, case):
+    command, cfg = case
+    paths = {token: str(config_dir / name) for token, name in zip(
+        FILE_TOKENS, ("freqs.csv", "table.csv", "missing", "dir"))}
+    # an earlier example's --out may have written over the inputs
+    (config_dir / "freqs.csv").write_text(FREQ_CSV)
+    (config_dir / "table.csv").write_text(TABLE_CSV)
+
+    def resolve(value):
+        if isinstance(value, list):
+            return list(map(resolve, value))
+        return paths.get(value, value) if isinstance(value, str) else value
+
+    cfg = {key: resolve(value) for key, value in cfg.items()}
+    cfg_path = config_dir / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    # a file the config names by a bare name lands in config_dir
+    cwd = os.getcwd()
+    os.chdir(config_dir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--config", str(cfg_path)])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        prefix = f"mdmix {command}: error: "
+        message = err.getvalue()
+        assert message.startswith(prefix)
+        unknown = [key for key in cfg if key not in OPTIONS]
+        if unknown:
+            assert message == f"{prefix}{unknown[0]}: not an option\n"
+        else:
+            assert _named(message[len(prefix):], cfg, paths), message

@@ -12,14 +12,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mdmix.evidence
 import mdmix.validation
-from mdmix import (AlleleFrequencies, GenotypePair, MultiplicityClass,
-                   ParameterError, ProfileCounts, genotype_from_alleles,
-                   pair_ratio, pair_ratio_curves, pair_ratio_via_pmfs,
-                   pair_ratio_via_steps, woe_curve, woe_margin_grid, woe_step)
+from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
+                   MultiplicityClass, ParameterError, ProfileCounts,
+                   genotype_from_alleles, mdm_log_pmf, pair_ratio,
+                   pair_ratio_curves, pair_ratio_via_pmfs,
+                   pair_ratio_via_steps, theta_to_alpha, woe_curve,
+                   woe_margin_grid, woe_step)
 from mdmix.evidence import MarginState, enumerate_genotype_pairs
 from mdmix.mdm import _log_step
 
@@ -208,6 +210,12 @@ def test_woe_curve_shape():
     (0.2, (-0.1, 0.5), 0.0),
     # the pool mass of the tail underflows to 0 at the last theta only
     (1.0 - 1e-16, (0.0, 0.5, 0.9999999999999999), 1e-300),
+    # Q and then tail_mass are converted before any range check
+    ("0.1", (0.1,), 1.0),
+    (0.2, (0.1,), True),
+    ("0.1", (2.0,), True),
+    (0.0, (0.1,), "0.5"),
+    (0.2, (0.1, "0.3"), 1.0),
 ])
 def test_woe_curve_raises_the_error_of_woe_step(q, grid, mass):
     states = [s for s, _ in woe_margin_grid()]
@@ -508,3 +516,51 @@ def test_pair_ratio_curves_order_by_sharing():
 def test_enumerate_genotype_pairs_counts():
     # 6 genotypes over 3 categories, 21 unordered pairs
     assert len(list(enumerate_genotype_pairs(3))) == 21
+
+
+# ---------------------------------------------------------------------------
+# where the theta-correction raises a single-source likelihood ratio
+
+
+def _single_source_log_lr(genotype, freqs, theta):
+    """log LR = log P(g) - log P(g, g): the one-row table g against the
+    two-row table (g, g), both under theta."""
+    model = theta_to_alpha(freqs, theta)
+    one = mdm_log_pmf(CountTable((genotype,)), MdmParams((2,), model))
+    two = mdm_log_pmf(CountTable((genotype, genotype)),
+                      MdmParams((2, 2), model))
+    return one - two
+
+
+@settings(max_examples=400)
+@given(st.floats(0.01, 0.6), st.floats(0.01, 0.6), st.booleans())
+def test_single_source_log_lr_slope_at_theta_zero(p_a, p_b, homozygote):
+    # d log LR / d theta at 0 is 5 - 1/p_a - 1/p_b for a heterozygote ab
+    # and 5 - 5/p_a for a homozygote aa: negative for every homozygote,
+    # positive for a heterozygote with 1/p_a + 1/p_b < 5
+    assume(p_a + p_b < 1.0)
+    freqs = AlleleFrequencies((p_a, p_b))
+    genotype = (2, 0, 0) if homozygote else (1, 1, 0)
+    slope = 5.0 - 5.0 / p_a if homozygote else 5.0 - 1.0 / p_a - 1.0 / p_b
+    at_zero = _single_source_log_lr(genotype, freqs, 0.0)
+
+    def forward(h):
+        return (_single_source_log_lr(genotype, freqs, h) - at_zero) / h
+
+    # Richardson extrapolation of two forward differences cancels the O(h)
+    # term; the rest is O(h^2) and rounding, far below the bound
+    h = 1e-6
+    estimate = 2.0 * forward(h / 2.0) - forward(h)
+    assert abs(estimate - slope) <= 1e-6 * max(abs(slope), 1.0)
+
+
+def test_theta_raises_the_lr_of_a_common_heterozygote():
+    # the paper's "reduces the weight of the evidence" has a scope: at
+    # p_a = p_b = 0.5, 1/p_a + 1/p_b = 4 < 5, and the LR grows with theta
+    freqs = AlleleFrequencies((0.5, 0.5))
+    lr = [math.exp(_single_source_log_lr((1, 1), freqs, theta))
+          for theta in (0.0, 0.1)]
+    assert lr[0] == pytest.approx(2.0, rel=1e-12)
+    # 1 / P(ab | ab) = (1 + theta)(1 + 2 theta) / (2 (theta + (1 - theta)/2)^2)
+    assert lr[1] == pytest.approx(1.1 * 1.2 / (2.0 * 0.55 ** 2), rel=1e-12)
+    assert lr[1] == pytest.approx(2.1818181818181817, rel=1e-12)

@@ -351,6 +351,126 @@ def test_a_callers_integer_is_refused_as_a_bool_a_float_or_below_least(
 
 
 # ---------------------------------------------------------------------------
+# a caller's reals and lists
+
+
+# every site that takes a caller's real: value -> a call with the value in
+# the checked place, and the field as named
+REAL_SITES = {
+    **{f"{taker}.theta": (call, "theta")
+       for taker, call in THETA_TAKERS.items()},
+    "AlleleFrequencies": (lambda v: AlleleFrequencies((0.5, v)), "probs[1]"),
+    "DispersionModel.from_alpha": (
+        lambda v: DispersionModel.from_alpha((1.0, v)), "alpha[1]"),
+    "woe_step.Q": (lambda v: woe_step(STATE, v, 0.1), "Q"),
+    "woe_step.tail_mass": (lambda v: woe_step(STATE, 0.3, 0.1, v),
+                           "tail_mass"),
+    "woe_curve.Q": (lambda v: woe_curve([STATE], v, [0.1]), "Q"),
+    "woe_curve.tail_mass": (lambda v: woe_curve([STATE], 0.3, [0.1], v),
+                            "tail_mass"),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.1", b"0", None],
+                         ids=["bool", "numpy-bool", "str", "bytes", "None"])
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_callers_real_is_refused_as_a_bool_text_or_none(site, value):
+    call, field = REAL_SITES[site]
+    with pytest.raises(ParameterError) as err:
+        call(value)
+    assert str(err.value) == f"{field}: expected float, got {value!r}"
+
+
+def test_the_cli_takes_a_float_option_that_is_not_text_by_the_same_rule():
+    # text is parsed, None leaves the option unset, and any other value
+    # goes through the library's rule
+    for name in ("theta", "tail_mass"):
+        for value in (True, np.True_, b"0", [0.1]):
+            with pytest.raises(ParameterError) as err:
+                _cli("woe-curve", name)(value)
+            assert str(err.value) == f"{name}: expected float, got {value!r}"
+
+
+def test_frequencies_from_numpy_give_the_bits_of_floats():
+    probs = (0.1, 0.2, 1.0 / 3.0)
+    want = AlleleFrequencies(probs)
+    for same in (np.array(probs), tuple(map(np.float64, probs)),
+                 [np.float32(0.1), 0.2, 1.0 / 3.0]):
+        got = AlleleFrequencies(same)
+        floats = AlleleFrequencies(tuple(map(float, same)))
+        assert all(type(p) is float for p in got.extended_probs)
+        assert repr((got.extended_probs, got.log_extended_probs)) == repr(
+            (floats.extended_probs, floats.log_extended_probs))
+    assert repr(AlleleFrequencies(np.array(probs))) == repr(want)
+    model = DispersionModel.from_alpha(np.array((1.0, 2.5)))
+    assert repr(model) == repr(DispersionModel.from_alpha((1.0, 2.5)))
+
+
+def test_an_empty_list_of_reals_is_refused_naming_the_field():
+    for call, field in ((AlleleFrequencies, "probs"),
+                        (DispersionModel.from_alpha, "alpha")):
+        for empty in ((), [], np.array([])):
+            with pytest.raises(ParameterError) as err:
+                call(empty)
+            assert str(err.value) == f"{field}: expected a non-empty list"
+
+
+# every site that takes a caller's list: value -> a call with the value in
+# the list's place, the error class, the field as named and the kind of its
+# entries
+LIST_SITES = {
+    "CountTable": (CountTable, TableError, "counts", "lists of int"),
+    "CountTable.row": (lambda v: CountTable(((1, 0), v)), TableError,
+                       r"counts\[1\]", "int"),
+    "ProfileCounts": (ProfileCounts, TableError, "counts", "int"),
+    "SubsetSpec": (SubsetSpec, ParameterError, "indices", "int"),
+    "MdmParams": (lambda v: MdmParams(v, PAIR_PARAMS.model), ParameterError,
+                  "row_sums", "int"),
+    "MultiplicityClass": (MultiplicityClass, ParameterError,
+                          "multiplicities", "int"),
+    "genotype_from_alleles": (lambda v: genotype_from_alleles(v, 3),
+                              ParameterError, "alleles", "int"),
+    "count_tables": (lambda v: count_tables(v, 3), TableError, "row_sums",
+                     "int"),
+    "enumerate_tables": (lambda v: next(enumerate_tables(v, 3)), TableError,
+                         "row_sums", "int"),
+    "enumerate_tables_with_margins.row_sums": (
+        lambda v: next(enumerate_tables_with_margins(v, (2, 2))),
+        TableError, "row_sums", "int"),
+    "enumerate_tables_with_margins.col_sums": (
+        lambda v: next(enumerate_tables_with_margins((2, 2), v)),
+        TableError, "col_sums", "int"),
+    "AlleleFrequencies": (AlleleFrequencies, ParameterError, "probs",
+                          "float"),
+    "DispersionModel.from_alpha": (DispersionModel.from_alpha,
+                                   ParameterError, "alpha", "float"),
+    "woe_curve": (lambda v: woe_curve([STATE], 0.3, v), ParameterError,
+                  "theta_grid", "float"),
+    "pair_ratio_curves": (lambda v: pair_ratio_curves(QUAD, v),
+                          ParameterError, "theta_grid", "float"),
+}
+
+
+@pytest.mark.parametrize("value", [2, 0.1, "12", b"12", None, np.array(2)],
+                         ids=["int", "float", "str", "bytes", "None",
+                              "numpy-0d"])
+@pytest.mark.parametrize("site", LIST_SITES)
+def test_a_callers_list_is_refused_as_a_scalar_or_text(site, value):
+    call, error, field, kind = LIST_SITES[site]
+    with pytest.raises(error, match=rf"^{field}: expected a list of {kind}, "
+                       rf"got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", ["rows", "q_values", "theta_grid"])
+def test_the_cli_refuses_a_scalar_for_a_list_option_in_the_same_words(name):
+    kind = "int" if name == "rows" else "float"
+    with pytest.raises(ParameterError) as err:
+        _cli("moments", name)(2)
+    assert str(err.value) == f"{name}: expected a list of {kind}, got 2"
+
+
+# ---------------------------------------------------------------------------
 # frequency files
 
 
