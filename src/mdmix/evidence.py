@@ -246,6 +246,11 @@ def woe_curve(states, q_scaled: float, theta_grid,
     woe_step's checks in grid order, so bad input raises the error woe_step
     raises at the first theta where it would fail.
     """
+    states = _as_items(states, "states", "MarginState")
+    for k, state in enumerate(states):
+        if not isinstance(state, MarginState):
+            raise ParameterError(
+                f"states[{k}]: expected a MarginState, got {state!r}")
     grid = _as_items(theta_grid, "theta_grid", "float")
     out = np.ones((len(states), len(grid)))
     if not out.size:

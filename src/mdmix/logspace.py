@@ -36,6 +36,8 @@ def log_binomial(n: int, k: int) -> float:
     """log C(n, k); LOG_ZERO outside 0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return LOG_ZERO
+    if n <= _MAX_TABLED:  # and so k and n - k: three reads of the table
+        return _LOG_FACTORIAL[n] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[n - k]
     return log_factorial(n) - log_factorial(k) - log_factorial(n - k)
 
 

@@ -24,7 +24,10 @@ success probability Q_a = q_a / sum_{b >= a} q_b (a binomial at
 theta = 0), split hypergeometrically across the rows' remaining counts;
 one step is the private kernel _log_step, and mdm_chain_log_pmf is their
 sum.  A step over an empty column is the chance that none of the free
-draws lands in it, which leaves three terms.
+draws lands in it, which leaves three terms.  What a step needs of q and
+a. (log Q_a, log(1 - Q_a) and three Dirichlet masses) is computed once per
+MdmParams, on the first chain call, and each L term once per chain: a
+step's -L(pool a., rem) is the +L(q_tail a., rem - n) of the step before.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 
 from .logspace import log_binomial, log_factorial, log_scaled_rising
@@ -74,6 +78,16 @@ class MdmParams:
     @property
     def n_categories(self) -> int:
         return self.model.freqs.n_categories
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The _step record of each category but the last, for the chain;
+        built on first use, so the direct pmf never pays for it."""
+        q = self.model.freqs.extended_probs
+        suffix = _suffix_sums(q)
+        scale = self.model.alpha_total
+        return tuple(_step(q[a], suffix[a + 1], scale)
+                     for a in range(len(q) - 1))
 
 
 def _check_table(table: CountTable, params: MdmParams,
@@ -124,35 +138,42 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     return math.fsum(terms)
 
 
-def _log_step(q_a: float, q_tail: float, col, free,
-              scale: float = 1.0) -> float:
-    """Log mass of one chain step, unchecked: the rows draw col[i] of their
-    free[i] remaining counts into category a, whose Dirichlet parameter is
-    q_a scale against q_tail scale for the categories after it.  With
-    n = sum(col), rem = sum(free) and Q = q_a / (q_a + q_tail), the pooled
-    count is beta-binomial and its split across the rows hypergeometric:
+def _step(q_a: float, q_tail: float, scale: float) -> tuple:
+    """The constants of a chain step into a category whose Dirichlet
+    parameter is q_a scale against q_tail scale for the categories after
+    it: (log Q, log(1 - Q), q_a scale, q_tail scale, pool scale) with
+    pool = q_a + q_tail and Q = q_a / pool."""
+    pool = q_a + q_tail
+    return (math.log(q_a / pool), math.log(q_tail / pool),
+            q_a * scale, q_tail * scale, pool * scale)
+
+
+def _log_step(step: tuple, col, n: int, free, rem: int,
+              l_pool: float | None = None) -> tuple[float, float]:
+    """Log mass of one chain step, unchecked, and L(q_tail scale, rem - n),
+    the next step's l_pool: the rows draw col[i] of their free[i] remaining
+    counts, n = sum(col) of rem = sum(free), into the category of step, a
+    _step record.  The pooled count is beta-binomial and its split across
+    the rows hypergeometric:
 
         { prod_i C(free_i, col_i) } Q^n (1-Q)^(rem-n)
-        * exp(L(q_a scale, n) + L(q_tail scale, rem-n)
-              - L((q_a + q_tail) scale, rem)),
+        * exp(L(q_a scale, n) + L(q_tail scale, rem-n) - L(pool scale, rem)),
 
-    a binomial at scale = inf.  Every term left out, a binomial of a zero
-    cell or, for an empty column (n = 0), the terms in n, is an exact zero,
-    and fsum is exactly rounded, so the bits are those of the full sum.
+    a binomial at scale = inf.  l_pool is L(pool scale, rem), computed here
+    when not given.  Every term left out, a binomial of a zero cell or, for
+    an empty column (n = 0), the terms in n, is an exact zero, and fsum is
+    exactly rounded, so the bits are those of the full sum.
     """
-    n = sum(col)
-    rem = sum(free)
-    pool = q_a + q_tail
+    log_q, log_tail, alpha_a, alpha_tail, alpha_pool = step
+    if l_pool is None:
+        l_pool = log_scaled_rising(alpha_pool, rem)
+    l_tail = log_scaled_rising(alpha_tail, rem - n)
     if not n:
-        return math.fsum((rem * math.log(q_tail / pool),
-                          log_scaled_rising(q_tail * scale, rem),
-                          -log_scaled_rising(pool * scale, rem)))
+        return math.fsum((rem * log_tail, l_tail, -l_pool)), l_tail
     terms = [log_binomial(f, c) for f, c in zip(free, col) if c]
-    terms += [n * math.log(q_a / pool), (rem - n) * math.log(q_tail / pool),
-              log_scaled_rising(q_a * scale, n),
-              log_scaled_rising(q_tail * scale, rem - n),
-              -log_scaled_rising(pool * scale, rem)]
-    return math.fsum(terms)
+    terms += [n * log_q, (rem - n) * log_tail,
+              log_scaled_rising(alpha_a, n), l_tail, -l_pool]
+    return math.fsum(terms), l_tail
 
 
 def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
@@ -161,21 +182,22 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     Telescopes to mdm_log_pmf; independent code path for cross-checks.
     The last column's step is certain (its tail is empty), and once no
     draw is free every later step is an exact zero, so neither is taken.
+    Each step hands its L(q_tail a., rem - n) on as the next step's
+    L(pool a., rem); the first step computes its own.
     """
     _check_table(table, params)
-    q = params.model.freqs.extended_probs
-    a_total = params.model.alpha_total
-    suffix = _suffix_sums(q)
     free = table.row_sums
     rem = table.total
     terms = []
-    for a, col, n in zip(range(len(q) - 1), zip(*table.counts),
-                         table.col_sums):
+    l_pool = None
+    for step, col, n in zip(params._steps, zip(*table.counts),
+                            table.col_sums):
         if not rem:
             break
-        terms.append(_log_step(q[a], suffix[a + 1], col, free, a_total))
+        term, l_pool = _log_step(step, col, n, free, rem, l_pool)
+        terms.append(term)
         if n:
-            free = [f - c for f, c in zip(free, col)]
+            free = list(map(operator.sub, free, col))
             rem -= n
     return math.fsum(terms)
 

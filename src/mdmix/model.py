@@ -225,11 +225,17 @@ def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     return DispersionModel(theta, freqs)
 
 
+# The largest total of a CountTable: log (10**300)! is 6.9e302, so every
+# log factorial and log pmf of its cells and margins stays a finite double.
+_MAX_TOTAL = 10 ** 300
+
+
 @dataclass(frozen=True)
 class CountTable:
     """An I x A matrix of allele counts, one row per profile.
 
-    The margins row_sums, col_sums and total are computed on construction.
+    The margins row_sums, col_sums and total are computed on construction;
+    a total above 10**300 is a TableError.
     """
 
     counts: tuple[tuple[int, ...], ...]
@@ -253,10 +259,13 @@ class CountTable:
             raise TableError("a table needs at least one profile row")
         counts = tuple(counts)
         row_sums = tuple(map(sum, counts))
+        total = sum(row_sums)
+        if total > _MAX_TOTAL:
+            raise TableError("counts: the table's total is above 10**300")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_sums", row_sums)
         object.__setattr__(self, "col_sums", tuple(map(sum, zip(*counts))))
-        object.__setattr__(self, "total", sum(row_sums))
+        object.__setattr__(self, "total", total)
 
     @property
     def n_profiles(self) -> int:
@@ -351,10 +360,15 @@ def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
     on, so a quoted field that spans lines does not shift later numbers.
     check_header(header) raises on a bad header and returns the field count
     of every row.  An empty, undecodable or malformed file and a row of
-    another width raise error naming path."""
+    another width raise error naming path, and so does a path that holds a
+    NUL, which open refuses with a ValueError."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except ValueError as err:
+        raise error(f"{path!r}: {err}") from None
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -78,6 +78,12 @@ def test_read_table_csv(tmp_path, table_file):
         read_table_csv(str(bad))
 
 
+def test_read_table_csv_names_a_path_that_holds_a_nul():
+    with pytest.raises(TableError) as err:
+        read_table_csv("a\x00b")
+    assert str(err.value) == "'a\\x00b': embedded null byte"
+
+
 # ---------------------------------------------------------------------------
 # pmf
 
@@ -110,6 +116,21 @@ def test_pmf_width_mismatch_is_a_usage_error(capsys, freq_file, table_file):
                  "--locus", "D2", "--theta", "0.03"])
     assert code == 2
     assert "categories" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big", [10 ** 306, 10 ** 400])
+def test_pmf_with_a_count_past_the_cap_is_a_usage_error(tmp_path, capsys,
+                                                        freq_file, big):
+    # these ended in a traceback: log_factorial's math range error at
+    # 10**306 and the float conversion's OverflowError at 10**400
+    table = tmp_path / "big.csv"
+    table.write_text(TABLE_CSV.replace("suspect,2,", f"suspect,{big},"))
+    assert main(["pmf", "--freqs", freq_file, "--table", str(table),
+                 "--locus", "D1", "--theta", "0.03"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mdmix pmf: error: counts: the table's total is "
+                            "above 10**300\n")
 
 
 def test_pmf_missing_required_option(capsys, freq_file, table_file):

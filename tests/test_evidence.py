@@ -23,7 +23,7 @@ from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
                    pair_ratio_via_steps, theta_to_alpha, woe_curve,
                    woe_margin_grid, woe_step)
 from mdmix.evidence import MarginState, enumerate_genotype_pairs
-from mdmix.mdm import _log_step
+from mdmix.mdm import _log_step, _step
 
 # a six-category reference panel: five named alleles and a rest class
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))
@@ -117,8 +117,9 @@ def test_woe_step_matches_split_enumeration():
                        * (1 - q) ** (2 - s_i - n_i)
                        * math.comb(2 - s_j, n_j) * q ** n_j
                        * (1 - q) ** (2 - s_j - n_j))
-                den = math.exp(_log_step(a_step, a_tail, (n_i, n_j),
-                                         (2 - s_i, 2 - s_j)))
+                den = math.exp(_log_step(_step(a_step, a_tail, 1.0),
+                                         (n_i, n_j), n, (2 - s_i, 2 - s_j),
+                                         4 - s)[0])
                 out.append(num / den)
         return out
 
@@ -225,6 +226,21 @@ def test_woe_curve_raises_the_error_of_woe_step(q, grid, mass):
     with pytest.raises(ParameterError) as got:
         woe_curve(states, q, grid, tail_mass=mass)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("states, message", [
+    (5, "states: expected a list of MarginState, got 5"),
+    ("ab", "states: expected a list of MarginState, got 'ab'"),
+    ([1], "states[0]: expected a MarginState, got 1"),
+    ([MarginState(1, 0, 2), (1, 0, 2)],
+     "states[1]: expected a MarginState, got (1, 0, 2)"),
+])
+def test_woe_curve_refuses_states_naming_the_field(states, message):
+    # also where the grid is empty and no ratio would be computed
+    for grid in ((0.1,), ()):
+        with pytest.raises(ParameterError) as err:
+            woe_curve(states, 0.1, grid)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

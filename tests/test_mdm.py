@@ -20,7 +20,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
 from mdmix.logspace import log_binomial, log_scaled_rising
-from mdmix.mdm import _log_step
+from mdmix.mdm import _log_step, _step
 from mdmix.moments import factorial_moment
 from mdmix.oracle import (MdmSampler, enumerate_tables,
                           enumerate_tables_with_margins,
@@ -151,14 +151,47 @@ def test_theta_to_zero_is_continuous():
     assert abs(near_zero - at_zero) < 1e-4
 
 
+@pytest.mark.parametrize("counts", [((10 ** 306, 0),),
+                                    ((1, 2), (3, 10 ** 400)),
+                                    ((10 ** 300, 1),)])
+def test_a_table_whose_total_is_past_the_cap_is_refused(counts):
+    # 10**306 overflowed log_factorial and 10**400 the conversion to float;
+    # the cap is on the total, so a table of cells at the cap is refused too
+    with pytest.raises(TableError,
+                       match=r"^counts: the table's total is above 10\*\*300$"):
+        CountTable(counts)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-15, 0.3, 1.0 - 1e-16])
+def test_a_table_at_the_cap_has_a_finite_pmf(theta):
+    cap = 10 ** 300
+    for probs in ((1e-300, 1.0 - 1e-300), (0.1,) * 10):
+        model = theta_to_alpha(AlleleFrequencies(probs), theta)
+        width = len(probs)
+        for counts in (((cap,) + (0,) * (width - 1),),
+                       ((cap - width + 1,) + (1,) * (width - 1),),
+                       ((cap // (2 * width),) * width,) * 2):
+            table = CountTable(counts)
+            params = MdmParams(table.row_sums, model)
+            for f in (mdm_log_pmf, mdm_chain_log_pmf):
+                assert math.isfinite(f(table, params))
+            assert math.isfinite(hypergeometric_log_pmf(table))
+
+
 # ---------------------------------------------------------------------------
 # chain factorization
+
+
+def step_mass(alpha_a, alpha_tail, col, free):
+    # one step's log mass, alpha_a against alpha_tail at scale 1
+    return _log_step(_step(alpha_a, alpha_tail, 1.0), col, sum(col), free,
+                     sum(free))[0]
 
 
 def test_joint_step_closed_form():
     # two fresh contributors, one draw each into a category with
     # alpha_a = alpha_tail = 4.5
-    got = _log_step(4.5, 4.5, (1, 1), (2, 2))
+    got = step_mass(4.5, 4.5, (1, 1), (2, 2))
     expected = (math.log(4) + lgamma(9.0) + 2 * lgamma(6.5)
                 - 2 * lgamma(4.5) - lgamma(13.0))
     assert got == pytest.approx(expected, abs=1e-13)
@@ -168,10 +201,10 @@ def test_joint_step_supports_general_row_sums():
     # rows with 3 and 1 draws left: the step is a pmf over the column
     # drawn, and at column (2, 0) it is C(3, 2) (1)_2 (2)_2 / (3)_4 = 1/10
     free = (3, 1)
-    total = math.fsum(math.exp(_log_step(1.0, 2.0, col, free))
+    total = math.fsum(math.exp(step_mass(1.0, 2.0, col, free))
                       for col in itertools.product(range(4), range(2)))
     assert total == pytest.approx(1.0, abs=1e-14)
-    assert math.exp(_log_step(1.0, 2.0, (2, 0), free)) == pytest.approx(
+    assert math.exp(step_mass(1.0, 2.0, (2, 0), free)) == pytest.approx(
         0.1, rel=1e-14)
 
 
@@ -281,8 +314,10 @@ def _sparse_tables(draw):
     return CountTable(tuple(counts)), [w / sum(weights) for w in weights]
 
 
-@given(_sparse_tables(),
-       st.sampled_from((0.0, 1e-300, 1e-6, 0.3, 1.0 - 1e-9)))
+CHAIN_THETAS = (0.0, 1e-300, 1e-6, 0.3, 1.0 - 1e-9)
+
+
+@given(_sparse_tables(), st.sampled_from(CHAIN_THETAS))
 def test_chain_keeps_the_bits_of_the_full_step_sum(case, theta):
     # the chain leaves out exact zeros only: empty columns' terms in n,
     # zero cells, and the steps after the last free draw
@@ -291,6 +326,42 @@ def test_chain_keeps_the_bits_of_the_full_step_sum(case, theta):
     params = MdmParams(table.row_sums, theta_to_alpha(freqs, theta))
     assert mdm_chain_log_pmf(table, params).hex() == \
         _reference_chain(table, params).hex()
+
+
+@pytest.mark.parametrize("theta", CHAIN_THETAS)
+def test_chain_keeps_the_bits_with_one_params_over_many_large_tables(theta):
+    # rows above 170 draws take log_binomial's lgamma branch, and the step
+    # constants built on the first chain call are read again by the rest;
+    # the direct pmf does not build them
+    freqs = AlleleFrequencies((0.3, 0.02, 0.25, 0.1, 0.05, 0.2))
+    params = MdmParams((400, 171, 3, 0), theta_to_alpha(freqs, theta))
+    sampler = MdmSampler(params, 11)
+    tables = [sampler.draw() for _ in range(40)]
+    assert len(set(tables)) > 1
+    mdm_log_pmf(tables[0], params)
+    assert "_steps" not in vars(params)
+    for table in tables:
+        assert mdm_chain_log_pmf(table, params).hex() == \
+            _reference_chain(table, params).hex()
+
+
+@pytest.mark.parametrize("theta", CHAIN_THETAS)
+def test_chain_keeps_the_bits_on_derived_params(theta):
+    # conditioning on rows and collapsing columns rebuild q and alpha_total
+    # through _scaled_model; the chain reads those, not the parent's
+    freqs = AlleleFrequencies((0.3, 0.02, 0.25, 0.1, 0.05))
+    params = MdmParams((5, 200, 2), theta_to_alpha(freqs, theta))
+    observed = CountTable(((1, 0, 2, 1, 0, 1),))
+    derived = (conditional_over_profiles(params, observed, SubsetSpec((0,))),
+               marginal_over_alleles(params, SubsetSpec((0, 2, 4))),
+               marginal_over_alleles(conditional_over_profiles(
+                   params, observed, SubsetSpec((0,))), SubsetSpec((1, 3))))
+    for k, sub in enumerate(derived):
+        sampler = MdmSampler(sub, k)
+        for _ in range(20):
+            table = sampler.draw()
+            assert mdm_chain_log_pmf(table, sub).hex() == \
+                _reference_chain(table, sub).hex()
 
 
 # ---------------------------------------------------------------------------

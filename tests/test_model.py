@@ -518,6 +518,13 @@ def test_read_frequency_csv_rejects_wrong_header(tmp_path):
         read_frequency_csv(path)
 
 
+def test_read_frequency_csv_names_a_path_that_holds_a_nul():
+    # open refuses the path with a bare ValueError; the reader names it
+    with pytest.raises(FrequencyFileError) as err:
+        read_frequency_csv("a\x00b")
+    assert str(err.value) == "'a\\x00b': embedded null byte"
+
+
 def test_read_frequency_csv_rejects_duplicate_allele(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
