@@ -14,6 +14,8 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import chain
 
 from .evidence import pair_ratio_curves, woe_curve, woe_margin_grid
@@ -36,9 +38,11 @@ from .oracle import MdmSampler
 from .validation import run_all_suites
 
 # name -> (kind, many, default, help).  The flag is --name with '-' for '_';
-# a --config file sets it under name.  _merge coerces a value from either by
-# _typed to kind (a non-empty tuple of kind when many), a theta_grid string
-# by parse_theta_grid, and then takes each int through model._as_count.
+# a --config file sets it under name.  A default is the text a user would
+# type for the flag, and --help prints it.  _merge coerces a value from any
+# of the three by _typed to kind (a non-empty tuple of kind when many), a
+# theta_grid string by parse_theta_grid, and then takes each int through
+# model._as_count.
 OPTIONS = {
     "freqs": (str, False, None,
               "allele-frequency CSV (locus,allele,frequency)"),
@@ -46,22 +50,20 @@ OPTIONS = {
     "locus": (str, False, None, "locus name from the frequency file"),
     "out": (str, False, None, "output path, '-' for stdout (default)"),
     "theta": (float, False, None, "coancestry coefficient in [0, 1)"),
-    # 0, 0.01, ..., 0.5 as k / 100: parse_theta_grid's start + k * step
-    # differs from it in the last bit at 3 of the 51 points
-    "theta_grid": (float, True, tuple(k / 100.0 for k in range(51)),
-                   "start:stop:step or comma list (default 0:0.5:0.01)"),
+    "theta_grid": (float, True, "0:0.5:0.01",
+                   "start:stop:step or comma list"),
     "rows": (int, True, None, "comma-separated per-profile totals, e.g. 2,2"),
-    "seed": (int, False, 0, "RNG seed"),
-    "q_values": (float, True, (0.025, 0.05, 0.1, 0.2, 0.4),
+    "seed": (int, False, "0", "RNG seed"),
+    "q_values": (float, True, "0.025,0.05,0.1,0.2,0.4",
                  "comma-separated step probabilities Q"),
-    "contributors": (int, False, 2, "number of profiles"),
-    "tail_mass": (float, False, 1.0,
+    "contributors": (int, False, "2", "number of profiles"),
+    "tail_mass": (float, False, "1.0",
                   "pooled-mass override for interior steps"),
 }
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _convert(value, kind):
@@ -112,7 +114,9 @@ def _checked_grid(name: str, grid: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def parse_theta_grid(spec: str) -> tuple[float, ...]:
-    """Either start:stop:step (stop inclusive) or a comma list."""
+    """Either start:stop:step (stop inclusive) or a comma list.  Point k of
+    a range is start + k * step in exact arithmetic on the shortest decimal
+    text of each field's double, rounded once: 0:0.5:0.01 gives k / 100."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -126,14 +130,14 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
             raise ParameterError(f"theta_grid {spec!r} has non-finite fields")
         if step <= 0 or stop < start:
             raise ParameterError(f"theta_grid {spec!r} is not increasing")
-        # compare before rounding: a tiny step overflows the point count
-        span = (stop - start) / step
-        if not span < MAX_THETA_GRID_POINTS - 0.5:
+        # imported here, so the commands that take no grid start without it
+        from fractions import Fraction
+        start, stop, step = (Fraction(repr(x)) for x in (start, stop, step))
+        n = (stop - start) // step
+        if n >= MAX_THETA_GRID_POINTS:
             raise ParameterError(f"theta_grid {spec!r} has more than "
                                  f"{MAX_THETA_GRID_POINTS} points")
-        n = int(round(span))
-        grid = tuple(start + k * step for k in range(n + 1)
-                     if start + k * step <= stop + 1e-12)
+        grid = tuple(float(start + k * step) for k in range(n + 1))
     else:
         grid = _typed("theta_grid", spec, float, many=True)
     return _checked_grid("theta_grid", grid)
@@ -171,29 +175,36 @@ def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
     return tuple(ids), CountTable(tuple(rows))
 
 
+@contextmanager
+def _opened(out):
+    """The stream an output goes to: stdout for None or '-', else the file
+    at path out."""
+    if out in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+
+
 def _write_csv(out, header, rows) -> None:
-    """rows hold str cells already; out is a path or '-' for stdout."""
-    def emit(fh):
+    """rows hold str cells already."""
+    with _opened(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
-    if out in (None, "-"):
-        emit(sys.stdout)
-    else:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
 
-
-def _select_locus(freq_db: dict[str, LocusFrequencies],
-                  locus: str | None) -> LocusFrequencies:
-    if locus is not None:
-        if locus not in freq_db:
+def _select_locus(cfg: argparse.Namespace) -> LocusFrequencies:
+    """Locus cfg.locus of the frequency file cfg.freqs, or the file's one
+    locus when cfg.locus is None."""
+    freq_db = read_frequency_csv(cfg.freqs)
+    if cfg.locus is not None:
+        if cfg.locus not in freq_db:
             raise ParameterError(
-                f"locus {locus!r} not in frequency file "
+                f"locus {cfg.locus!r} not in frequency file "
                 f"(available: {', '.join(freq_db)})"
             )
-        return freq_db[locus]
+        return freq_db[cfg.locus]
     if len(freq_db) == 1:
         return next(iter(freq_db.values()))
     raise ParameterError(
@@ -203,7 +214,8 @@ def _select_locus(freq_db: dict[str, LocusFrequencies],
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Set each option in OPTIONS on args from its flag, else --config, else
-    its default; then check the values and the command's required options."""
+    its default if the command takes it; then check the values and the
+    command's required options."""
     file_cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -219,27 +231,33 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     for name, (kind, many, default, _) in OPTIONS.items():
         flag = getattr(args, name, None)
         value = file_cfg.get(name) if flag is None else flag
-        if value is None:
+        # a default only where the command reads it: a range grid's parse
+        # imports fractions, which the other commands start without
+        if value is None and name in COMMANDS[args.command][2]:
             value = default
-        elif name == "theta_grid" and isinstance(value, str):
+        if name == "theta_grid" and isinstance(value, str):
             value = parse_theta_grid(value)
-        else:
+        elif value is not None:
             value = _typed(name, value, kind, many)
             if many and not value:
                 raise ParameterError(f"{name}: expected a non-empty list")
         setattr(args, name, value)
-    _checked_grid("theta_grid", args.theta_grid)
-    for q in args.q_values:
+    if args.theta_grid is not None:
+        _checked_grid("theta_grid", args.theta_grid)
+    for q in args.q_values or ():
         if not 0.0 < q < 1.0:
             raise ParameterError(f"q_values value {q} outside (0, 1)")
-    args.seed = _as_count(args.seed, "seed", error=ParameterError)
+    if args.seed is not None:
+        args.seed = _as_count(args.seed, "seed", error=ParameterError)
     if args.rows is not None:
         args.rows = _as_counts(args.rows, "rows", error=ParameterError)
-    args.contributors = _as_count(args.contributors, "contributors", 1,
-                                  ParameterError)
-    if args.contributors > MAX_WOE_CONTRIBUTORS:
-        raise ParameterError(f"contributors: at most {MAX_WOE_CONTRIBUTORS}, "
-                             f"got {args.contributors}")
+    if args.contributors is not None:
+        args.contributors = _as_count(args.contributors, "contributors", 1,
+                                      ParameterError)
+        if args.contributors > MAX_WOE_CONTRIBUTORS:
+            raise ParameterError("contributors: at most "
+                                 f"{MAX_WOE_CONTRIBUTORS}, "
+                                 f"got {args.contributors}")
     for name in COMMANDS[args.command][3]:
         if getattr(args, name) is None:
             flag = "--" + name.replace("_", "-")
@@ -248,12 +266,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def cmd_pmf(cfg: argparse.Namespace) -> int:
-    freq_db = read_frequency_csv(cfg.freqs)
+    loci = (list(read_frequency_csv(cfg.freqs).values())
+            if cfg.locus is None else [_select_locus(cfg)])
     ids, table = read_table_csv(cfg.table)
-    if cfg.locus is not None:
-        loci = [_select_locus(freq_db, cfg.locus)]
-    else:
-        loci = list(freq_db.values())
     rows = []
     for entry in loci:
         if table.n_categories != entry.freqs.n_categories:
@@ -271,8 +286,7 @@ def cmd_pmf(cfg: argparse.Namespace) -> int:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
-    freq_db = read_frequency_csv(cfg.freqs)
-    entry = _select_locus(freq_db, cfg.locus)
+    entry = _select_locus(cfg)
     n_cells = len(cfg.rows) * entry.freqs.n_categories
     if n_cells > MAX_MOMENT_CELLS:
         raise ParameterError(f"rows: {len(cfg.rows)} profiles x "
@@ -299,10 +313,9 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
 
 
 def cmd_woe_curve(cfg: argparse.Namespace) -> int:
-    grid = woe_margin_grid(cfg.contributors)
+    states = [state for state, _ in woe_margin_grid(cfg.contributors)]
     rows = []
     for q in cfg.q_values:
-        states = [state for state, _ in grid]
         table = woe_curve(states, q, cfg.theta_grid, tail_mass=cfg.tail_mass)
         for r, state in enumerate(states):
             for c, theta in enumerate(cfg.theta_grid):
@@ -313,8 +326,7 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
-    freq_db = read_frequency_csv(cfg.freqs)
-    entry = _select_locus(freq_db, cfg.locus)
+    entry = _select_locus(cfg)
     curves = pair_ratio_curves(entry.freqs, cfg.theta_grid)
     rows = []
     for cls in sorted(curves, key=lambda c: c.multiplicities):
@@ -325,8 +337,7 @@ def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sample(cfg: argparse.Namespace) -> int:
-    freq_db = read_frequency_csv(cfg.freqs)
-    entry = _select_locus(freq_db, cfg.locus)
+    entry = _select_locus(cfg)
     n_cells = len(cfg.rows) * entry.freqs.n_categories
     if sum(cfg.rows) > MAX_SAMPLE_SIZE or n_cells > MAX_SAMPLE_SIZE:
         raise ParameterError(f"rows: {sum(cfg.rows)} draws into {n_cells} "
@@ -357,24 +368,11 @@ def cmd_validate(cfg: argparse.Namespace) -> int:
     results = run_all_suites()
     report = {
         "passed": all(r.passed for r in results),
-        "suites": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "n_checks": r.n_checks,
-                "max_error": r.max_error,
-                "tolerance": r.tolerance,
-                **({"note": r.note} if r.note else {}),
-            }
-            for r in results
-        ],
+        "suites": [{key: value for key, value in asdict(r).items()
+                    if key != "note" or value} for r in results],
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if cfg.out in (None, "-"):
-        print(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with _opened(cfg.out) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -410,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with default option values")
         for name in names:
-            _, many, default, text = OPTIONS[name]
-            if default is not None and not many:
+            default, text = OPTIONS[name][2:]
+            if default is not None:
                 text += f" (default {default})"
             p.add_argument("--" + name.replace("_", "-"), help=text)
     return parser

@@ -48,6 +48,7 @@ from .model import (
     ParameterError,
     SubsetSpec,
     TableError,
+    _MAX_TOTAL,
     _as_counts,
     _check_shape,
     _scaled_model,
@@ -65,6 +66,8 @@ class MdmParams:
         rows = _as_counts(self.row_sums, "row_sums", error=ParameterError)
         if not rows:
             raise ParameterError("at least one profile row is required")
+        if sum(rows) > _MAX_TOTAL:
+            raise ParameterError("row_sums: the total is above 10**300")
         object.__setattr__(self, "row_sums", rows)
 
     @property

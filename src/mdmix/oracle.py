@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterator
 
 import numpy as np
@@ -56,15 +56,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _raw_tables(row_sums, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not row_sums:
-        yield ()
-        return
-    for head in _compositions(row_sums[0], parts):
-        for rest in _raw_tables(row_sums[1:], parts):
-            yield (head,) + rest
-
-
 def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
     """Every table with the given row sums, exactly once, in a fixed order."""
     width = _as_count(n_categories, "n_categories", least=1)
@@ -77,7 +68,7 @@ def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
     if not rows:
         raise TableError("a table needs at least one profile row")
     total = sum(rows)
-    for counts in _raw_tables(rows, width):
+    for counts in product(*(_compositions(r, width) for r in rows)):
         yield _built_table(counts, rows, total)
 
 
@@ -104,13 +95,13 @@ def _support_and_probs(params: MdmParams):
     for t in enumerate_tables(params.row_sums, params.n_categories):
         tables.append(t.counts)
         probs.append(math.exp(mdm_log_pmf(t, params)))
-    return np.asarray(tables, dtype=np.int64), np.asarray(probs)
+    # numpy's own dtype: int64, or uint64 or object for a count past it
+    return np.asarray(tables), np.asarray(probs)
 
 
 def oracle_pmf_sum(params: MdmParams) -> float:
     """Sum of exp(mdm_log_pmf) over the full support; should be 1."""
-    return math.fsum(math.exp(mdm_log_pmf(t, params)) for t in
-                     enumerate_tables(params.row_sums, params.n_categories))
+    return math.fsum(_support_and_probs(params)[1])
 
 
 def oracle_moment(order: CountTable, params: MdmParams) -> float:

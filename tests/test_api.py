@@ -3,7 +3,8 @@
 pinned, and every `mdmix.<name>` the benchmark reads is still there.
 Source checks keep theta = 0 a limit of the formulas rather than a case
 they branch on, keep one conversion of a caller's integer and one of a
-caller's real, and keep every module free of imports it does not use."""
+caller's real, keep one rule for where an output goes, and keep every module
+free of imports it does not use."""
 
 from __future__ import annotations
 
@@ -106,17 +107,22 @@ INF_LIMIT_SITES = [
 INT_SITES = ["model._as_count"]
 
 
-# the functions that call the builtin float on a value: the one conversion
-# of a caller's real, the two text parsers, output formatting and two values
-# the library built itself
+# the functions that call the builtin float on a value, once per call: the
+# one conversion of a caller's real, the two text parsers (the grid parser
+# on each field's text and on each exact range point) and two values the
+# library built itself
 FLOAT_SITES = [
-    "cli._fmt",
+    "cli.parse_theta_grid",
     "cli.parse_theta_grid",
     "evidence.pair_ratio_curves.log_column",
     "model._as_real",
     "model.read_frequency_csv",
     "oracle.oracle_moment",
 ]
+
+# the functions that write to stdout: the one rule for where an output goes,
+# and sample's metadata, which goes to the stream its table is not on
+STDOUT_SITES = ["cli._opened", "cli.cmd_sample"]
 
 
 def _calls_float(node) -> bool:
@@ -135,6 +141,19 @@ def _reads_operator_index(node) -> bool:
     return (isinstance(node, ast.Attribute) and node.attr == "index"
             and isinstance(node.value, ast.Name)
             and node.value.id == "operator")
+
+
+def _reads_stdout(node) -> bool:
+    """sys.stdout, read or passed on, stdout imported from sys, or a call of
+    print with no file keyword, which writes to sys.stdout."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(
+            alias.name == "stdout" for alias in node.names)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id == "print"
+                and not any(kw.arg == "file" for kw in node.keywords))
+    return (isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
 
 
 def _tests_theta_truth(test) -> bool:
@@ -256,6 +275,25 @@ def test_a_callers_real_is_converted_at_one_site():
     # a new call of float on a value is a second copy of the rule that
     # refuses a bool and text, unless it parses text or formats output
     assert _package_sites(_calls_float) == FLOAT_SITES
+
+
+def test_stdout_scan_counts_every_write():
+    found = _sites(ast.parse(
+        "from sys import stdout\n"
+        "def f(x, m):\n"
+        "    sys.stdout.write(x)\n"
+        "    print(x)\n"
+        "    g(out=sys.stdout)\n"
+        "    print(x, file=sys.stderr)\n"
+        "    m.stdout.write(x), sys.stderr.write(x), m.print(x)\n"), "m",
+        _reads_stdout)
+    assert list(found) == ["m", "m.f", "m.f", "m.f"]
+
+
+def test_stdout_or_a_file_is_decided_at_one_site():
+    # a new write to stdout is a second copy of the rule that sends an
+    # output to stdout for no path or '-' and to the file otherwise
+    assert _package_sites(_reads_stdout) == STDOUT_SITES
 
 
 def test_every_imported_name_is_used():

@@ -9,13 +9,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdmix import (AlleleFrequencies, CountTable, MdmParams, TableError,
-                   mdm_log_pmf, theta_to_alpha)
+import mdmix
+from mdmix import (AlleleFrequencies, CountTable, MdmParams, ParameterError,
+                   TableError, mdm_log_pmf, theta_to_alpha)
 from mdmix.cli import (COMMANDS, MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
                        MAX_WOE_CONTRIBUTORS, OPTIONS, main, parse_theta_grid,
                        read_table_csv)
@@ -66,6 +69,78 @@ def test_parse_theta_grid_range_and_list():
         parse_theta_grid("0:0.5")
     with pytest.raises(Exception):
         parse_theta_grid("0:2:0.5")
+
+
+def test_range_points_are_rounded_once():
+    # start + k * step in exact arithmetic on the fields' shortest text:
+    # the doubles 0.1 * 3 and 0.01 * 35 are not 0.3 and 0.35
+    assert parse_theta_grid("0:0.9:0.1")[3] == 0.3
+    assert parse_theta_grid("0:0.5:0.01") == tuple(k / 100 for k in
+                                                    range(51))
+    # the stop is a point when it is one exactly, and never overshot
+    assert parse_theta_grid("0:0.3:0.1")[-1] == 0.3
+    assert parse_theta_grid("0:0.29999999999999:0.1")[-1] == 0.2
+
+
+@pytest.mark.parametrize("spec, result", [
+    ("0:1/3:0.1", "non-numeric"),
+    ("0:0.5:1/3", "non-numeric"),
+    ("0:inf:0.1", "non-finite"),
+    ("-inf:0.5:0.1", "non-finite"),
+    ("0:0.5:1e-999999999", "not increasing"),
+    ("0:1e-999999999:0.1", (0.0,)),
+    ("1e-999999999:0.2:0.1", (0.0, 0.1, 0.2)),
+])
+def test_range_fields_are_parsed_as_doubles(spec, result):
+    # Fraction would take 1/3 as a field, and build 10**999999999 for
+    # 1e-999999999, which float() reads as 0.0 at once
+    if isinstance(result, tuple):
+        assert parse_theta_grid(spec) == result
+    else:
+        with pytest.raises(ParameterError, match=result):
+            parse_theta_grid(spec)
+
+
+@pytest.mark.parametrize("command", ["woe-curve", "ratio-curve"])
+def test_the_default_grid_prints_the_bytes_of_its_text(capsys, freq_file,
+                                                  command):
+    argv = ([command, "--q-values", "0.1"] if command == "woe-curve"
+            else [command, "--freqs", freq_file, "--locus", "D1"])
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--theta-grid", "0:0.5:0.01"]) == 0
+    assert capsys.readouterr().out == default
+    assert len(default.splitlines()) > 51
+
+
+@pytest.mark.parametrize("argv, imports", [
+    (["moments", "--theta", "0.1", "--rows", "2"], False),
+    (["woe-curve", "--theta-grid", "0.1", "--q-values", "0.1"], False),
+    (["woe-curve", "--q-values", "0.1"], True),
+])
+def test_only_a_range_grid_imports_fractions(freq_file, argv, imports):
+    # the commands start in a fresh interpreter, where neither numpy nor
+    # the package imports fractions; a default range grid does, once parsed
+    if argv[0] == "moments":
+        argv = [*argv, "--freqs", freq_file, "--locus", "D1"]
+    code = ("import sys; from mdmix.cli import main; main(sys.argv[1:]); "
+            "print('fractions' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(mdmix.__file__)))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stderr == f"{imports}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_prints_each_default_once(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name in COMMANDS[command][2]:
+        default = OPTIONS[name][2]
+        if default is not None:
+            assert text.count(f"(default {default})") == 1, name
 
 
 def test_read_table_csv(tmp_path, table_file):

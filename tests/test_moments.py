@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
-                   MdmParams, ParameterError, covariance_matrix,
+                   MdmParams, MdmSampler, ParameterError, covariance_matrix,
                    factorial_moment, mean_matrix, theta_to_alpha)
 from mdmix.oracle import oracle_moment
 
@@ -179,6 +179,30 @@ def test_zero_row_sum_is_handled():
     assert factorial_moment(order, params) == 0.0
     assert mean_matrix(params)[0, 0] == 0.0
     assert covariance_matrix(params)[0, 0] == 0.0
+
+
+CAP_MODEL = theta_to_alpha(AlleleFrequencies((0.25, 0.75)), 0.1)
+
+
+@pytest.mark.parametrize("use", [
+    mean_matrix,
+    lambda params: factorial_moment(CountTable(((1, 0),)), params),
+    lambda params: MdmSampler(params, 0),
+], ids=["mean_matrix", "factorial_moment", "MdmSampler"])
+@pytest.mark.parametrize("rows", [(10 ** 400,), (10 ** 300, 1)])
+def test_row_sums_above_the_total_cap_are_refused(use, rows):
+    # CountTable's cap: a float of the total, and each log factorial, stays
+    # a finite double
+    with pytest.raises(ParameterError,
+                       match=r"^row_sums: the total is above 10\*\*300$"):
+        use(MdmParams(rows, CAP_MODEL))
+
+
+def test_moments_at_the_total_cap_are_finite():
+    params = MdmParams((10 ** 300,), CAP_MODEL)
+    assert mean_matrix(params).tolist() == [[2.5e299, 7.5e299]]
+    assert factorial_moment(CountTable(((1, 0),)), params) == (
+        pytest.approx(2.5e299, rel=1e-12))
 
 
 def test_order_dimensions_are_checked():

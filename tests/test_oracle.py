@@ -78,6 +78,14 @@ def test_oracle_pmf_sums_to_one():
     assert oracle_pmf_sum(params) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [2 ** 63, 10 ** 20])
+def test_oracles_take_a_count_past_int64(count):
+    # one category has one table, whatever its count
+    params = MdmParams((count,), DispersionModel.from_alpha((2.0,)))
+    assert oracle_pmf_sum(params) == 1.0
+    assert oracle_moment(CountTable(((1,),)), params) == float(count)
+
+
 def test_oracle_moment_means():
     params = MdmParams((2, 2), DispersionModel.from_alpha((1.0, 3.0)))
     # E n_11 = 2 * 0.25

@@ -15,7 +15,7 @@ import re
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
                    ParameterError, factorial_moment, genotype_from_alleles,
@@ -139,6 +139,33 @@ def test_log_pmf_matches_mpmath_on_random_tables(theta, rows):
         got = path(table, params)
         assert abs(got - want) <= LOG_PMF_ABS_TOL, (path.__name__, got,
                                                      float(want))
+
+
+# the gap between the chain and the direct pmf as a share of log N!, N the
+# table's total: the largest terms both paths sum are of that size, while
+# for theta > 0 the log pmf itself is only O(log N), so no bound relative
+# to it holds as N grows.  20,000 random tables with totals from 10**4 to
+# 10**300 and theta from 0 to 1 - 1e-9 gave at most 2.9e-16
+CHAIN_GAP_SHARE = 1e-15
+
+
+@settings(max_examples=300)
+@given(theta=st.sampled_from((0.0, *THETAS, 0.3)),
+       exponent=st.integers(4, 300),
+       weights=st.lists(st.lists(st.integers(0, 2 ** 20), min_size=6,
+                                 max_size=6).filter(any),
+                        min_size=1, max_size=3))
+@example(theta=0.3, exponent=300, weights=[[1, 0, 0, 0, 0, 1]])
+def test_chain_and_direct_pmf_agree_to_a_share_of_log_total_factorial(
+        theta, exponent, weights):
+    # each row of about 10**exponent / rows draws is split by its weights
+    n = 10 ** exponent // len(weights)
+    counts = tuple(tuple(n * w // sum(ws) for w in ws) for ws in weights)
+    table = CountTable(counts)
+    params = _params(counts, theta)
+    gap = abs(mdm_log_pmf(table, params) - mdm_chain_log_pmf(table, params))
+    assert gap <= CHAIN_GAP_SHARE * math.lgamma(table.total + 1), (
+        gap, table.total)
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.3])
