@@ -44,6 +44,7 @@ from .model import (
     _as_items,
     _as_real,
     _pool_mass,
+    _type_error,
     theta_to_alpha,
 )
 
@@ -249,8 +250,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
         if not isinstance(state, MarginState):
-            raise ParameterError(
-                f"states[{k}]: expected a MarginState, got {state!r}")
+            raise _type_error(state, MarginState, f"states[{k}]")
     grid = _as_items(theta_grid, "theta_grid", "float")
     out = np.ones((len(states), len(grid)))
     if not out.size:

@@ -52,6 +52,7 @@ from .model import (
     _as_counts,
     _check_shape,
     _scaled_model,
+    _type_error,
 )
 
 
@@ -68,6 +69,8 @@ class MdmParams:
             raise ParameterError("at least one profile row is required")
         if sum(rows) > _MAX_TOTAL:
             raise ParameterError("row_sums: the total is above 10**300")
+        if not isinstance(self.model, DispersionModel):
+            raise _type_error(self.model, DispersionModel, "model")
         object.__setattr__(self, "row_sums", rows)
 
     @property

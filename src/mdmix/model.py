@@ -14,7 +14,8 @@ derive: the rest class and alpha_total are computed on construction.
 
 A caller's value meets one rule of its kind: _as_count for an integer (what
 operator.index takes but a bool), _as_real for a real (what float() takes
-but a bool or text) and _as_items for a list (what tuple() takes but text).
+but a bool or text) and _as_items for a list (what tuple() takes but text);
+one of the package's own types is refused in the words of _type_error.
 A refusal is an MdmixError naming the field and, in a list, the index:
 "seed: expected an int >= 0, got True".  Range checks stay with each site.
 
@@ -103,6 +104,14 @@ def _as_real(value, what: str) -> float:
     raise ParameterError(f"{what}: expected float, got {value!r}")
 
 
+def _type_error(value, kind: type, what: str) -> ParameterError:
+    """The refusal of a caller's value that is not an instance of kind, one
+    of the package's own types; each site tests isinstance itself."""
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    return ParameterError(
+        f"{what}: expected {article} {kind.__name__}, got {value!r}")
+
+
 def _as_positives(values, what: str) -> tuple[float, ...]:
     """A non-empty list of finite floats above 0, value k named what[k]."""
     values = _as_items(values, what, "float")
@@ -181,6 +190,8 @@ class DispersionModel:
     def __post_init__(self):
         # adding 0.0 turns -0.0 into 0.0, whose sign covariance_matrix shows
         theta = _as_real(self.theta, "theta") + 0.0
+        if not isinstance(self.freqs, AlleleFrequencies):
+            raise _type_error(self.freqs, AlleleFrequencies, "freqs")
         a_total = _pool_mass(theta)
         if not a_total * min(self.freqs.extended_probs) > 0.0:
             raise ParameterError(f"theta = {theta} makes alpha 0")
@@ -286,14 +297,17 @@ def _check_shape(name: str, table: CountTable, rows: int, cols: int,
                     f"{rows} x {cols} (profiles x categories)")
 
 
-def _built_table(counts, row_sums, total: int) -> CountTable:
+def _built_table(counts, row_sums, total: int,
+                 col_sums: tuple[int, ...] | None = None) -> CountTable:
     """A CountTable over counts the library built itself: a non-empty tuple
     of equally long, non-empty tuples of non-negative ints whose sums are
-    row_sums and total.  Sets the fields without CountTable's checks and
-    computes only col_sums."""
+    row_sums and total, and col_sums when given.  Sets the fields without
+    CountTable's checks and computes only col_sums, when not given."""
+    if col_sums is None:
+        col_sums = tuple(map(sum, zip(*counts)))
     table = object.__new__(CountTable)
-    vars(table).update(counts=counts, row_sums=row_sums,
-                       col_sums=tuple(map(sum, zip(*counts))), total=total)
+    vars(table).update(counts=counts, row_sums=row_sums, col_sums=col_sums,
+                       total=total)
     return table
 
 

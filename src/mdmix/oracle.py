@@ -7,12 +7,14 @@ Enumeration order is deterministic: row 1 varies slowest, and within a row
 compositions descend lexicographically, (2,0), (1,1), (0,2).
 
 The sampler draws the pooled allele sequence one trial at a time with urn
-weights alpha_a + (previous draws of a) -- the plain q_a where alpha_total
-is inf (theta = 0 or a quotient that overflows), where a trial bisects
-their fixed running sums instead of scanning them -- and
-deals the sequence into consecutive profile slots.  Urn sequences are
-exchangeable, so given the pooled multiset every arrangement is equally
-likely and the dealt table follows the joint law exactly.
+weights alpha_a + (previous draws of a) and deals it into consecutive
+profile slots as it goes, one pass per table.  A trial keeps the running
+sums of the urn scan that no draw has changed since and bisects them; a
+draw of a changes the sums from a on.  Where alpha_total is inf (theta = 0
+or a quotient that overflows) the weights are the plain q_a.  The running
+sums of the starting weights are built once per sampler.  Urn sequences
+are exchangeable, so given the pooled multiset every arrangement is
+equally likely and the dealt table follows the joint law exactly.
 
 The enumeration and the sampler build their tables with model._built_table,
 which skips CountTable's checks of counts the library made itself.
@@ -31,7 +33,7 @@ import numpy as np
 from .mdm import MdmParams, mdm_log_pmf
 from .model import (CountTable, ParameterError, SizeGuardError, SubsetSpec,
                     TableError, _as_count, _as_counts, _built_table,
-                    _check_shape)
+                    _check_shape, _type_error)
 
 MAX_TABLES = 10 ** 8
 
@@ -154,11 +156,19 @@ class MdmSampler:
     Each table's uniforms come straight from numpy's PCG64 generator; the
     identifier below is recorded in CLI output metadata.  The seed is a
     non-negative int.
+
+    Each trial takes the first category whose running urn sum exceeds u
+    times the urn total, and the last one when none does.  A table is made
+    in one pass: each trial bisects the running sums still valid from the
+    trials before and scans on from there only when the pick lies past
+    them, and its category is counted in its row and its column at once.
     """
 
     algorithm = "pcg64-urn-deal-v1"
 
     def __init__(self, params: MdmParams, seed: int):
+        if not isinstance(params, MdmParams):
+            raise _type_error(params, MdmParams, "params")
         self.seed = _as_count(seed, "seed", error=ParameterError)
         self.params = params
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -172,6 +182,10 @@ class MdmSampler:
         except OverflowError:
             raise ParameterError(f"theta = {model.theta}: the urn weights "
                                  "sum past the largest float") from None
+        # the running sums of the weights through every category but the
+        # last, which takes a pick at or past them all: fixed at
+        # alpha_total = inf, and where each table's urn starts otherwise
+        self._cum = list(accumulate(self._weights[:-1]))
         self._rows = params.row_sums
         self._n_total = params.n_total
         self._width = params.n_categories
@@ -180,46 +194,65 @@ class MdmSampler:
         """The next n uniforms of the stream, as Python floats."""
         return self._rng.random(n).tolist()
 
-    def draw_counts(self) -> tuple[tuple[int, ...], ...]:
-        """One table as a raw tuple matrix."""
+    def _table(self) -> tuple[tuple, tuple[int, ...]]:
+        """One table and its column sums, each row dealt as it is drawn."""
         width = self._width
-        weights = self._weights
+        last = width - 1
         total_w = self._w_total
         uniforms = self._uniforms(self._n_total)
-        if self._urn:
-            # urn[b] is alpha_b plus the draws of b so far, formed as one sum
-            extra = [0] * width
-            urn = list(weights)
-            seq = []
-            for u in uniforms:
-                pick = u * total_w
-                acc = 0.0
-                a = width - 1
-                for b, w in enumerate(urn):
-                    acc += w
-                    if pick < acc:
-                        a = b
-                        break
-                seq.append(a)
-                extra[a] += 1
-                urn[a] = weights[a] + extra[a]
-                total_w += 1.0
-        else:
-            # the first b with pick < cum[b], as the urn scan finds it;
-            # a pick at or past the last sum falls through to the last b
-            cum = list(accumulate(weights))
-            last = width - 1
-            seq = [min(bisect_right(cum, u * total_w), last)
-                   for u in uniforms]
         counts = []
+        cols = [0] * width
         pos = 0
-        for r in self._rows:
-            row = [0] * width
-            for a in seq[pos:pos + r]:
-                row[a] += 1
-            counts.append(tuple(row))
-            pos += r
-        return tuple(counts)
+        if self._urn:
+            weights = self._weights
+            # urn[b] is alpha_b plus the draws of b so far, formed as one
+            # sum; cum[b] is the scan's running sum through urn[b], current
+            # for b < valid.  cum[last] is never written, so cum[-1] is the
+            # 0.0 a scan from category 0 starts at
+            urn = list(weights)
+            cum = self._cum + [0.0]
+            valid = last
+            for r in self._rows:
+                row = [0] * width
+                for u in uniforms[pos:pos + r]:
+                    pick = u * total_w
+                    if pick < cum[valid - 1]:
+                        a = bisect_right(cum, pick, 0, valid)
+                    else:
+                        # the first b with pick < the sum through urn[b];
+                        # a pick at or past them all falls to the last b
+                        a = valid
+                        acc = cum[a - 1]
+                        while a < last:
+                            acc += urn[a]
+                            cum[a] = acc
+                            if pick < acc:
+                                break
+                            a += 1
+                    # only the sums from a onward hold urn[a]
+                    valid = a
+                    row[a] += 1
+                    cols[a] += 1
+                    urn[a] = weights[a] + cols[a]
+                    total_w += 1.0
+                counts.append(tuple(row))
+                pos += r
+        else:
+            cum = self._cum
+            for r in self._rows:
+                row = [0] * width
+                for u in uniforms[pos:pos + r]:
+                    a = bisect_right(cum, u * total_w)
+                    row[a] += 1
+                    cols[a] += 1
+                counts.append(tuple(row))
+                pos += r
+        return tuple(counts), tuple(cols)
+
+    def draw_counts(self) -> tuple[tuple[int, ...], ...]:
+        """One table as a raw tuple matrix."""
+        return self._table()[0]
 
     def draw(self) -> CountTable:
-        return _built_table(self.draw_counts(), self._rows, self._n_total)
+        counts, cols = self._table()
+        return _built_table(counts, self._rows, self._n_total, cols)

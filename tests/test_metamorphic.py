@@ -13,8 +13,10 @@ import math
 from hypothesis import given, strategies as st
 
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, SubsetSpec,
-                   conditional_over_profiles, marginal_over_alleles,
-                   marginal_over_profiles, mdm_log_pmf, theta_to_alpha)
+                   conditional_over_profiles, covariance_matrix,
+                   factorial_moment, marginal_over_alleles,
+                   marginal_over_profiles, mean_matrix, mdm_log_pmf,
+                   theta_to_alpha)
 
 REL_TOL = 1e-12
 THETA_MAX = 1.0 - 1e-9
@@ -116,3 +118,42 @@ def test_row_chain_rule(case):
     tail = mdm_log_pmf(rest, conditional_over_profiles(params, first,
                                                        SubsetSpec((0,))))
     _close(math.fsum((head, tail)), mdm_log_pmf(table, params))
+
+
+MOMENT_TOL = 1e-12
+
+
+@given(st.integers(2, 6), st.lists(st.one_of(
+    st.integers(0, 3), st.integers(0, 10 ** 15)), min_size=1, max_size=3),
+    st.data())
+def test_means_and_covariances_are_the_factorial_moments_of_order_1_and_2(
+        width, rows, data):
+    # E n_ia = moment of order 1 at (i, a); E n_ia n_jb - [same cell] E n_ia
+    # = moment of order 2 there, one unit at each of two cells or 2 at one.
+    # The bound scales with the terms, not the result: at theta near 1 the
+    # sum cov + m m - m cancels to far below them
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=width,
+                                 max_size=width))
+    total = math.fsum(weights)
+    model = theta_to_alpha(
+        AlleleFrequencies(tuple(w / total for w in weights)),
+        data.draw(THETAS))
+    params = MdmParams(rows, model)
+    mean, cov = mean_matrix(params), covariance_matrix(params)
+    cells = [(i, a) for i in range(len(rows)) for a in range(width)]
+
+    def moment(*units):
+        order = [[0] * width for _ in rows]
+        for i, a in units:
+            order[i][a] += 1
+        return factorial_moment(CountTable(order), params)
+
+    for x, (i, a) in enumerate(cells):
+        m_ia = mean[i, a]
+        assert abs(moment((i, a)) - m_ia) <= MOMENT_TOL * m_ia
+        for y, (j, b) in enumerate(cells[x:], x):
+            product = m_ia * mean[j, b]
+            want = cov[x, y] + product - (m_ia if x == y else 0.0)
+            scale = abs(cov[x, y]) + product + m_ia
+            assert abs(moment((i, a), (j, b)) - want) <= MOMENT_TOL * scale, (
+                (i, a), (j, b), moment((i, a), (j, b)), want)

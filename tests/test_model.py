@@ -462,6 +462,47 @@ def test_a_callers_list_is_refused_as_a_scalar_or_text(site, value):
         call(value)
 
 
+# every site that takes one of the package's own objects: value -> a call
+# with the value in its place, and the message's field and type
+COMPONENT_SITES = {
+    "DispersionModel.freqs": (lambda v: DispersionModel(0.1, v),
+                              "freqs: expected an AlleleFrequencies"),
+    "theta_to_alpha.freqs": (lambda v: theta_to_alpha(v, 0.1),
+                             "freqs: expected an AlleleFrequencies"),
+    "MdmParams.model": (lambda v: MdmParams((2, 2), v),
+                        "model: expected a DispersionModel"),
+    "MdmSampler.params": (lambda v: MdmSampler(v, 1),
+                          "params: expected a MdmParams"),
+    "woe_curve.states": (lambda v: woe_curve([STATE, v], 0.3, [0.1]),
+                         r"states\[1\]: expected a MarginState"),
+}
+
+
+@pytest.mark.parametrize("value", [None, (0.5, 0.5), "x", 1.0],
+                         ids=["None", "tuple", "str", "float"])
+@pytest.mark.parametrize("site", COMPONENT_SITES)
+def test_a_component_of_the_wrong_type_is_refused_naming_the_field(
+        site, value):
+    call, message = COMPONENT_SITES[site]
+    with pytest.raises(ParameterError,
+                       match=rf"^{message}, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def test_a_component_of_another_package_type_is_refused():
+    # a model of the wrong type used to pass MdmParams and fail later
+    model = PAIR_PARAMS.model
+    for site, value in (("DispersionModel.freqs", model),
+                        ("theta_to_alpha.freqs", PAIR_PARAMS),
+                        ("MdmParams.model", model.freqs),
+                        ("MdmSampler.params", model),
+                        ("woe_curve.states", QUAD)):
+        call, message = COMPONENT_SITES[site]
+        with pytest.raises(ParameterError, match=rf"^{message}, got "
+                           rf"{type(value).__name__}\("):
+            call(value)
+
+
 @pytest.mark.parametrize("name", ["rows", "q_values", "theta_grid"])
 def test_the_cli_refuses_a_scalar_for_a_list_option_in_the_same_words(name):
     kind = "int" if name == "rows" else "float"

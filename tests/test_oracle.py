@@ -4,10 +4,13 @@
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.stats import chisquare
 
 import mdmix.oracle
@@ -314,3 +317,80 @@ def test_urn_weights_are_alpha_plus_draws_formed_as_one_sum():
     sampler._uniforms = lambda n: uniforms[:n]
     assert sampler.draw_counts() == ((4, 1, 0, 0, 0),)
     assert _urn_counts(params, uniforms) == ((4, 1, 0, 0, 0),)
+
+
+def _placed_uniforms(params, specs):
+    # a spec is a uniform, or (b, step): the pick on the running sum through
+    # category b of the urn as it stands at that trial, as the linear scans
+    # form it, moved step ulps of the uniform down or up
+    urn = params.model.alpha_total != math.inf
+    weights = (params.model.alpha if urn
+               else params.model.freqs.extended_probs)
+    total = math.fsum(weights)
+    uniforms = []
+    for spec in specs:
+        if isinstance(spec, tuple):
+            b, step = spec
+            drawn = (map(sum, zip(*_urn_counts(params, uniforms)))
+                     if urn and uniforms else repeat(0))
+            sums = list(accumulate(map(operator.add, weights, drawn)))
+            target = sums[b % len(sums)]
+            # the uniform whose pick is the running sum, where one is
+            u = target / total
+            for v in (math.nextafter(u, -1.0), math.nextafter(u, 2.0)):
+                if v * total == target:
+                    u = v
+            for _ in range(abs(step)):
+                u = math.nextafter(u, math.copysign(2.0, step))
+            spec = u
+        uniforms.append(spec)
+        total += 1.0 if urn else 0.0
+    return uniforms
+
+
+_SPECS = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.tuples(st.integers(0, 60), st.integers(-1, 1)),
+                   st.sampled_from([math.nan, 1.0, math.inf, -0.0]))
+
+
+@st.composite
+def _sampler_cases(draw):
+    """(params, specs) over 1 to 45 categories or the _ABSORBED panel, row
+    sums from 0, and a theta from 0 to 1 - 1e-9."""
+    if draw(st.booleans()):
+        freqs = _ABSORBED
+    else:
+        width = draw(st.integers(1, 45))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=width,
+                                max_size=width))
+        probs = tuple(w / math.fsum(weights) for w in weights)
+        if width > 1 and draw(st.booleans()):
+            probs = probs[:-1]  # a rest class
+        freqs = AlleleFrequencies(probs)
+    theta = draw(st.sampled_from((0.0, 1e-12, 0.01, 0.5, 1.0 - 1e-9)))
+    rows = draw(st.one_of(st.lists(st.integers(0, 6), min_size=1,
+                                   max_size=5),
+                          st.lists(st.just(0), min_size=1, max_size=3)))
+    specs = draw(st.lists(_SPECS, min_size=sum(rows), max_size=sum(rows)))
+    return MdmParams(rows, theta_to_alpha(freqs, theta)), specs
+
+
+@given(_sampler_cases())
+@example(case=(MdmParams((2, 0, 1), theta_to_alpha(
+    AlleleFrequencies((1.0,)), 0.5)), [(0, 0), 0.3, math.nan]))
+@example(case=(MdmParams((0, 0), theta_to_alpha(_ABSORBED, 0.01)), []))
+def test_draws_match_the_linear_scans_on_any_uniforms(case):
+    params, specs = case
+    uniforms = _placed_uniforms(params, specs)
+    want = (_scan_counts if params.model.alpha_total == math.inf
+            else _urn_counts)(params, uniforms)
+    sampler, twin = MdmSampler(params, 0), MdmSampler(params, 0)
+    sampler._uniforms = twin._uniforms = lambda n: uniforms[:n]
+    assert sampler.draw_counts() == want
+    table, checked = twin.draw(), CountTable(want)
+    assert table.counts == want
+    for got, expected in ((table.col_sums, checked.col_sums),
+                          (table.row_sums, checked.row_sums)):
+        assert got == expected
+        assert all(type(x) is int for x in got)
+    assert table.total == checked.total and type(table.total) is int

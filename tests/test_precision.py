@@ -168,6 +168,35 @@ def test_chain_and_direct_pmf_agree_to_a_share_of_log_total_factorial(
         gap, table.total)
 
 
+# the error of either pmf path against the oracle at a large total N, as a
+# share of log N!: 600 random tables at each N in 10**6, 10**9, 10**12 and
+# theta in 1e-6, 0.3 gave at most 3.3e-16 (absolute 3.8e-9, 6.6e-6 and
+# 6.8e-3 for mdm_log_pmf, 3.8e-9, 6.8e-6 and 7.7e-3 for the chain)
+LARGE_TOTAL_SHARE = 1e-15
+
+
+@given(theta=st.sampled_from((1e-6, 0.3)),
+       exponent=st.sampled_from((6, 9, 12)),
+       cuts=st.lists(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+                     min_size=1, max_size=3))
+def test_log_pmf_at_large_totals_is_within_a_share_of_log_total_factorial(
+        theta, exponent, cuts):
+    # 10**exponent draws split evenly over the rows, each row cut into the
+    # six panel categories at the given fractions
+    n = 10 ** exponent // len(cuts)
+    counts = []
+    for row in cuts:
+        edges = [0, *sorted(int(n * c) for c in row), n]
+        counts.append(tuple(b - a for a, b in zip(edges, edges[1:])))
+    table = CountTable(counts)
+    params = _params(counts, theta)
+    want = oracle_log_pmf(counts, theta)
+    bound = LARGE_TOTAL_SHARE * math.lgamma(table.total + 1)
+    for path in (mdm_log_pmf, mdm_chain_log_pmf):
+        got = path(table, params)
+        assert abs(got - want) <= bound, (path.__name__, got, float(want))
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-4, 0.01, 0.3])
 def test_factorial_moment_where_the_products_overflow(theta):
     # E n_1^(50) n_2^(50) on 100 draws: 100! (a_1)_50 (a_2)_50 / (a.)_100,
