@@ -5,6 +5,8 @@ Outputs are CSV with floats at 17 significant digits and a fixed row
 order, so repeated runs are byte-identical.  Option precedence is
 command-line flag, then --config JSON file, then built-in default.
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
+Each command imports the numpy-backed modules it calls inside its own
+function, so `pmf` starts without numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain
 
-from .evidence import pair_ratio_curves, woe_curve, woe_margin_grid
 from .mdm import MdmParams, mdm_log_pmf
 from .model import (
     CountTable,
@@ -33,9 +34,6 @@ from .model import (
     read_frequency_csv,
     theta_to_alpha,
 )
-from .moments import covariance_matrix, mean_matrix
-from .oracle import MdmSampler
-from .validation import run_all_suites
 
 # name -> (kind, many, default, help).  The flag is --name with '-' for '_';
 # a --config file sets it under name.  A default is the text a user would
@@ -286,6 +284,8 @@ def cmd_pmf(cfg: argparse.Namespace) -> int:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
+    from .moments import covariance_matrix, mean_matrix
+
     entry = _select_locus(cfg)
     n_cells = len(cfg.rows) * entry.freqs.n_categories
     if n_cells > MAX_MOMENT_CELLS:
@@ -313,6 +313,8 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
 
 
 def cmd_woe_curve(cfg: argparse.Namespace) -> int:
+    from .evidence import woe_curve, woe_margin_grid
+
     states = [state for state, _ in woe_margin_grid(cfg.contributors)]
     rows = []
     for q in cfg.q_values:
@@ -326,6 +328,8 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
+    from .evidence import pair_ratio_curves
+
     entry = _select_locus(cfg)
     curves = pair_ratio_curves(entry.freqs, cfg.theta_grid)
     rows = []
@@ -337,6 +341,8 @@ def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sample(cfg: argparse.Namespace) -> int:
+    from .oracle import MdmSampler
+
     entry = _select_locus(cfg)
     n_cells = len(cfg.rows) * entry.freqs.n_categories
     if sum(cfg.rows) > MAX_SAMPLE_SIZE or n_cells > MAX_SAMPLE_SIZE:
@@ -365,6 +371,8 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: argparse.Namespace) -> int:
+    from .validation import run_all_suites
+
     results = run_all_suites()
     report = {
         "passed": all(r.passed for r in results),

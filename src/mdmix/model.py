@@ -47,7 +47,8 @@ class TableError(MdmixError, ValueError):
 
 
 class SizeGuardError(MdmixError, RuntimeError):
-    """An exhaustive enumeration would exceed the configured size limit."""
+    """An exhaustive enumeration, or a table drawn by `MdmSampler`, would
+    exceed its size limit (`oracle.MAX_TABLES`, `oracle.MAX_DRAW_TOTAL`)."""
 
 
 class FrequencyFileError(MdmixError, ValueError):

@@ -36,6 +36,9 @@ from .model import (CountTable, ParameterError, SizeGuardError, SubsetSpec,
                     _check_shape, _type_error)
 
 MAX_TABLES = 10 ** 8
+# MdmSampler holds a table's N uniforms at once, as Python floats of about
+# 32 bytes each (the float and its list slot): 2**25 of them is 1 GiB
+MAX_DRAW_TOTAL = 2 ** 25
 
 
 def count_tables(row_sums, n_categories: int) -> int:
@@ -155,7 +158,8 @@ class MdmSampler:
     Two samplers built with the same seed produce the same table sequence.
     Each table's uniforms come straight from numpy's PCG64 generator; the
     identifier below is recorded in CLI output metadata.  The seed is a
-    non-negative int.
+    non-negative int, and a table total above `MAX_DRAW_TOTAL` is refused
+    with a `SizeGuardError`.
 
     Each trial takes the first category whose running urn sum exceeds u
     times the urn total, and the last one when none does.  A table is made
@@ -169,6 +173,10 @@ class MdmSampler:
     def __init__(self, params: MdmParams, seed: int):
         if not isinstance(params, MdmParams):
             raise _type_error(params, MdmParams, "params")
+        if params.n_total > MAX_DRAW_TOTAL:
+            raise SizeGuardError(f"row_sums: the total {params.n_total} is "
+                                 f"above {MAX_DRAW_TOTAL}, the most one "
+                                 "table draws")
         self.seed = _as_count(seed, "seed", error=ParameterError)
         self.params = params
         self._rng = np.random.Generator(np.random.PCG64(self.seed))

@@ -8,10 +8,26 @@ summary.
 
 from __future__ import annotations
 
+import warnings
+from contextlib import suppress
+
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module to report a failing
+# example; it imports libcst, whose import emits a DeprecationWarning that
+# the suite's "error" filter would turn into an INTERNALERROR, ending the
+# run without the example.  Imported once here, the warning is not raised
+# again.
+with warnings.catch_warnings(), suppress(ImportError):  # libcst optional
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 settings.register_profile("ci", derandomize=True, max_examples=60,
                           deadline=None)
+# random, wide and outside tier-1: pytest --hypothesis-profile wide.  No
+# example database, so that --hypothesis-seed alone repeats a run
+settings.register_profile("wide", max_examples=1_000, deadline=None,
+                          database=None)
 settings.load_profile("ci")
 
 

@@ -9,8 +9,13 @@ free of imports it does not use."""
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import mdmix
 import mdmix.cli
@@ -44,6 +49,24 @@ def test_star_import_resolves_every_exported_name():
     assert missing == []
     assert len(set(mdmix.__all__)) == len(mdmix.__all__)
     assert namespace["ProfileCounts"] is mdmix.model.ProfileCounts
+    # the numpy-backed names load on first access, as their module's own
+    for name in mdmix.__all__:
+        module = getattr(mdmix, name).__module__
+        assert namespace[name] is getattr(sys.modules[module], name), name
+    assert mdmix.woe_curve is mdmix.evidence.woe_curve
+    assert set(mdmix.__all__) <= set(dir(mdmix))
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        mdmix.nope
+
+
+def test_a_bare_import_reaches_a_lazy_module_by_attribute():
+    code = ("import mdmix; "
+            "print(mdmix.evidence.MarginState.__qualname__, "
+            "mdmix.MdmSampler is mdmix.oracle.MdmSampler)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "MarginState True\n"
 
 
 def test_public_names_are_pinned():

@@ -113,23 +113,45 @@ def test_the_default_grid_prints_the_bytes_of_its_text(capsys, freq_file,
     assert len(default.splitlines()) > 51
 
 
-@pytest.mark.parametrize("argv, imports", [
-    (["moments", "--theta", "0.1", "--rows", "2"], False),
-    (["woe-curve", "--theta-grid", "0.1", "--q-values", "0.1"], False),
-    (["woe-curve", "--q-values", "0.1"], True),
-])
-def test_only_a_range_grid_imports_fractions(freq_file, argv, imports):
-    # the commands start in a fresh interpreter, where neither numpy nor
-    # the package imports fractions; a default range grid does, once parsed
-    if argv[0] == "moments":
-        argv = [*argv, "--freqs", freq_file, "--locus", "D1"]
-    code = ("import sys; from mdmix.cli import main; main(sys.argv[1:]); "
-            "print('fractions' in sys.modules, file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+def _env_with_src():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(mdmix.__file__)))
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+
+
+@pytest.mark.parametrize("argv, fractions, numpy", [
+    (["pmf", "--theta", "0.1"], False, False),
+    (["moments", "--theta", "0.1", "--rows", "2"], False, True),
+    (["sample", "--theta", "0.1", "--rows", "2"], False, True),
+    (["ratio-curve", "--theta-grid", "0.1"], False, True),
+    (["woe-curve", "--theta-grid", "0.1", "--q-values", "0.1"], False, True),
+    (["woe-curve", "--q-values", "0.1"], True, True),
+    (["validate"], False, True),
+])
+def test_each_command_imports_only_the_modules_it_uses(freq_file, table_file,
+                                                       argv, fractions,
+                                                       numpy):
+    # the commands start in a fresh interpreter, where the package imports
+    # neither fractions nor numpy; a default range grid imports fractions,
+    # once parsed, and each command but pmf a module that imports numpy
+    if argv[0] in ("pmf", "moments", "sample", "ratio-curve"):
+        argv = [*argv, "--freqs", freq_file, "--locus", "D1"]
+    if argv[0] == "pmf":
+        argv = [*argv, "--table", table_file]
+    code = ("import sys; from mdmix.cli import main; main(sys.argv[1:]); "
+            "print('fractions' in sys.modules, 'numpy' in sys.modules, "
+            "file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code, *argv, "--out",
+                          os.devnull], env=_env_with_src(),
                          capture_output=True, text=True, check=True)
-    assert run.stderr == f"{imports}\n"
+    assert run.stderr == f"{fractions} {numpy}\n"
+
+
+def test_importing_the_package_or_the_cli_loads_no_numpy():
+    code = ("import sys, mdmix; package = 'numpy' in sys.modules; "
+            "import mdmix.cli; print(package, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False False\n"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -134,6 +134,16 @@ def test_sampler_refuses_urn_weights_that_sum_past_the_largest_float():
         MdmSampler(params, 0)
 
 
+@pytest.mark.parametrize("total", [10 ** 20, mdmix.oracle.MAX_DRAW_TOTAL + 1])
+def test_sampler_refuses_a_total_above_its_cap_before_any_draw(total):
+    # refused in the constructor, so no generator is built and nothing drawn
+    model = theta_to_alpha(AlleleFrequencies((0.5, 0.5)), 0.1)
+    with pytest.raises(SizeGuardError, match=rf"^row_sums: the total {total} "
+                       rf"is above {mdmix.oracle.MAX_DRAW_TOTAL}"):
+        MdmSampler(MdmParams((total,), model), 0)
+    MdmSampler(MdmParams((mdmix.oracle.MAX_DRAW_TOTAL,), model), 0)
+
+
 def _gof_pvalue(params, seed, n_draws):
     support = {t.counts: math.exp(mdm_log_pmf(t, params))
                for t in enumerate_tables(params.row_sums,
