@@ -9,62 +9,34 @@ used to quantify the effect of the correction on two-contributor
 DNA-mixture match probabilities.  The exhaustive enumeration oracles live
 in mdmix.oracle and the log-domain helpers in mdmix.logspace.
 
-The names from mdmix.evidence, mdmix.moments and mdmix.oracle, and those
+Each public name is declared once: in model.__all__, in mdm.__all__, or
+in the table _LAZY below for the names of mdmix.evidence, mdmix.moments
+and mdmix.oracle; __all__ is their union.  The _LAZY names, and those
 three modules themselves, load on first use, because each imports numpy:
 a program that uses only the pmf, such as `mdmix pmf`, runs without it.
 """
 
 from importlib import import_module
 
-from .mdm import (
-    MdmParams,
-    conditional_over_alleles,
-    conditional_over_profiles,
-    hypergeometric_log_pmf,
-    marginal_over_alleles,
-    marginal_over_profiles,
-    mdm_chain_log_pmf,
-    mdm_log_pmf,
-)
-from .model import (
-    AlleleFrequencies,
-    CountTable,
-    DispersionModel,
-    FrequencyFileError,
-    LocusFrequencies,
-    MdmixError,
-    ParameterError,
-    ProfileCounts,
-    SizeGuardError,
-    SubsetSpec,
-    TableError,
-    read_frequency_csv,
-    theta_to_alpha,
-)
+from . import mdm, model
+from .mdm import *
+from .model import *
 
 __version__ = "0.1.0"
 
 # exported name -> the numpy-backed module that defines it
 _LAZY = {
     **dict.fromkeys((
-        "GenotypePair",
-        "MultiplicityClass",
-        "genotype_from_alleles",
-        "pair_ratio",
-        "pair_ratio_curves",
-        "pair_ratio_via_pmfs",
-        "pair_ratio_via_steps",
-        "woe_curve",
-        "woe_margin_grid",
-        "woe_step",
+        "GenotypePair", "MultiplicityClass", "genotype_from_alleles",
+        "pair_ratio", "pair_ratio_curves", "pair_ratio_via_pmfs",
+        "pair_ratio_via_steps", "woe_curve", "woe_margin_grid", "woe_step",
     ), "evidence"),
-    **dict.fromkeys((
-        "covariance_matrix",
-        "factorial_moment",
-        "mean_matrix",
-    ), "moments"),
+    **dict.fromkeys(
+        ("covariance_matrix", "factorial_moment", "mean_matrix"), "moments"),
     "MdmSampler": "oracle",
 }
+
+__all__ = sorted({*model.__all__, *mdm.__all__, *_LAZY})
 
 
 def __getattr__(name):
@@ -82,40 +54,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *_LAZY, *_LAZY.values()})
 
-__all__ = [
-    "AlleleFrequencies",
-    "CountTable",
-    "DispersionModel",
-    "FrequencyFileError",
-    "GenotypePair",
-    "LocusFrequencies",
-    "MdmParams",
-    "MdmSampler",
-    "MdmixError",
-    "MultiplicityClass",
-    "ParameterError",
-    "ProfileCounts",
-    "SizeGuardError",
-    "SubsetSpec",
-    "TableError",
-    "conditional_over_alleles",
-    "conditional_over_profiles",
-    "covariance_matrix",
-    "factorial_moment",
-    "genotype_from_alleles",
-    "hypergeometric_log_pmf",
-    "marginal_over_alleles",
-    "marginal_over_profiles",
-    "mdm_chain_log_pmf",
-    "mdm_log_pmf",
-    "mean_matrix",
-    "pair_ratio",
-    "pair_ratio_curves",
-    "pair_ratio_via_pmfs",
-    "pair_ratio_via_steps",
-    "read_frequency_csv",
-    "theta_to_alpha",
-    "woe_curve",
-    "woe_margin_grid",
-    "woe_step",
-]

@@ -39,7 +39,7 @@ from .model import (
 # a --config file sets it under name.  A default is the text a user would
 # type for the flag, and --help prints it.  _merge coerces a value from any
 # of the three by _typed to kind (a non-empty tuple of kind when many), a
-# theta_grid string by parse_theta_grid, and then takes each int through
+# theta_grid by parse_theta_grid, and then takes each int through
 # model._as_count.
 OPTIONS = {
     "freqs": (str, False, None,
@@ -90,7 +90,7 @@ def _typed(name: str, value, kind, many: bool = False):
                              f"got {value!r}") from None
 
 
-# most points a range-form theta grid may have: step 1e-4 over [0, 1)
+# most points a theta grid, range or list, may have: step 1e-4 over [0, 1)
 MAX_THETA_GRID_POINTS = 10_001
 
 # most contributors woe-curve takes: 231 states, 58,905 rows by default
@@ -104,18 +104,13 @@ MAX_MOMENT_CELLS = 2_048
 MAX_SAMPLE_SIZE = 10 ** 6
 
 
-def _checked_grid(name: str, grid: tuple[float, ...]) -> tuple[float, ...]:
-    for t in grid:
-        if not 0.0 <= t < 1.0:
-            raise ParameterError(f"{name} value {t} outside [0, 1)")
-    return grid
-
-
-def parse_theta_grid(spec: str) -> tuple[float, ...]:
-    """Either start:stop:step (stop inclusive) or a comma list.  Point k of
-    a range is start + k * step in exact arithmetic on the shortest decimal
-    text of each field's double, rounded once: 0:0.5:0.01 gives k / 100."""
-    if ":" in spec:
+def parse_theta_grid(spec: str | list) -> tuple[float, ...]:
+    """Either start:stop:step (stop inclusive) or a list, as comma-separated
+    text or, from a config file, a JSON list.  Point k of a range is
+    start + k * step in exact arithmetic on the shortest decimal text of each
+    field's double, rounded once: 0:0.5:0.01 gives k / 100.  Every grid then
+    meets one check: at most MAX_THETA_GRID_POINTS points, each in [0, 1)."""
+    if isinstance(spec, str) and ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ParameterError(f"theta_grid {spec!r} is not start:stop:step")
@@ -132,13 +127,20 @@ def parse_theta_grid(spec: str) -> tuple[float, ...]:
         from fractions import Fraction
         start, stop, step = (Fraction(repr(x)) for x in (start, stop, step))
         n = (stop - start) // step
+        # refused before its points are built
         if n >= MAX_THETA_GRID_POINTS:
             raise ParameterError(f"theta_grid {spec!r} has more than "
                                  f"{MAX_THETA_GRID_POINTS} points")
         grid = tuple(float(start + k * step) for k in range(n + 1))
     else:
         grid = _typed("theta_grid", spec, float, many=True)
-    return _checked_grid("theta_grid", grid)
+    if len(grid) > MAX_THETA_GRID_POINTS:
+        raise ParameterError("theta_grid has more than "
+                             f"{MAX_THETA_GRID_POINTS} points")
+    for t in grid:
+        if not 0.0 <= t < 1.0:
+            raise ParameterError(f"theta_grid value {t} outside [0, 1)")
+    return grid
 
 
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
@@ -233,15 +235,12 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         # imports fractions, which the other commands start without
         if value is None and name in COMMANDS[args.command][2]:
             value = default
-        if name == "theta_grid" and isinstance(value, str):
-            value = parse_theta_grid(value)
-        elif value is not None:
-            value = _typed(name, value, kind, many)
+        if value is not None:
+            value = (parse_theta_grid(value) if name == "theta_grid"
+                     else _typed(name, value, kind, many))
             if many and not value:
                 raise ParameterError(f"{name}: expected a non-empty list")
         setattr(args, name, value)
-    if args.theta_grid is not None:
-        _checked_grid("theta_grid", args.theta_grid)
     for q in args.q_values or ():
         if not 0.0 < q < 1.0:
             raise ParameterError(f"q_values value {q} outside (0, 1)")
@@ -316,13 +315,16 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
     from .evidence import woe_curve, woe_margin_grid
 
     states = [state for state, _ in woe_margin_grid(cfg.contributors)]
-    rows = []
-    for q in cfg.q_values:
-        table = woe_curve(states, q, cfg.theta_grid, tail_mass=cfg.tail_mass)
-        for r, state in enumerate(states):
-            for c, theta in enumerate(cfg.theta_grid):
-                rows.append((str(state.n_col), str(state.s_prev), _fmt(q),
-                             _fmt(theta), _fmt(table[r, c])))
+    # every table first, so an error writes nothing; then the rows, up to
+    # 231 states x 10,001 points per Q at the caps, are streamed to the
+    # writer, never held
+    tables = [woe_curve(states, q, cfg.theta_grid, tail_mass=cfg.tail_mass)
+              for q in cfg.q_values]
+    rows = ((str(state.n_col), str(state.s_prev), _fmt(q), _fmt(theta),
+             _fmt(table[r, c]))
+            for q, table in zip(cfg.q_values, tables)
+            for r, state in enumerate(states)
+            for c, theta in enumerate(cfg.theta_grid))
     _write_csv(cfg.out, ("n_col", "s_prev", "Q", "theta", "woe"), rows)
     return 0
 

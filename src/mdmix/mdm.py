@@ -55,6 +55,12 @@ from .model import (
     _type_error,
 )
 
+__all__ = [
+    "MdmParams", "conditional_over_alleles", "conditional_over_profiles",
+    "hypergeometric_log_pmf", "marginal_over_alleles",
+    "marginal_over_profiles", "mdm_chain_log_pmf", "mdm_log_pmf",
+]
+
 
 @dataclass(frozen=True)
 class MdmParams:

@@ -31,6 +31,13 @@ import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 
+__all__ = [
+    "AlleleFrequencies", "CountTable", "DispersionModel",
+    "FrequencyFileError", "LocusFrequencies", "MdmixError", "ParameterError",
+    "ProfileCounts", "SizeGuardError", "SubsetSpec", "TableError",
+    "read_frequency_csv", "theta_to_alpha",
+]
+
 PROB_SUM_TOL = 1e-12
 
 

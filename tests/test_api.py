@@ -57,6 +57,18 @@ def test_star_import_resolves_every_exported_name():
     assert set(mdmix.__all__) <= set(dir(mdmix))
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         mdmix.nope
+    # each name is declared once: in model.__all__, in mdm.__all__, which
+    # bind exactly those names and each module's own objects, or in the
+    # lazy table
+    for module in (mdmix.model, mdmix.mdm):
+        bound = {}
+        exec(f"from {module.__name__} import *", bound)
+        del bound["__builtins__"]
+        assert sorted(bound) == sorted(module.__all__)
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+    declared = [*mdmix.model.__all__, *mdmix.mdm.__all__, *mdmix._LAZY]
+    assert mdmix.__all__ == sorted(declared)
 
 
 def test_a_bare_import_reaches_a_lazy_module_by_attribute():
@@ -321,17 +333,17 @@ def test_stdout_or_a_file_is_decided_at_one_site():
 
 def test_every_imported_name_is_used():
     # no linter runs on the package, so an import left behind by a
-    # deletion would stay; __init__.py imports only to re-export
+    # deletion would stay; a star import binds its module's __all__
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"):
                 for alias in node.names:
+                    if alias.name == "*":
+                        continue
                     name = alias.asname or alias.name.split(".")[0]
                     imported[name] = node.lineno
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

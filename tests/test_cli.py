@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -20,8 +21,8 @@ import mdmix
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, ParameterError,
                    TableError, mdm_log_pmf, theta_to_alpha)
 from mdmix.cli import (COMMANDS, MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
-                       MAX_WOE_CONTRIBUTORS, OPTIONS, main, parse_theta_grid,
-                       read_table_csv)
+                       MAX_THETA_GRID_POINTS, MAX_WOE_CONTRIBUTORS, OPTIONS,
+                       main, parse_theta_grid, read_table_csv)
 
 FREQ_CSV = """locus,allele,frequency
 D1,10,0.025
@@ -321,6 +322,21 @@ def test_woe_curve_default_grid_is_byte_identical(tmp_path):
     assert len(rows) == 1 + 5 * 15 * 51
 
 
+def test_woe_curve_streams_its_rows(tmp_path):
+    # five Q values, 231 states and 101 points make 116,655 rows; held as
+    # tuples of text they took 44 MiB, and the five tables take 0.9 MiB
+    mdmix.evidence  # loaded before tracing, so its import is not counted
+    argv = ["woe-curve", "--contributors", "10", "--theta-grid",
+            "0:0.5:0.005", "--out", str(tmp_path / "w.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # ratio-curve
 
@@ -581,6 +597,23 @@ def test_bad_theta_grid_is_a_usage_error(tmp_path, capsys, flags, config):
     err = capsys.readouterr().err
     assert re.search(r"error: theta_grid", err)
     assert "Traceback" not in err
+
+
+def test_a_config_list_grid_meets_the_point_cap(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "w.csv"
+    argv = ["woe-curve", "--config", str(cfg), "--contributors", "1",
+            "--q-values", "0.1", "--out", str(out)]
+    grid = [k / 20_000 for k in range(MAX_THETA_GRID_POINTS + 1)]
+    cfg.write_text(json.dumps({"theta_grid": grid}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "mdmix woe-curve: error: theta_grid has more than "
+        f"{MAX_THETA_GRID_POINTS} points\n")
+    assert not out.exists()
+    cfg.write_text(json.dumps({"theta_grid": grid[:-1]}))
+    assert main(argv) == 0
+    # one contributor: six states
+    assert len(read_rows(out)) == 1 + 6 * MAX_THETA_GRID_POINTS
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
