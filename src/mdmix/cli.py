@@ -315,17 +315,22 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
     from .evidence import woe_curve, woe_margin_grid
 
     states = [state for state, _ in woe_margin_grid(cfg.contributors)]
-    # every table first, so an error writes nothing; then the rows, up to
-    # 231 states x 10,001 points per Q at the caps, are streamed to the
-    # writer, never held
-    tables = [woe_curve(states, q, cfg.theta_grid, tail_mass=cfg.tail_mass)
-              for q in cfg.q_values]
-    rows = ((str(state.n_col), str(state.s_prev), _fmt(q), _fmt(theta),
-             _fmt(table[r, c]))
-            for q, table in zip(cfg.q_values, tables)
-            for r, state in enumerate(states)
-            for c, theta in enumerate(cfg.theta_grid))
-    _write_csv(cfg.out, ("n_col", "s_prev", "Q", "theta", "woe"), rows)
+    # every Q is checked first, on one state, so an error writes nothing;
+    # then one Q's table at a time, up to 231 states x 10,001 points at the
+    # caps, is computed and its rows are streamed to the writer
+    for q in cfg.q_values:
+        woe_curve(states[:1], q, cfg.theta_grid, tail_mass=cfg.tail_mass)
+
+    def rows():
+        for q in cfg.q_values:
+            table = woe_curve(states, q, cfg.theta_grid,
+                              tail_mass=cfg.tail_mass)
+            for r, state in enumerate(states):
+                for c, theta in enumerate(cfg.theta_grid):
+                    yield (str(state.n_col), str(state.s_prev), _fmt(q),
+                           _fmt(theta), _fmt(table[r, c]))
+
+    _write_csv(cfg.out, ("n_col", "s_prev", "Q", "theta", "woe"), rows())
     return 0
 
 

@@ -21,7 +21,8 @@ that reach 2, together with which alleles carry them.
 
 The curve builders woe_curve and pair_ratio_curves evaluate woe_step and
 pair_ratio over a theta grid.  Each computes a term that its points or
-states share once per call, and gives the scalar values bit for bit.
+states share once per call, in whole arrays over the grid, and gives the
+scalar values bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, repeat
 
 import numpy as np
@@ -199,9 +201,8 @@ def _woe_ratios(keys, q_scaled: float, a_step, a_tail) -> list:
     multiplied left to right.  Step factors depend on k alone and tail
     factors on (n + j, j), so each factor and each running product is
     computed once per call and every value keeps the bits of a lone
-    product, whatever the keys and their order.  a_step and a_tail are
-    floats or equal-shape arrays; numpy's arithmetic is correctly rounded,
-    so an array gives the bits of the scalar call at each entry."""
+    product, whatever the keys and their order.  woe_curve forms the same
+    products over a grid in whole arrays."""
     step = [1.0, 1.0]  # step[n]: the product over k < n
     tails = {}  # tails[n][t]: step[n] times the first t tail factors
     out = []
@@ -237,39 +238,130 @@ def woe_margin_grid(n_contributors: int = 2):
     return out
 
 
+# doubles in one block of woe_curve's rows: it works through the grid a
+# block of columns at a time, so a block stays in cache and no temporary
+# grows with the grid
+_WOE_BLOCK_CELLS = 2 ** 16
+
+# the fields of a MarginState, which fix its row in woe_curve
+_MARGIN_FIELDS = operator.attrgetter("n_col", "s_prev", "n_contributors")
+
+
+# cached: callers pass the same states again and again, one call per Q
+@lru_cache(maxsize=64)
+def _woe_layout(keys):
+    """The layout of woe_curve's rows for the (n_col, s_prev,
+    n_contributors) keys of its states.
+
+    Rows 0 to n_steps - 1 hold step(0), step(1), ...: the running products
+    of the step factors.  Groups t = 1, 2, ... follow, and row (n, t) holds
+    step(n) times the first t tail factors of column count n; a state of
+    count n and rem draws reads row (n, rem - n), or row n where rem = n.
+    In each group the counts with the longest runs of tail factors come
+    first, so group t extends the first rows of group t - 1 (of the step
+    rows for t = 1) by one factor, (a_tail + (1-Q) m) / (a_tail + t - 1)
+    with m = n + t - 1.
+
+    Returns each state's row, n_steps, the column 0, 1, 2, ... that k, m
+    and t - 1 are read from, for each group the rows it extends, its own
+    rows and its m (slices where they are consecutive), and the number of
+    rows."""
+    runs = [(n, GENOTYPE_SIZE * contribs - s_prev - n)
+            for n, s_prev, contribs in keys]
+    longest = {}  # column count -> its longest run of tail factors
+    for n, t in runs:
+        longest[n] = max(t, longest.get(n, 0))
+    counts = sorted(longest, key=longest.__getitem__, reverse=True)
+    n_steps = max(2, max(counts) + 1)  # rows step(0), step(1), ...
+    firsts = [0, n_steps]  # the first row of each group
+    prev = counts  # the rows that group t extends: step(n) is row n
+    groups = []
+    for t in range(1, longest[counts[0]] + 1):
+        size = sum(run >= t for run in longest.values())
+        here = slice(firsts[-1], firsts[-1] + size)
+        groups.append((_as_slice(prev[:size]), here,
+                       _as_slice([n + t - 1 for n in counts[:size]])))
+        prev = range(here.start, here.stop)
+        firsts.append(here.stop)
+    order = {n: i for i, n in enumerate(counts)}
+    picks = [firsts[t] + order[n] if t else n for n, t in runs]
+    return (np.array(picks, dtype=np.intp), n_steps,
+            np.arange(max(n + t for n, t in runs) + 2, dtype=float)[:, None],
+            groups, firsts[-1])
+
+
+def _as_slice(rows):
+    """rows as a slice where they are consecutive and ascending."""
+    rows = list(rows)
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows, dtype=np.intp)
+
+
 def woe_curve(states, q_scaled: float, theta_grid,
               tail_mass: float = 1.0) -> np.ndarray:
     """Matrix of woe_step values, one row per state, one column per theta.
 
-    One _woe_ratios call over the whole grid gives every row, so states
-    with the same column count share their factors and running products;
-    the values are woe_step's bit for bit.  Each theta goes through
-    woe_step's checks in grid order, so bad input raises the error woe_step
-    raises at the first theta where it would fail.
+    The grid is checked through _pool_mass, with one test of the tail mass
+    for underflow; only if a check fails are woe_step's checks rerun theta
+    by theta, so bad input raises the error woe_step raises at the first
+    theta where it would fail.  Then, a block of grid columns at a time, a
+    few whole-array passes form _woe_ratios's products: the step factors
+    in one broadcast and their running products in one accumulate, the
+    tail factors' numerators and denominators in one broadcast each, then
+    the running products of all column counts together, one tail factor
+    on at a time.  States with the same column count share them.  Each
+    product is formed left to right as in woe_step, and numpy's arithmetic
+    is correctly rounded, so the values are woe_step's bit for bit.  Beyond
+    the output, memory stays bounded whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
         if not isinstance(state, MarginState):
             raise _type_error(state, MarginState, f"states[{k}]")
     grid = _as_items(theta_grid, "theta_grid", "float")
-    out = np.ones((len(states), len(grid)))
+    out = np.empty((len(states), len(grid)))
     if not out.size:
         return out
     q_scaled = _as_real(q_scaled, "Q")
     tail_mass = _as_real(tail_mass, "tail_mass")
-    pools = [_woe_pool(q_scaled, theta, tail_mass) for theta in grid]
-    # an index array: numpy converts a list index anew for every row
-    live = np.array([k for k, a_pool in enumerate(pools)
-                     if a_pool != math.inf], dtype=np.intp)
-    a_pool = np.array(pools)[live]
+    try:
+        a_pool = np.array(list(map(_pool_mass, grid, repeat(tail_mass))))
+        checked = (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0
+                   and (1.0 - q_scaled) * a_pool.min() != 0.0)
+    except Exception:  # raised again below, unless an earlier check fails
+        checked = False
+    if not checked:
+        for theta in grid:
+            _woe_pool(q_scaled, theta, tail_mass)
+    picks, n_steps, column, groups, n_rows = _woe_layout(
+        tuple(map(_MARGIN_FIELDS, states)))
+    k = column[1:n_steps - 1]
+    q_k = q_scaled * k
+    q_m = (1.0 - q_scaled) * column
+    width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + n_rows
+                                        + len(states)))
     # Python floats never warn, so neither does this: a subnormal a_tail
-    # can overflow a factor to inf in woe_step as here
+    # can overflow a factor to inf in woe_step as here, and the columns
+    # where a_pool = inf (the ratio is 1 there) are nan until set below
     with np.errstate(all="ignore"):
-        ratios = _woe_ratios([(s.n_col, s.remaining) for s in states],
-                             q_scaled, q_scaled * a_pool,
-                             (1.0 - q_scaled) * a_pool)
-    for r, ratio in enumerate(ratios):
-        out[r, live] = ratio
+        a_step = q_scaled * a_pool
+        a_tail = (1.0 - q_scaled) * a_pool
+        for lo in range(0, len(grid), width):
+            cols = slice(lo, lo + width)
+            rows = np.empty((n_rows, len(a_pool[cols])))
+            rows[:2] = 1.0
+            np.divide(a_step[cols] + q_k, a_step[cols] + k,
+                      out=rows[2:n_steps])
+            np.multiply.accumulate(rows[:n_steps], axis=0,
+                                   out=rows[:n_steps])
+            numer = a_tail[cols] + q_m
+            denom = a_tail[cols] + column[:len(groups)]
+            for den, (prev, here, m) in zip(denom, groups):
+                np.divide(numer[m], den, out=rows[here])
+                rows[here] *= rows[prev]
+            out[:, cols] = rows[picks]
+    out[:, a_pool == math.inf] = 1.0
     return out
 
 
@@ -357,15 +449,15 @@ def enumerate_genotype_pairs(n_categories: int):
             yield GenotypePair(genotypes[gi], genotypes[gj])
 
 
-# each class's canonical pair as GenotypePair.carried gives it: the
+# each class with its canonical pair as GenotypePair.carried gives it: the
 # (allele, pooled count) pairs, multiplicities first and singletons next
-_CANONICAL_PAIRS = (
-    ((0, 4),),
-    ((0, 3), (1, 1)),
-    ((0, 2), (1, 2)),
-    ((0, 2), (1, 1), (2, 1)),
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-)
+_CANONICAL_PAIRS = tuple(
+    (MultiplicityClass(tuple(c for _, c in carried if c >= 2)), carried)
+    for carried in (((0, 4),),
+                    ((0, 3), (1, 1)),
+                    ((0, 2), (1, 2)),
+                    ((0, 2), (1, 1), (2, 1)),
+                    ((0, 1), (1, 1), (2, 1), (3, 1))))
 
 
 def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
@@ -382,8 +474,10 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     first such theta.  Each of pair_ratio's terms is built once per call as
     a column over the grid (log(a. + k), -log a., and -log(q_a a. + k) per
     allele some class counts twice), and each value is exp of math.fsum
-    over the same multiset: fsum is exactly rounded, so the order of the
-    terms does not change a bit.
+    over the same multiset, less one log a. and one singleton's -log a.,
+    whose sum is exactly 0: fsum is exactly rounded, so neither that pair
+    nor the order of the terms changes a bit.  The curves are the rows of
+    one array, written in one assignment.
     """
     grid = _as_items(theta_grid, "theta_grid", "float")
     pools = list(map(_pool_mass, grid))
@@ -396,9 +490,7 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
 
     # alleles a canonical pair does not carry add nothing to pair_ratio's
     # sum; its last allele is its largest
-    classes = [(MultiplicityClass(tuple(c for _, c in carried if c >= 2)),
-                carried)
-               for carried in _CANONICAL_PAIRS
+    classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
                if carried[-1][0] < freqs.n_categories]
     head = [log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
     neg_log_pool = list(map(operator.neg, head[0]))
@@ -416,15 +508,16 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
                                  "makes alpha 0")
         neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
                            for k in range(most[a])]
-    curves: dict[MultiplicityClass, np.ndarray] = {}
-    for cls, carried in classes:
-        columns = list(head)
+    values = []
+    for _, carried in classes:
+        singletons = sum(c == 1 for _, c in carried)
+        columns = (head[1:] + [neg_log_pool] * (singletons - 1)
+                   if singletons else list(head))
         for a, c in carried:
-            if c == 1:
-                columns.append(neg_log_pool)
-            else:
+            if c >= 2:
                 columns.append(repeat(c * freqs.log_extended_probs[a]))
                 columns += neg_log_step[a][:c]
-        curves[cls] = curve = np.ones(len(grid))
-        curve[live] = list(map(math.exp, map(math.fsum, zip(*columns))))
-    return curves
+        values.append(list(map(math.exp, map(math.fsum, zip(*columns)))))
+    curves = np.ones((len(classes), len(grid)))
+    curves[:, live] = values
+    return dict(zip([cls for cls, _ in classes], curves))

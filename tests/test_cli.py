@@ -337,6 +337,38 @@ def test_woe_curve_streams_its_rows(tmp_path):
     assert peak < 4 * 2 ** 20
 
 
+def test_woe_curve_holds_one_q_table_at_a_time(monkeypatch, tmp_path):
+    # 40 Q values at 10 contributors and 1,001 points: each table is 231 x
+    # 1,001 doubles (1.8 MB), and the 40 held before the first row took
+    # 74 MB; the peak when the first row reaches the writer is at most two
+    mdmix.evidence  # loaded before tracing, so its import is not counted
+    peaks = []
+
+    def first_row(out, header, rows):
+        next(iter(rows))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(mdmix.cli, "_write_csv", first_row)
+    q_values = ",".join(str(k / 50) for k in range(1, 41))
+    argv = ["woe-curve", "--contributors", "10", "--theta-grid",
+            "0:0.5:0.0005", "--q-values", q_values]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2 * 231 * 1001 * 8
+    # every Q is still checked before a row is written: the second one
+    # underflows its tail mass at the last theta
+    out = tmp_path / "w.csv"
+    monkeypatch.undo()
+    code = main(["woe-curve", "--tail-mass", "1e-300", "--theta-grid",
+                 "0,0.5,0.9999999999999999", "--q-values",
+                 "0.5,0.9999999999999999", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ratio-curve
 

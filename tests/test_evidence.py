@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import operator
+import tracemalloc
 import warnings
 from dataclasses import fields
 from itertools import compress
@@ -460,7 +461,7 @@ def test_pair_ratio_curves_refuse_an_alpha_at_the_first_theta_it_underflows():
     assert len(pair_ratio_curves(TINY, (0.0, 0.5, 0.99))) == 5
 
 
-_EDGE_THETAS = (0.0, -0.0, 1e-300, 1.0 - 1e-16)
+_EDGE_THETAS = (0.0, -0.0, 1e-300, 1e-320, 1.0 - 1e-16)
 
 
 @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=40),
@@ -483,11 +484,13 @@ def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
 @given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, 20),
                           st.integers(0, 20)), min_size=1, max_size=30),
        st.floats(1e-3, 0.999), st.sampled_from((1.0, 0.3, 1e-6)),
-       st.lists(st.floats(0.0, 0.999), max_size=6))
-def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas):
+       st.lists(st.floats(0.0, 0.999), max_size=6), st.randoms())
+def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     # states in any order, with repeats and mixed contributor counts, share
     # factors and running products; each row must still be the bits of its
-    # own woe_step product
+    # own woe_step product.  The grid is shuffled, and theta = 0, -0 and
+    # 1e-320 (whose pool overflows) sit between other points, so the
+    # columns where the ratio is exactly 1 are not at one end
     states = []
     for contribs, n_col, s_prev in specs:
         capacity = 2 * contribs
@@ -495,11 +498,30 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas):
         states.append(MarginState(n_col=n_col,
                                   s_prev=s_prev % (capacity - n_col + 1),
                                   n_contributors=contribs))
-    grid = list(thetas) + list(_EDGE_THETAS)
+    states += rnd.sample(states, rnd.randint(0, len(states)))
+    rnd.shuffle(states)
+    grid = list(thetas) + [1e-300, 1.0 - 1e-16]
+    rnd.shuffle(grid)
+    for theta in (0.0, -0.0, 1e-320):
+        grid.insert(rnd.randint(1, len(grid) - 1), theta)
     curve = woe_curve(states, q, grid, tail_mass=mass)
     want = np.array([[woe_step(s, q, t, tail_mass=mass) for t in grid]
                      for s in states])
     assert curve.tobytes() == want.tobytes()
+
+
+def test_woe_curve_holds_little_beyond_its_output():
+    # the rows are formed a block of grid columns at a time, so no
+    # temporary grows with the grid
+    states = [s for s, _ in woe_margin_grid(10)]
+    grid = [k / 4000 for k in range(2001)]
+    tracemalloc.start()
+    try:
+        curve = woe_curve(states, 0.1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * curve.nbytes
 
 
 def test_validate_catches_a_ratio_that_depends_on_singleton_positions(
