@@ -321,14 +321,19 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
     for q in cfg.q_values:
         woe_curve(states[:1], q, cfg.theta_grid, tail_mass=cfg.tail_mass)
 
+    # each text that repeats is formed once: a theta's for the grid, Q's
+    # and a state's for its rows; the values are read a row at a time
+    thetas = list(map(_fmt, cfg.theta_grid))
+
     def rows():
         for q in cfg.q_values:
             table = woe_curve(states, q, cfg.theta_grid,
                               tail_mass=cfg.tail_mass)
-            for r, state in enumerate(states):
-                for c, theta in enumerate(cfg.theta_grid):
-                    yield (str(state.n_col), str(state.s_prev), _fmt(q),
-                           _fmt(theta), _fmt(table[r, c]))
+            q_text = _fmt(q)
+            for state, values in zip(states, table):
+                head = (str(state.n_col), str(state.s_prev), q_text)
+                for theta, value in zip(thetas, values.tolist()):
+                    yield (*head, theta, _fmt(value))
 
     _write_csv(cfg.out, ("n_col", "s_prev", "Q", "theta", "woe"), rows())
     return 0

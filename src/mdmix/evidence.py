@@ -21,8 +21,9 @@ that reach 2, together with which alleles carry them.
 
 The curve builders woe_curve and pair_ratio_curves evaluate woe_step and
 pair_ratio over a theta grid.  Each computes a term that its points or
-states share once per call, in whole arrays over the grid, and gives the
-scalar values bit for bit.
+states share once per call, in whole arrays over the grid, and a term that
+depends on the grid alone once per distinct grid; each gives the scalar
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .model import (
     CountTable,
     ParameterError,
     ProfileCounts,
+    _FLOAT,
     _as_count,
     _as_counts,
     _as_items,
@@ -187,36 +189,19 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     a_pool = _woe_pool(q_scaled, theta, tail_mass)
     if a_pool == math.inf:  # theta = 0, or 1 + O(1 / a_pool) rounds to 1
         return 1.0
-    return _woe_ratios([(margin.n_col, margin.remaining)], q_scaled,
-                       q_scaled * a_pool, (1.0 - q_scaled) * a_pool)[0]
-
-
-def _woe_ratios(keys, q_scaled: float, a_step, a_tail) -> list:
-    """woe_step's cancelled products, unchecked, for each (n, rem) in keys:
-    column count n of rem draws,
-
-        prod_{1 <= k < n} (a_step + Q k) / (a_step + k)
-        * prod_{j < rem - n} (a_tail + (1-Q)(n + j)) / (a_tail + j),
-
-    multiplied left to right.  Step factors depend on k alone and tail
-    factors on (n + j, j), so each factor and each running product is
-    computed once per call and every value keeps the bits of a lone
-    product, whatever the keys and their order.  woe_curve forms the same
-    products over a grid in whole arrays."""
-    step = [1.0, 1.0]  # step[n]: the product over k < n
-    tails = {}  # tails[n][t]: step[n] times the first t tail factors
-    out = []
-    for n, rem in keys:
-        while len(step) <= n:
-            k = len(step) - 1
-            step.append(step[k] * ((a_step + q_scaled * k) / (a_step + k)))
-        run = tails.setdefault(n, [step[n]])
-        while len(run) <= rem - n:
-            j = len(run) - 1
-            run.append(run[j] * ((a_tail + (1.0 - q_scaled) * (n + j))
-                                 / (a_tail + j)))
-        out.append(run[rem - n])
-    return out
+    # column count n of rem draws: the cancelled products
+    #     prod_{1 <= k < n} (a_step + Q k) / (a_step + k)
+    #     * prod_{j < rem - n} (a_tail + (1-Q)(n + j)) / (a_tail + j),
+    # multiplied left to right; woe_curve forms them over a grid in whole
+    # arrays
+    a_step, a_tail = q_scaled * a_pool, (1.0 - q_scaled) * a_pool
+    n = margin.n_col
+    ratio = 1.0
+    for k in range(1, n):
+        ratio *= (a_step + q_scaled * k) / (a_step + k)
+    for j in range(margin.remaining - n):
+        ratio *= (a_tail + (1.0 - q_scaled) * (n + j)) / (a_tail + j)
+    return ratio
 
 
 def woe_margin_grid(n_contributors: int = 2):
@@ -298,6 +283,29 @@ def _as_slice(rows):
     return np.array(rows, dtype=np.intp)
 
 
+# the distinct grids whose own work each curve builder keeps: the callers
+# seen build every curve of a process on one grid
+_GRID_CACHE_SIZE = 4
+
+
+def _per_grid(build, grid, *args):
+    """build(grid, *args), from build's cache for a grid of exact floats
+    only: False and np.False_ equal 0.0 and hash alike, so a lookup would
+    take them for 0.0, though _as_real refuses them.  An error is never
+    cached, so a bad grid raises it again on every call."""
+    if _FLOAT.issuperset(map(type, grid)):
+        return build(grid, *args)
+    return build.__wrapped__(grid, *args)
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _woe_pools(grid, tail_mass):
+    """woe_curve's pooled mass a. at each theta, read-only."""
+    a_pool = np.array(list(map(_pool_mass, grid, repeat(tail_mass))))
+    a_pool.flags.writeable = False
+    return a_pool
+
+
 def woe_curve(states, q_scaled: float, theta_grid,
               tail_mass: float = 1.0) -> np.ndarray:
     """Matrix of woe_step values, one row per state, one column per theta.
@@ -305,15 +313,19 @@ def woe_curve(states, q_scaled: float, theta_grid,
     The grid is checked through _pool_mass, with one test of the tail mass
     for underflow; only if a check fails are woe_step's checks rerun theta
     by theta, so bad input raises the error woe_step raises at the first
-    theta where it would fail.  Then, a block of grid columns at a time, a
-    few whole-array passes form _woe_ratios's products: the step factors
-    in one broadcast and their running products in one accumulate, the
-    tail factors' numerators and denominators in one broadcast each, then
-    the running products of all column counts together, one tail factor
-    on at a time.  States with the same column count share them.  Each
-    product is formed left to right as in woe_step, and numpy's arithmetic
-    is correctly rounded, so the values are woe_step's bit for bit.  Beyond
-    the output, memory stays bounded whatever the grid.
+    theta where it would fail.  The pooled masses a. are formed through
+    _pool_mass once per distinct grid and tail mass, when every theta is
+    an exact float, and a cache keeps those of the last 4 (80 KB each at
+    10,001 points, and the grid, which it keeps alive).  Then, a block of
+    grid columns at a time, a few whole-array passes form woe_step's
+    products: the step factors in one broadcast and their running products
+    in one accumulate, the tail factors' numerators and denominators in one
+    broadcast each, then the running products of all column counts
+    together, one tail factor on at a time.  States with the same column
+    count share them.  Each product is formed left to right as in woe_step,
+    and numpy's arithmetic is correctly rounded, so the values are
+    woe_step's bit for bit.  Beyond the output and the cache, memory stays
+    bounded whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
@@ -326,7 +338,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
     q_scaled = _as_real(q_scaled, "Q")
     tail_mass = _as_real(tail_mass, "tail_mass")
     try:
-        a_pool = np.array(list(map(_pool_mass, grid, repeat(tail_mass))))
+        a_pool = _per_grid(_woe_pools, grid, tail_mass)
         checked = (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0
                    and (1.0 - q_scaled) * a_pool.min() != 0.0)
     except Exception:  # raised again below, unless an earlier check fails
@@ -361,7 +373,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
                 np.divide(numer[m], den, out=rows[here])
                 rows[here] *= rows[prev]
             out[:, cols] = rows[picks]
-    out[:, a_pool == math.inf] = 1.0
+    np.copyto(out, 1.0, where=a_pool == math.inf)
     return out
 
 
@@ -460,6 +472,23 @@ _CANONICAL_PAIRS = tuple(
                     ((0, 1), (1, 1), (2, 1), (3, 1))))
 
 
+def _log_column(values, k):
+    """[log(v + k) for v in values]"""
+    return list(map(math.log, map(float(k).__add__, values)))
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _ratio_grid(grid):
+    """pair_ratio_curves' columns that depend on the grid alone: the
+    positions of the thetas where a. is finite, a. there, and log(a. + k)
+    for k < 4 there."""
+    pools = list(map(_pool_mass, grid))
+    live = tuple(k for k, a_total in enumerate(pools) if a_total != math.inf)
+    pools = tuple(pools[k] for k in live)
+    return live, pools, tuple(tuple(_log_column(pools, k))
+                              for k in range(2 * GENOTYPE_SIZE))
+
+
 def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     """One ratio curve per multiplicity class over the theta grid.
 
@@ -471,28 +500,24 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
 
     The values are pair_ratio's bit for bit.  A theta outside [0, 1), and
     then one where q_a a. underflows, raises pair_ratio's error at the
-    first such theta.  Each of pair_ratio's terms is built once per call as
-    a column over the grid (log(a. + k), -log a., and -log(q_a a. + k) per
-    allele some class counts twice), and each value is exp of math.fsum
-    over the same multiset, less one log a. and one singleton's -log a.,
-    whose sum is exactly 0: fsum is exactly rounded, so neither that pair
-    nor the order of the terms changes a bit.  The curves are the rows of
-    one array, written in one assignment.
+    first such theta.  Each of pair_ratio's terms is built as a column over
+    the grid.  The columns log(a. + k) for k < 4, with a. and the positions
+    where it is finite, are formed once per distinct grid when every theta
+    is an exact float, and a cache keeps those of the last 4 grids (1.9 MB
+    each at 10,001 points, and the grid, which it keeps alive).  The
+    columns -log a., and -log(q_a a. + k) per allele some class counts
+    twice, are formed once per call.  Each value is exp of math.fsum over
+    the same multiset, less one log a. and one singleton's -log a., whose
+    sum is exactly 0: fsum is exactly rounded, so neither that pair nor the
+    order of the terms changes a bit.  The curves are the rows of one
+    array, written in one assignment.
     """
     grid = _as_items(theta_grid, "theta_grid", "float")
-    pools = list(map(_pool_mass, grid))
-    live = [k for k, a_total in enumerate(pools) if a_total != math.inf]
-    pools = [pools[k] for k in live]
-
-    def log_column(values, k):
-        """[log(v + k) for v in values]"""
-        return list(map(math.log, map(float(k).__add__, values)))
-
+    live, pools, head = _per_grid(_ratio_grid, grid)
     # alleles a canonical pair does not carry add nothing to pair_ratio's
     # sum; its last allele is its largest
     classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
                if carried[-1][0] < freqs.n_categories]
-    head = [log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
     neg_log_pool = list(map(operator.neg, head[0]))
     most = {}  # allele -> its largest count >= 2 in any class
     for _, carried in classes:
@@ -506,12 +531,12 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
         if 0.0 in alpha:
             raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
                                  "makes alpha 0")
-        neg_log_step[a] = [list(map(operator.neg, log_column(alpha, k)))
+        neg_log_step[a] = [list(map(operator.neg, _log_column(alpha, k)))
                            for k in range(most[a])]
     values = []
     for _, carried in classes:
         singletons = sum(c == 1 for _, c in carried)
-        columns = (head[1:] + [neg_log_pool] * (singletons - 1)
+        columns = (list(head[1:]) + [neg_log_pool] * (singletons - 1)
                    if singletons else list(head))
         for a, c in carried:
             if c >= 2:

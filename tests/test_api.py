@@ -128,8 +128,8 @@ THETA_ZERO_SITES = ["model._pool_mass"]
 # the functions that dispatch on the alpha_total = inf limit: the ratio
 # functions' exact 1, the kernel's exact 0 and the sampler's fixed urn
 INF_LIMIT_SITES = [
+    "evidence._ratio_grid",
     "evidence.pair_ratio",
-    "evidence.pair_ratio_curves",
     "evidence.woe_curve",
     "evidence.woe_step",
     "logspace.log_scaled_rising",
@@ -149,7 +149,7 @@ INT_SITES = ["model._as_count"]
 FLOAT_SITES = [
     "cli.parse_theta_grid",
     "cli.parse_theta_grid",
-    "evidence.pair_ratio_curves.log_column",
+    "evidence._log_column",
     "model._as_real",
     "model.read_frequency_csv",
     "oracle.oracle_moment",

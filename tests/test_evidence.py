@@ -395,8 +395,9 @@ def test_pair_ratio_curves_cover_all_classes():
 
 
 def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
-    # the curves share their logs across classes: 10 per nonzero grid point
-    # (4 head columns, 4 for allele 0 and 2 for allele 1), whatever the width
+    # the curves share their logs across classes, whatever the width: 10
+    # per nonzero grid point on a cold grid (4 head columns, 4 for allele 0
+    # and 2 for allele 1), and 6 once the grid's head columns are cached
     counts = []
     for width in (6, 40):
         calls = []
@@ -410,10 +411,69 @@ def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
                                                "log": counting_log}))
         weights = tuple(range(1, width + 1))
         freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
-        assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
-        counts.append(len(calls))
+        mdmix.evidence._ratio_grid.cache_clear()
+        for _ in ("cold", "warm"):
+            calls.clear()
+            assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
+            counts.append(len(calls))
         monkeypatch.undo()
-    assert counts == [10 * (len(THETA_GRID) - 1)] * 2
+    points = len(THETA_GRID) - 1
+    assert counts == [10 * points, 6 * points] * 2
+
+
+def test_a_warm_grid_cache_changes_no_value_and_no_error():
+    # each builder keeps the work of its last 4 grids of exact floats; a
+    # grid that equals a cached one but holds a bool, an int or -0.0, or is
+    # a list, must give what the scalar functions give
+    evidence = mdmix.evidence
+    for build in (evidence._woe_pools, evidence._ratio_grid):
+        assert build.cache_parameters()["maxsize"] == 4
+        build.cache_clear()
+    states = [s for s, _ in woe_margin_grid(2)]
+    floats = (0.0, 0.25, 1e-320, 0.5)
+
+    def bits(grid):
+        # a. is cached per grid and tail mass
+        for mass in (0.5, 1.0):
+            want = np.array([[woe_step(s, 0.2, t, tail_mass=mass)
+                              for t in grid] for s in states])
+            assert (woe_curve(states, 0.2, grid, tail_mass=mass).tobytes()
+                    == want.tobytes())
+        curves = pair_ratio_curves(PANEL, grid)
+        for cls, values in curves.items():
+            pair = pair_of(*CANONICAL[cls.label])
+            want = np.array([pair_ratio(pair, PANEL, t) for t in grid])
+            assert values.tobytes() == want.tobytes()
+        return curves
+
+    def refusals(grid):
+        errors = []
+        for build in (lambda: woe_curve(states, 0.2, grid),
+                      lambda: pair_ratio_curves(PANEL, grid)):
+            with pytest.raises(ParameterError) as err:
+                build()
+            errors.append(str(err.value))
+        return errors
+
+    for grid in (floats, floats, (-0.0,) + floats[1:], (0,) + floats[1:],
+                 list(floats)):
+        bits(grid)
+    assert evidence._woe_pools.cache_info().currsize == 2
+    assert evidence._ratio_grid.cache_info().currsize == 1
+    assert not evidence._woe_pools(floats, 0.5).flags.writeable
+    for bad in (False, np.False_):
+        assert refusals((bad,) + floats[1:]) == [
+            f"theta: expected float, got {bad!r}"] * 2
+    # True equals 1.0, which is refused, so no grid that equals it is cached
+    for last, message in ((1.0, "theta = 1.0 outside [0, 1)"),
+                          (True, "theta: expected float, got True")):
+        for _ in ("cold", "again"):
+            assert refusals(floats[:3] + (last,)) == [message] * 2
+    # the output is the caller's own: writing into it changes no later call
+    woe_curve(states, 0.2, floats, tail_mass=0.5)[:] = 7.0
+    for values in bits(floats).values():
+        values[:] = 7.0
+    bits(floats)
 
 
 def test_pair_ratio_is_one_where_the_pool_overflows():
@@ -479,6 +539,9 @@ def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
         pair = pair_of(*CANONICAL[cls.label], width=width)
         want = np.array([pair_ratio(pair, freqs, t) for t in grid])
         assert values.tobytes() == want.tobytes()
+    # the second call reads the grid's cached columns
+    again = pair_ratio_curves(freqs, grid)
+    assert all(again[cls].tobytes() == curves[cls].tobytes() for cls in curves)
 
 
 @given(st.lists(st.tuples(st.integers(1, 10), st.integers(0, 20),
@@ -508,6 +571,9 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     want = np.array([[woe_step(s, q, t, tail_mass=mass) for t in grid]
                      for s in states])
     assert curve.tobytes() == want.tobytes()
+    # the second call reads the grid's cached pooled masses
+    again = woe_curve(states, q, grid, tail_mass=mass)
+    assert again.tobytes() == want.tobytes()
 
 
 def test_woe_curve_holds_little_beyond_its_output():
