@@ -25,9 +25,11 @@ theta = 0), split hypergeometrically across the rows' remaining counts;
 one step is the private kernel _log_step, and mdm_chain_log_pmf is their
 sum.  A step over an empty column is the chance that none of the free
 draws lands in it, which leaves three terms.  What a step needs of q and
-a. (log Q_a, log(1 - Q_a) and three Dirichlet masses) is computed once per
-MdmParams, on the first chain call, and each L term once per chain: a
-step's -L(pool a., rem) is the +L(q_tail a., rem - n) of the step before.
+a. (log Q_a, log(1 - Q_a) and a memo of L for each of its three Dirichlet
+masses) is built once per MdmParams, on the first chain call, and each L
+term is computed once per MdmParams and count: a memo keeps the first
+_MEMO_SIZE counts it meets, and within one chain a step's
+-L(pool a., rem) is the +L(q_tail a., rem - n) of the step before.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -94,7 +96,8 @@ class MdmParams:
     @cached_property
     def _steps(self) -> tuple:
         """The _step record of each category but the last, for the chain;
-        built on first use, so the direct pmf never pays for it."""
+        built on first use, so the direct pmf never pays for it, and kept
+        with its memos for every later chain call on these params."""
         q = self.model.freqs.extended_probs
         suffix = _suffix_sums(q)
         scale = self.model.alpha_total
@@ -150,14 +153,40 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     return math.fsum(terms)
 
 
+# The most counts a step's memo keeps for one Dirichlet mass; a table of
+# total N meets at most N + 1, and the simulation benchmark's largest total
+# is 180.  Past the cap a memo computes L afresh, so an MdmParams over A
+# categories holds at most 3 (A - 1) _MEMO_SIZE values: a full memo takes
+# about 23 KB, so at most 2.8 MB at A = 41.
+_MEMO_SIZE = 256
+
+
+class _Memo(dict):
+    """L(x, n) by n for one x, filled on first use.  A value is stored only
+    while fewer than _MEMO_SIZE are, and it is the pure L value, so threads
+    that share a memo can at worst compute a value twice, or each store one
+    past the cap when they race at it."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x: float):
+        self.x = x
+
+    def __missing__(self, n: int) -> float:
+        value = log_scaled_rising(self.x, n)
+        if len(self) < _MEMO_SIZE:
+            self[n] = value
+        return value
+
+
 def _step(q_a: float, q_tail: float, scale: float) -> tuple:
-    """The constants of a chain step into a category whose Dirichlet
+    """The record of a chain step into a category whose Dirichlet
     parameter is q_a scale against q_tail scale for the categories after
-    it: (log Q, log(1 - Q), q_a scale, q_tail scale, pool scale) with
-    pool = q_a + q_tail and Q = q_a / pool."""
+    it: (log Q, log(1 - Q), and the _Memo of L at q_a scale, q_tail scale
+    and pool scale) with pool = q_a + q_tail and Q = q_a / pool."""
     pool = q_a + q_tail
     return (math.log(q_a / pool), math.log(q_tail / pool),
-            q_a * scale, q_tail * scale, pool * scale)
+            _Memo(q_a * scale), _Memo(q_tail * scale), _Memo(pool * scale))
 
 
 def _log_step(step: tuple, col, n: int, free, rem: int,
@@ -171,20 +200,21 @@ def _log_step(step: tuple, col, n: int, free, rem: int,
         { prod_i C(free_i, col_i) } Q^n (1-Q)^(rem-n)
         * exp(L(q_a scale, n) + L(q_tail scale, rem-n) - L(pool scale, rem)),
 
-    a binomial at scale = inf.  l_pool is L(pool scale, rem), computed here
-    when not given.  Every term left out, a binomial of a zero cell or, for
-    an empty column (n = 0), the terms in n, is an exact zero, and fsum is
+    a binomial at scale = inf.  l_pool is L(pool scale, rem), read from
+    the step's memo when not given; each L is read from its memo, which
+    holds the value log_scaled_rising gives, so a warm step has a cold
+    one's bits.  Every term left out, a binomial of a zero cell or, for an
+    empty column (n = 0), the terms in n, is an exact zero, and fsum is
     exactly rounded, so the bits are those of the full sum.
     """
-    log_q, log_tail, alpha_a, alpha_tail, alpha_pool = step
+    log_q, log_tail, memo_a, memo_tail, memo_pool = step
     if l_pool is None:
-        l_pool = log_scaled_rising(alpha_pool, rem)
-    l_tail = log_scaled_rising(alpha_tail, rem - n)
+        l_pool = memo_pool[rem]
+    l_tail = memo_tail[rem - n]
     if not n:
         return math.fsum((rem * log_tail, l_tail, -l_pool)), l_tail
     terms = [log_binomial(f, c) for f, c in zip(free, col) if c]
-    terms += [n * log_q, (rem - n) * log_tail,
-              log_scaled_rising(alpha_a, n), l_tail, -l_pool]
+    terms += [n * log_q, (rem - n) * log_tail, memo_a[n], l_tail, -l_pool]
     return math.fsum(terms), l_tail
 
 
@@ -195,7 +225,7 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     The last column's step is certain (its tail is empty), and once no
     draw is free every later step is an exact zero, so neither is taken.
     Each step hands its L(q_tail a., rem - n) on as the next step's
-    L(pool a., rem); the first step computes its own.
+    L(pool a., rem); the first step reads its own from its memo.
     """
     _check_table(table, params)
     free = table.row_sums

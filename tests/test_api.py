@@ -3,8 +3,8 @@
 pinned, and every `mdmix.<name>` the benchmark reads is still there.
 Source checks keep theta = 0 a limit of the formulas rather than a case
 they branch on, keep one conversion of a caller's integer and one of a
-caller's real, keep one rule for where an output goes, and keep every module
-free of imports it does not use."""
+caller's real, keep one rule for where an output goes, pin each read of a
+libm function, and keep every module free of imports it does not use."""
 
 from __future__ import annotations
 
@@ -155,6 +155,25 @@ FLOAT_SITES = [
     "oracle.oracle_moment",
 ]
 
+# the reads of math.lgamma, log, log1p and exp in the package, one entry
+# per read: where a value's last bits can depend on the platform's libm
+LIBM_SITES = [
+    "cli.cmd_pmf",
+    "evidence._log_column",
+    *["evidence.pair_ratio"] * 6,
+    "evidence.pair_ratio_curves",
+    "evidence.pair_ratio_via_pmfs",
+    "logspace",
+    "logspace.log_factorial",
+    *["logspace.log_scaled_rising"] * 6,
+    *["mdm._step"] * 2,
+    "model.AlleleFrequencies.__post_init__",
+    *["moments.factorial_moment"] * 2,
+    "oracle._support_and_probs",
+    *["validation.suite_hypergeometric"] * 3,
+    *["validation.suite_marginal_conditional"] * 5,
+]
+
 # the functions that write to stdout: the one rule for where an output goes,
 # and sample's metadata, which goes to the stream its table is not on
 STDOUT_SITES = ["cli._opened", "cli.cmd_sample"]
@@ -165,6 +184,28 @@ def _calls_float(node) -> bool:
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "float"
             and not all(isinstance(arg, ast.Constant) for arg in node.args))
+
+
+_LIBM = ("exp", "lgamma", "log", "log1p")
+
+
+def _libm_names(tree) -> set[str]:
+    """The names of _LIBM that tree imports from math."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "math"
+            for alias in node.names if alias.name in _LIBM}
+
+
+def _reads_libm(names):
+    """A test for math.<f>, called or passed on, with f in _LIBM, or for
+    a read of one of names, those that the module imports from math."""
+    def hit(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in names and isinstance(node.ctx, ast.Load)
+        return (isinstance(node, ast.Attribute) and node.attr in _LIBM
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math")
+    return hit
 
 
 def _reads_operator_index(node) -> bool:
@@ -310,6 +351,28 @@ def test_a_callers_real_is_converted_at_one_site():
     # a new call of float on a value is a second copy of the rule that
     # refuses a bool and text, unless it parses text or formats output
     assert _package_sites(_calls_float) == FLOAT_SITES
+
+
+def test_libm_scan_counts_every_read():
+    tree = ast.parse(
+        "from math import lgamma, log1p as l1p, inf\n"
+        "def f(x, xs, m):\n"
+        "    y = math.log(x) + lgamma(x) - l1p(x)\n"
+        "    z = list(map(math.exp, xs))\n"
+        "    w = m.log(x), math.log10(x), math.fsum(xs), inf, np.exp(x)\n"
+        "    log = x\n")
+    found = _sites(tree, "m", _reads_libm(_libm_names(tree)))
+    assert list(found) == ["m.f"] * 4
+
+
+def test_the_libm_reads_are_pinned():
+    # a new read of a libm function is a new value whose bits depend on
+    # the platform's libm; a memo of values the kernel computed adds none
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += _sites(tree, path.stem, _reads_libm(_libm_names(tree)))
+    assert sorted(found) == LIBM_SITES
 
 
 def test_stdout_scan_counts_every_write():

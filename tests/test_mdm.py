@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 from math import lgamma
 
@@ -20,7 +22,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
 from mdmix.logspace import log_binomial, log_scaled_rising
-from mdmix.mdm import _log_step, _step
+from mdmix.mdm import _MEMO_SIZE, _log_step, _step
 from mdmix.moments import factorial_moment
 from mdmix.oracle import (MdmSampler, enumerate_tables,
                           enumerate_tables_with_margins,
@@ -331,18 +333,93 @@ def test_chain_keeps_the_bits_of_the_full_step_sum(case, theta):
 @pytest.mark.parametrize("theta", CHAIN_THETAS)
 def test_chain_keeps_the_bits_with_one_params_over_many_large_tables(theta):
     # rows above 170 draws take log_binomial's lgamma branch, and the step
-    # constants built on the first chain call are read again by the rest;
-    # the direct pmf does not build them
+    # records built on the first chain call, with their memos of L, are
+    # read again by the rest and by a second pass over the same tables on
+    # the warm params, also on params derived from these; the direct pmf
+    # does not build them
     freqs = AlleleFrequencies((0.3, 0.02, 0.25, 0.1, 0.05, 0.2))
     params = MdmParams((400, 171, 3, 0), theta_to_alpha(freqs, theta))
-    sampler = MdmSampler(params, 11)
-    tables = [sampler.draw() for _ in range(40)]
-    assert len(set(tables)) > 1
-    mdm_log_pmf(tables[0], params)
-    assert "_steps" not in vars(params)
-    for table in tables:
+    observed = CountTable(((100, 5, 80, 40, 25, 100, 50),))
+    derived = (params,
+               conditional_over_profiles(params, observed, SubsetSpec((0,))),
+               marginal_over_alleles(params, SubsetSpec((0, 2, 3))))
+    for k, sub in enumerate(derived):
+        sampler = MdmSampler(sub, 11 + k)
+        tables = [sampler.draw() for _ in range(40)]
+        assert len(set(tables)) > 1
+        mdm_log_pmf(tables[0], sub)
+        assert "_steps" not in vars(sub)
+        for table in tables + tables:
+            assert mdm_chain_log_pmf(table, sub).hex() == \
+                _reference_chain(table, sub).hex()
+
+
+def _one_row_sweep():
+    # tables of one row of 600 draws over three categories: the first step
+    # meets 601 counts, more than a memo keeps
+    return [CountTable(((n, m, 600 - n - m),))
+            for n, m in ((n, (7 * n) % (601 - n)) for n in range(601))]
+
+
+@pytest.mark.parametrize("theta", CHAIN_THETAS)
+def test_a_capped_memo_changes_no_bit_and_not_the_params(theta):
+    # the sweep's first step meets more counts than a memo keeps, and the
+    # kernel called per (n, rem) as a forward pass would fills the pool
+    # memo of the second step too: each memo keeps at most the cap, and
+    # every value keeps the reference bits.  The memos
+    # live outside the fields, so a warm params equals a cold one, hashes
+    # alike and prints alike, and the direct pmf builds none
+    freqs = AlleleFrequencies((0.4, 0.1))
+    params = MdmParams((600,), theta_to_alpha(freqs, theta))
+    cold = MdmParams((600,), theta_to_alpha(freqs, theta))
+    tables = _one_row_sweep()
+    for table in tables + tables[::-1]:
         assert mdm_chain_log_pmf(table, params).hex() == \
             _reference_chain(table, params).hex()
+    q, scale = params.model.freqs.extended_probs, params.model.alpha_total
+    for rem in range(0, 600, 2):
+        for n in (0, rem // 3, rem):
+            got, _ = _log_step(params._steps[1], (n,), n, (rem,), rem)
+            assert got.hex() == _reference_step(
+                q[1], q[2], (n,), (rem,), scale).hex()
+    sizes = [len(memo) for step in params._steps for memo in step[2:]]
+    assert max(sizes) == _MEMO_SIZE and sizes.count(_MEMO_SIZE) >= 3
+    mdm_log_pmf(tables[5], cold)
+    assert "_steps" not in vars(cold)
+    assert params == cold and hash(params) == hash(cold)
+    assert repr(params) == repr(cold)
+
+
+def test_threads_sharing_one_params_get_the_reference_bits():
+    # the memos are shared state: threads racing on a count compute its L
+    # twice and store the same value, and each may store one past the cap
+    freqs = AlleleFrequencies((0.4, 0.1))
+    params = MdmParams((600,), theta_to_alpha(freqs, 0.01))
+    tables = _one_row_sweep()
+    want = [_reference_chain(table, params).hex() for table in tables]
+    n_threads = 4
+    got = [None] * n_threads
+
+    def score(k):
+        order = tables[k * 150:] + tables[:k * 150]
+        got[k] = [mdm_chain_log_pmf(table, params).hex() for table in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(k,))
+                   for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(n_threads):
+        assert got[k] == want[k * 150:] + want[:k * 150]
+    sizes = [len(memo) for step in params._steps for memo in step[2:]]
+    assert _MEMO_SIZE <= max(sizes) <= _MEMO_SIZE + n_threads - 1
 
 
 @pytest.mark.parametrize("theta", CHAIN_THETAS)
