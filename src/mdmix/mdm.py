@@ -26,10 +26,10 @@ one step is the private kernel _log_step, and mdm_chain_log_pmf is their
 sum.  A step over an empty column is the chance that none of the free
 draws lands in it, which leaves three terms.  What a step needs of q and
 a. (log Q_a, log(1 - Q_a) and a memo of L for each of its three Dirichlet
-masses) is built once per MdmParams, on the first chain call, and each L
-term is computed once per MdmParams and count: a memo keeps the first
-_MEMO_SIZE counts it meets, and within one chain a step's
--L(pool a., rem) is the +L(q_tail a., rem - n) of the step before.
+masses) is built once per MdmParams, on the first chain call, with one
+memo per mass: step a's tail mass suffix[a+1] a. is step a+1's pool mass,
+so the two steps share that memo, and each L term is computed once per
+MdmParams and count while its memo keeps fewer than _MEMO_SIZE counts.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -95,14 +95,11 @@ class MdmParams:
 
     @cached_property
     def _steps(self) -> tuple:
-        """The _step record of each category but the last, for the chain;
-        built on first use, so the direct pmf never pays for it, and kept
-        with its memos for every later chain call on these params."""
-        q = self.model.freqs.extended_probs
-        suffix = _suffix_sums(q)
-        scale = self.model.alpha_total
-        return tuple(_step(q[a], suffix[a + 1], scale)
-                     for a in range(len(q) - 1))
+        """The _chain_steps records, for the chain; built on first use, so
+        the direct pmf never pays for them, and kept with their 2A - 1
+        memos for every later chain call on these params."""
+        return _chain_steps(self.model.freqs.extended_probs,
+                            self.model.alpha_total)
 
 
 def _check_table(table: CountTable, params: MdmParams,
@@ -153,11 +150,12 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     return math.fsum(terms)
 
 
-# The most counts a step's memo keeps for one Dirichlet mass; a table of
-# total N meets at most N + 1, and the simulation benchmark's largest total
-# is 180.  Past the cap a memo computes L afresh, so an MdmParams over A
-# categories holds at most 3 (A - 1) _MEMO_SIZE values: a full memo takes
-# about 23 KB, so at most 2.8 MB at A = 41.
+# The most counts a memo keeps for one Dirichlet mass; a table of total N
+# meets at most N + 1, and the simulation benchmark's largest total is 180.
+# Past the cap a memo computes L afresh, so a step computes L(pool a., rem)
+# again after the step before computed it as its L(q_tail a., rem - n).
+# An MdmParams over A categories holds 2A - 1 memos, about 23 KB each when
+# full, so at most 1.9 MB at A = 41.
 _MEMO_SIZE = 256
 
 
@@ -179,43 +177,45 @@ class _Memo(dict):
         return value
 
 
-def _step(q_a: float, q_tail: float, scale: float) -> tuple:
-    """The record of a chain step into a category whose Dirichlet
-    parameter is q_a scale against q_tail scale for the categories after
-    it: (log Q, log(1 - Q), and the _Memo of L at q_a scale, q_tail scale
-    and pool scale) with pool = q_a + q_tail and Q = q_a / pool."""
-    pool = q_a + q_tail
-    return (math.log(q_a / pool), math.log(q_tail / pool),
-            _Memo(q_a * scale), _Memo(q_tail * scale), _Memo(pool * scale))
+def _chain_steps(q, scale: float) -> tuple:
+    """The record of the chain step into each category a but the last:
+    (log Q, log(1 - Q), and the _Memo of L at q[a] scale, suffix[a+1]
+    scale and pool scale) with pool = suffix[a] and Q = q[a] / pool.
+    suffix[a] is suffix[a+1] + q[a], the float q[a] + suffix[a+1], so
+    step a's pool memo is step a-1's tail memo: 2A - 1 memos in all."""
+    suffix = _suffix_sums(q)
+    memos = [_Memo(x * scale) for x in suffix[:-1]]
+    return tuple((math.log(q[a] / suffix[a]),
+                  math.log(suffix[a + 1] / suffix[a]),
+                  _Memo(q[a] * scale), memos[a + 1], memos[a])
+                 for a in range(len(q) - 1))
 
 
-def _log_step(step: tuple, col, n: int, free, rem: int,
-              l_pool: float | None = None) -> tuple[float, float]:
-    """Log mass of one chain step, unchecked, and L(q_tail scale, rem - n),
-    the next step's l_pool: the rows draw col[i] of their free[i] remaining
-    counts, n = sum(col) of rem = sum(free), into the category of step, a
-    _step record.  The pooled count is beta-binomial and its split across
-    the rows hypergeometric:
+def _log_step(step: tuple, col, n: int, free, rem: int) -> float:
+    """Log mass of one chain step, unchecked: the rows draw col[i] of their
+    free[i] remaining counts, n = sum(col) of rem = sum(free), into the
+    category of step, a _chain_steps record.  The pooled count is
+    beta-binomial and its split across the rows hypergeometric:
 
         { prod_i C(free_i, col_i) } Q^n (1-Q)^(rem-n)
         * exp(L(q_a scale, n) + L(q_tail scale, rem-n) - L(pool scale, rem)),
 
-    a binomial at scale = inf.  l_pool is L(pool scale, rem), read from
-    the step's memo when not given; each L is read from its memo, which
-    holds the value log_scaled_rising gives, so a warm step has a cold
-    one's bits.  Every term left out, a binomial of a zero cell or, for an
-    empty column (n = 0), the terms in n, is an exact zero, and fsum is
-    exactly rounded, so the bits are those of the full sum.
+    a binomial at scale = inf.  Each L is read from its memo, which holds
+    the value log_scaled_rising gives, so a warm step has a cold one's
+    bits; the pool memo is the tail memo of the step before, so in a chain
+    L(pool scale, rem) is the value that step has just read.  Every term
+    left out, a binomial of a zero cell or, for an empty column (n = 0),
+    the terms in n, is an exact zero, and fsum is exactly rounded, so the
+    bits are those of the full sum.
     """
     log_q, log_tail, memo_a, memo_tail, memo_pool = step
-    if l_pool is None:
-        l_pool = memo_pool[rem]
+    neg_pool = -memo_pool[rem]
     l_tail = memo_tail[rem - n]
     if not n:
-        return math.fsum((rem * log_tail, l_tail, -l_pool)), l_tail
+        return math.fsum((rem * log_tail, l_tail, neg_pool))
     terms = [log_binomial(f, c) for f, c in zip(free, col) if c]
-    terms += [n * log_q, (rem - n) * log_tail, memo_a[n], l_tail, -l_pool]
-    return math.fsum(terms), l_tail
+    terms += [n * log_q, (rem - n) * log_tail, memo_a[n], l_tail, neg_pool]
+    return math.fsum(terms)
 
 
 def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
@@ -224,20 +224,16 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     Telescopes to mdm_log_pmf; independent code path for cross-checks.
     The last column's step is certain (its tail is empty), and once no
     draw is free every later step is an exact zero, so neither is taken.
-    Each step hands its L(q_tail a., rem - n) on as the next step's
-    L(pool a., rem); the first step reads its own from its memo.
     """
     _check_table(table, params)
     free = table.row_sums
     rem = table.total
     terms = []
-    l_pool = None
     for step, col, n in zip(params._steps, zip(*table.counts),
                             table.col_sums):
         if not rem:
             break
-        term, l_pool = _log_step(step, col, n, free, rem, l_pool)
-        terms.append(term)
+        terms.append(_log_step(step, col, n, free, rem))
         if n:
             free = list(map(operator.sub, free, col))
             rem -= n

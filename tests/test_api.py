@@ -166,7 +166,7 @@ LIBM_SITES = [
     "logspace",
     "logspace.log_factorial",
     *["logspace.log_scaled_rising"] * 6,
-    *["mdm._step"] * 2,
+    *["mdm._chain_steps"] * 2,
     "model.AlleleFrequencies.__post_init__",
     *["moments.factorial_moment"] * 2,
     "oracle._support_and_probs",

@@ -13,7 +13,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    MdmParams, ParameterError, SubsetSpec, TableError,
                    marginal_over_alleles, mdm_chain_log_pmf, mdm_log_pmf,
                    theta_to_alpha)
-from mdmix.mdm import _log_step, _step
+from mdmix.mdm import _chain_steps, _log_step
 
 
 def compositions(total, parts):
@@ -131,8 +131,8 @@ def test_beta_binomial_step_is_a_collapsed_difference():
     head = marginal_over_alleles(params, SubsetSpec((0,)))
     for n1 in range(n + 1):
         for n2 in range(n - n1 + 1):
-            step, _ = _log_step(_step(1.7, 2.5, 1.0), (n2,), n2,
-                                (n - n1,), n - n1)
+            step = _log_step(_chain_steps((1.7, 2.5), 1.0)[0], (n2,), n2,
+                             (n - n1,), n - n1)
             joint = mdm_log_pmf(CountTable(((n1, n2, n - n1 - n2),)), pair)
             first = mdm_log_pmf(CountTable(((n1, n - n1),)), head)
             assert step == pytest.approx(joint - first, abs=1e-12)

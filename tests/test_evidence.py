@@ -24,7 +24,7 @@ from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
                    pair_ratio_via_steps, theta_to_alpha, woe_curve,
                    woe_margin_grid, woe_step)
 from mdmix.evidence import MarginState, enumerate_genotype_pairs
-from mdmix.mdm import _log_step, _step
+from mdmix.mdm import _chain_steps, _log_step
 
 # a six-category reference panel: five named alleles and a rest class
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))
@@ -118,9 +118,9 @@ def test_woe_step_matches_split_enumeration():
                        * (1 - q) ** (2 - s_i - n_i)
                        * math.comb(2 - s_j, n_j) * q ** n_j
                        * (1 - q) ** (2 - s_j - n_j))
-                den = math.exp(_log_step(_step(a_step, a_tail, 1.0),
-                                         (n_i, n_j), n, (2 - s_i, 2 - s_j),
-                                         4 - s)[0])
+                den = math.exp(_log_step(
+                    _chain_steps((a_step, a_tail), 1.0)[0], (n_i, n_j), n,
+                    (2 - s_i, 2 - s_j), 4 - s))
                 out.append(num / den)
         return out
 

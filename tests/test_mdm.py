@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
@@ -22,7 +23,7 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
 from mdmix.logspace import log_binomial, log_scaled_rising
-from mdmix.mdm import _MEMO_SIZE, _log_step, _step
+from mdmix.mdm import _MEMO_SIZE, _chain_steps, _log_step
 from mdmix.moments import factorial_moment
 from mdmix.oracle import (MdmSampler, enumerate_tables,
                           enumerate_tables_with_margins,
@@ -186,8 +187,8 @@ def test_a_table_at_the_cap_has_a_finite_pmf(theta):
 
 def step_mass(alpha_a, alpha_tail, col, free):
     # one step's log mass, alpha_a against alpha_tail at scale 1
-    return _log_step(_step(alpha_a, alpha_tail, 1.0), col, sum(col), free,
-                     sum(free))[0]
+    return _log_step(_chain_steps((alpha_a, alpha_tail), 1.0)[0], col,
+                     sum(col), free, sum(free))
 
 
 def test_joint_step_closed_form():
@@ -354,6 +355,12 @@ def test_chain_keeps_the_bits_with_one_params_over_many_large_tables(theta):
                 _reference_chain(table, sub).hex()
 
 
+def _memos(params):
+    # each memo once: step a's tail memo is step a+1's pool memo
+    return list({id(memo): memo for step in params._steps
+                 for memo in step[2:]}.values())
+
+
 def _one_row_sweep():
     # tables of one row of 600 draws over three categories: the first step
     # meets 601 counts, more than a memo keeps
@@ -364,11 +371,12 @@ def _one_row_sweep():
 @pytest.mark.parametrize("theta", CHAIN_THETAS)
 def test_a_capped_memo_changes_no_bit_and_not_the_params(theta):
     # the sweep's first step meets more counts than a memo keeps, and the
-    # kernel called per (n, rem) as a forward pass would fills the pool
-    # memo of the second step too: each memo keeps at most the cap, and
-    # every value keeps the reference bits.  The memos
-    # live outside the fields, so a warm params equals a cold one, hashes
-    # alike and prints alike, and the direct pmf builds none
+    # kernel called per (n, rem) as a forward pass would reads the second
+    # step's pool memo, the first step's full tail memo, past the cap and
+    # fills its own tail memo: each memo keeps at most the cap, and every
+    # value keeps the reference bits.  The memos live outside the fields,
+    # so a warm params equals a cold one, hashes alike and prints alike,
+    # and the direct pmf builds none
     freqs = AlleleFrequencies((0.4, 0.1))
     params = MdmParams((600,), theta_to_alpha(freqs, theta))
     cold = MdmParams((600,), theta_to_alpha(freqs, theta))
@@ -379,10 +387,10 @@ def test_a_capped_memo_changes_no_bit_and_not_the_params(theta):
     q, scale = params.model.freqs.extended_probs, params.model.alpha_total
     for rem in range(0, 600, 2):
         for n in (0, rem // 3, rem):
-            got, _ = _log_step(params._steps[1], (n,), n, (rem,), rem)
+            got = _log_step(params._steps[1], (n,), n, (rem,), rem)
             assert got.hex() == _reference_step(
                 q[1], q[2], (n,), (rem,), scale).hex()
-    sizes = [len(memo) for step in params._steps for memo in step[2:]]
+    sizes = [len(memo) for memo in _memos(params)]
     assert max(sizes) == _MEMO_SIZE and sizes.count(_MEMO_SIZE) >= 3
     mdm_log_pmf(tables[5], cold)
     assert "_steps" not in vars(cold)
@@ -418,8 +426,50 @@ def test_threads_sharing_one_params_get_the_reference_bits():
     assert not any(thread.is_alive() for thread in threads)
     for k in range(n_threads):
         assert got[k] == want[k * 150:] + want[:k * 150]
-    sizes = [len(memo) for step in params._steps for memo in step[2:]]
+    sizes = [len(memo) for memo in _memos(params)]
     assert _MEMO_SIZE <= max(sizes) <= _MEMO_SIZE + n_threads - 1
+
+
+def _sharing_params():
+    # params with a rest class and without one, and two derived from them;
+    # no q_a equals a suffix sum, so no two memos share a mass by chance
+    rest = AlleleFrequencies((0.1, 0.2, 0.3, 0.15))
+    full = AlleleFrequencies((0.12, 0.21, 0.3, 0.37))
+    with_rest = MdmParams((3, 5), theta_to_alpha(rest, 0.05))
+    without = MdmParams((4, 2, 1), theta_to_alpha(full, 0.3))
+    observed = CountTable(((1, 0, 2, 1),))
+    return (with_rest, without,
+            conditional_over_profiles(without, observed, SubsetSpec((0,))),
+            marginal_over_alleles(with_rest, SubsetSpec((0, 1, 3))))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_adjacent_steps_share_one_memo_and_each_l_is_computed_once(
+        k, monkeypatch):
+    # step a's tail mass suffix[a+1] a. is step a+1's pool mass: one memo
+    # holds it, 2A - 1 memos in all, and a forward-pass sweep of direct
+    # kernel calls over every step and 0 <= n <= rem < 200 computes each
+    # (mass, count) once
+    params = _sharing_params()[k]
+    steps = params._steps
+    for step, after in zip(steps, steps[1:]):
+        assert step[3] is after[4]
+    memos = _memos(params)
+    assert len(memos) == 2 * params.n_categories - 1
+    assert len({memo.x for memo in memos}) == len(memos)
+    calls = collections.Counter()
+
+    def counted(x, n):
+        calls[x, n] += 1
+        return log_scaled_rising(x, n)
+
+    monkeypatch.setattr("mdmix.mdm.log_scaled_rising", counted)
+    for step in steps:
+        for rem in range(200):
+            for n in range(rem + 1):
+                _log_step(step, (n,), n, (rem,), rem)
+    assert calls and set(calls.values()) == {1}
+    assert {x for x, _ in calls} == {memo.x for memo in memos}
 
 
 @pytest.mark.parametrize("theta", CHAIN_THETAS)
