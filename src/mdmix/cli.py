@@ -144,34 +144,26 @@ def parse_theta_grid(spec: str | list) -> tuple[float, ...]:
 
 
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
-    """Parse a profile,allele_1..allele_A integer table."""
-    def header_width(header):
-        header = [h.strip() for h in header]
-        if not header or header[0].lower() != "profile" or len(header) < 2:
-            raise TableError(
-                f"{path}: line 1: expected header profile,allele_1,...,"
-                f"got {','.join(header)}"
-            )
-        for k, name in enumerate(header[1:], start=1):
-            if name.lower() != f"allele_{k}":
-                raise TableError(
-                    f"{path}: line 1: column {k + 1} should be allele_{k}, "
-                    f"got {name!r}"
-                )
-        return len(header)
+    """Parse a profile,allele_1..allele_A table of integers >= 0."""
+    def header(width):
+        return ("profile",) + tuple(f"allele_{k}"
+                                    for k in range(1, max(width, 2)))
 
     ids = []
     rows = []
-    for lineno, row in _read_csv(path, TableError, header_width):
+    for lineno, row in _read_csv(path, TableError, header):
         ids.append(row[0].strip())
         try:
-            rows.append(tuple(int(cell) for cell in row[1:]))
+            counts = tuple(map(int, row[1:]))
         except ValueError:
             raise TableError(
                 f"{path}: line {lineno}: counts must be integers"
             ) from None
-    if not rows:
-        raise TableError(f"{path}: no count rows found")
+        if min(counts) < 0:
+            raise TableError(
+                f"{path}: line {lineno}: count {min(counts)} is negative"
+            )
+        rows.append(counts)
     return tuple(ids), CountTable(tuple(rows))
 
 
@@ -208,8 +200,7 @@ def _select_locus(cfg: argparse.Namespace) -> LocusFrequencies:
     if len(freq_db) == 1:
         return next(iter(freq_db.values()))
     raise ParameterError(
-        f"frequency file has {len(freq_db)} loci; pick one with --locus"
-    )
+        f"{cfg.freqs}: {len(freq_db)} loci; pick one with --locus")
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:

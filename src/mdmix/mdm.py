@@ -74,7 +74,7 @@ class MdmParams:
     def __post_init__(self):
         rows = _as_counts(self.row_sums, "row_sums", error=ParameterError)
         if not rows:
-            raise ParameterError("at least one profile row is required")
+            raise ParameterError("row_sums: expected a non-empty list")
         if sum(rows) > _MAX_TOTAL:
             raise ParameterError("row_sums: the total is above 10**300")
         if not isinstance(self.model, DispersionModel):

@@ -275,7 +275,7 @@ class CountTable:
                 raise TableError(f"row {i} has {len(counts[i])} entries, "
                                  f"expected {width}")
         if not counts:
-            raise TableError("a table needs at least one profile row")
+            raise TableError("counts: expected a non-empty list")
         counts = tuple(counts)
         row_sums = tuple(map(sum, counts))
         total = sum(row_sums)
@@ -349,7 +349,7 @@ class SubsetSpec:
     def __post_init__(self):
         idx = _as_counts(self.indices, "indices", error=ParameterError)
         if not idx:
-            raise ParameterError("subset must be non-empty")
+            raise ParameterError("indices: expected a non-empty list")
         for a, b in zip(idx, idx[1:]):
             if b <= a:
                 raise ParameterError("subset indices must be strictly increasing")
@@ -376,14 +376,16 @@ class LocusFrequencies:
     freqs: AlleleFrequencies
 
 
-def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
+def _read_csv(path, error, header) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row after the header of the
     UTF-8 CSV file at path; a row's number is the physical line it starts
     on, so a quoted field that spans lines does not shift later numbers.
-    check_header(header) raises on a bad header and returns the field count
-    of every row.  An empty, undecodable or malformed file and a row of
-    another width raise error naming path, and so does a path that holds a
-    NUL, which open refuses with a ValueError."""
+    header(width) gives the lower-case fields that a first line of width
+    fields must match once stripped, and every row has as many fields.  An
+    empty, undecodable or malformed file, another header, a row of another
+    width and a file with no rows after the header raise error naming path
+    and, where there is one, the line; so does a path that holds a NUL,
+    which open refuses with a ValueError."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except ValueError as err:
@@ -392,11 +394,14 @@ def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
     try:
         with fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+            first = next(reader, None)
+            if first is None:
                 raise error(f"{path}: empty file")
-            width = check_header(header)
-            end = reader.line_num
+            want = header(len(first))
+            if tuple(h.strip().lower() for h in first) != want:
+                raise error(f"{path}: line 1: expected header "
+                            f"{','.join(want)}, got {','.join(first)}")
+            width, end = len(want), reader.line_num
             for row in reader:
                 lineno, end = end + 1, reader.line_num
                 if not row or all(not cell.strip() for cell in row):
@@ -407,6 +412,8 @@ def _read_csv(path, error, check_header) -> list[tuple[int, list[str]]]:
                 rows.append((lineno, row))
     except (UnicodeDecodeError, csv.Error) as err:
         raise error(f"{path}: {err}") from None
+    if not rows:
+        raise error(f"{path}: no rows after the header")
     return rows
 
 
@@ -420,16 +427,9 @@ def read_frequency_csv(path) -> dict[str, LocusFrequencies]:
     positive; a locus whose frequencies sum to s < 1 gets a rest class of
     mass 1 - s.  Parse and domain errors carry the offending line number.
     """
-    def header_width(header):
-        if tuple(h.strip().lower() for h in header) != _FREQ_HEADER:
-            raise FrequencyFileError(
-                f"{path}: line 1: expected header locus,allele,frequency, "
-                f"got {','.join(header)}"
-            )
-        return len(_FREQ_HEADER)
-
-    per_locus: dict[str, list[tuple[str, float]]] = {}
-    for lineno, row in _read_csv(path, FrequencyFileError, header_width):
+    per_locus: dict[str, dict[str, float]] = {}
+    for lineno, row in _read_csv(path, FrequencyFileError,
+                                 lambda width: _FREQ_HEADER):
         locus, allele, raw = (cell.strip() for cell in row)
         if not locus or not allele:
             raise FrequencyFileError(
@@ -446,22 +446,20 @@ def read_frequency_csv(path) -> dict[str, LocusFrequencies]:
                 f"{path}: line {lineno}: frequency {freq} is not "
                 "strictly positive"
             )
-        entries = per_locus.setdefault(locus, [])
-        if any(name == allele for name, _ in entries):
+        alleles = per_locus.setdefault(locus, {})
+        if allele in alleles:
             raise FrequencyFileError(
                 f"{path}: line {lineno}: duplicate allele {allele!r} "
                 f"for locus {locus!r}"
             )
-        entries.append((allele, freq))
-    if not per_locus:
-        raise FrequencyFileError(f"{path}: no frequency rows found")
+        alleles[allele] = freq
     result: dict[str, LocusFrequencies] = {}
-    for locus, entries in per_locus.items():
-        names = tuple(name for name, _ in entries)
+    for locus, alleles in per_locus.items():
         try:
-            freqs = AlleleFrequencies(tuple(f for _, f in entries))
+            freqs = AlleleFrequencies(tuple(alleles.values()))
         except ParameterError as err:
             raise FrequencyFileError(f"{path}: locus {locus!r}: {err}") from None
-        result[locus] = LocusFrequencies(locus=locus, allele_names=names,
+        result[locus] = LocusFrequencies(locus=locus,
+                                         allele_names=tuple(alleles),
                                          freqs=freqs)
     return result

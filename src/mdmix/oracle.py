@@ -71,7 +71,7 @@ def enumerate_tables(row_sums, n_categories: int) -> Iterator[CountTable]:
             f"{n} tables exceed the enumeration limit of {MAX_TABLES}"
         )
     if not rows:
-        raise TableError("a table needs at least one profile row")
+        raise TableError("row_sums: expected a non-empty list")
     total = sum(rows)
     for counts in product(*(_compositions(r, width) for r in rows)):
         yield _built_table(counts, rows, total)
@@ -82,8 +82,9 @@ def enumerate_tables_with_margins(row_sums, col_sums) -> Iterator[CountTable]:
     `enumerate_tables`."""
     rows = _as_counts(row_sums, "row_sums")
     cols = _as_counts(col_sums, "col_sums")
-    if not rows or not cols:
-        raise TableError("margins must be non-empty")
+    for what, margin in (("row_sums", rows), ("col_sums", cols)):
+        if not margin:
+            raise TableError(f"{what}: expected a non-empty list")
     if sum(rows) != sum(cols):
         raise TableError(
             f"row sums total {sum(rows)}, column sums total {sum(cols)}"

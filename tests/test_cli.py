@@ -612,6 +612,76 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, freq_file,
     assert "Traceback" not in err
 
 
+FREQ_HEADER = "locus,allele,frequency\n"
+
+
+# each refusal of a frequency or table file: the file, its text and the
+# message after the file's path
+@pytest.mark.parametrize("kind, text, message", [
+    pytest.param("freqs", "", "empty file", id="freqs-empty"),
+    pytest.param("table", "", "empty file", id="table-empty"),
+    pytest.param("freqs", "locus,allele\nD1,10\n",
+                 "line 1: expected header locus,allele,frequency, got "
+                 "locus,allele", id="freqs-header"),
+    pytest.param("table", "profile,allele_1,allele_3\nx,1,1\n",
+                 "line 1: expected header profile,allele_1,allele_2, got "
+                 "profile,allele_1,allele_3", id="table-header"),
+    pytest.param("table", "profile\nx\n",
+                 "line 1: expected header profile,allele_1, got profile",
+                 id="table-header-no-allele"),
+    pytest.param("freqs", FREQ_CSV + "D1,15\n",
+                 "line 9: expected 3 fields, got 2", id="freqs-width"),
+    pytest.param("table", TABLE_CSV + "x,1,0\n",
+                 "line 4: expected 7 fields, got 3", id="table-width"),
+    pytest.param("freqs", FREQ_HEADER + "\n", "no rows after the header",
+                 id="freqs-no-rows"),
+    pytest.param("table", TABLE_CSV.partition("\n")[0] + "\n , ,,,,,\n",
+                 "no rows after the header", id="table-no-rows"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,0.5\n ,11,0.1\n",
+                 "line 3: empty locus or allele name", id="empty-locus"),
+    pytest.param("freqs", FREQ_HEADER + "D1, ,0.1\n",
+                 "line 2: empty locus or allele name", id="empty-allele"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,0.5\nD1,11,0\n",
+                 "line 3: frequency 0.0 is not strictly positive",
+                 id="zero-frequency"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,-0.5\n",
+                 "line 2: frequency -0.5 is not strictly positive",
+                 id="negative-frequency"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,abc\n",
+                 "line 2: frequency 'abc' is not a number",
+                 id="frequency-not-a-number"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,0.5\nD1,10,0.25\n",
+                 "line 3: duplicate allele '10' for locus 'D1'",
+                 id="duplicate-allele"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,0.75\nD1,11,0.5\n",
+                 "locus 'D1': probabilities sum to 1.25 > 1",
+                 id="sum-past-1"),
+    pytest.param("table", TABLE_CSV.replace("unknown,1,", "unknown,1.0,"),
+                 "line 3: counts must be integers", id="count-not-an-int"),
+    pytest.param("table", TABLE_CSV.replace("unknown,1,1,", "unknown,1,-1,"),
+                 "line 3: count -1 is negative", id="negative-count"),
+])
+def test_a_bad_input_file_exits_2_naming_the_file_and_line(
+        tmp_path, capsys, freq_file, table_file, kind, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    files = {"freqs": freq_file, "table": table_file, kind: str(bad)}
+    assert main(["pmf", "--freqs", files["freqs"], "--table", files["table"],
+                 "--locus", "D1", "--theta", "0.03"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mdmix pmf: error: {bad}: {message}\n"
+    assert "...,got" not in captured.err
+
+
+def test_a_file_of_two_loci_needs_a_locus(capsys, freq_file):
+    assert main(["ratio-curve", "--freqs", freq_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"mdmix ratio-curve: error: {freq_file}: 2 loci; "
+                            "pick one with --locus\n")
+
+
 @pytest.mark.parametrize("flags, config", [
     pytest.param(["--theta-grid", "0:inf:0.1"], None, id="inf-stop"),
     pytest.param(["--theta-grid", "0:nan:0.1"], None, id="nan-stop"),

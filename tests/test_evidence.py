@@ -189,6 +189,9 @@ def test_woe_curve_shape():
     curve = woe_curve(states, 0.1, (0.0, 0.1, 0.2))
     assert curve.shape == (15, 3)
     np.testing.assert_array_equal(curve[:, 0], 1.0)
+    # no state or no theta: an empty matrix of that shape
+    assert woe_curve([], 0.1, (0.0, 0.1)).shape == (0, 2)
+    assert woe_curve(states, 0.1, ()).shape == (15, 0)
     # every entry is woe_step's, bit for bit and without a RuntimeWarning,
     # from theta = -0 and an overflowing pool to factors that overflow to
     # inf (at tail_mass 1e-300 and theta = 1 - 1e-16)

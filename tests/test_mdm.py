@@ -121,6 +121,35 @@ TABLE_TAKERS = {
 }
 
 
+# each refusal of a conditional whose table has the right shape: a call, the
+# error class and the message
+CONDITIONAL_REFUSALS = {
+    "every category": (
+        lambda: conditional_over_alleles(
+            SHAPED, CountTable(((2, 0, 0), (0, 2, 0))),
+            SubsetSpec((0, 1, 2))),
+        ParameterError, "conditioning on every category leaves nothing"),
+    "row above its sum": (
+        lambda: conditional_over_alleles(SHAPED, CountTable(((1,), (3,))),
+                                         FIRST),
+        TableError, "observed row 1 sums to 3 > row sum 2"),
+    # no unknown profile is left: a caller with U = 0 conditions on nothing
+    "every profile": (
+        lambda: conditional_over_profiles(
+            SHAPED, CountTable(((2, 0, 0), (0, 2, 0))), SubsetSpec((0, 1))),
+        ParameterError, "conditioning on every profile leaves nothing"),
+}
+
+
+@pytest.mark.parametrize("case", CONDITIONAL_REFUSALS)
+def test_a_conditional_that_leaves_nothing_or_overdraws_is_refused(case):
+    call, error, message = CONDITIONAL_REFUSALS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("extra", [(1, 0), (0, 1)], ids=["row", "column"])
 @pytest.mark.parametrize("taker", TABLE_TAKERS)
 def test_every_table_of_the_wrong_shape_is_refused_alike(taker, extra):

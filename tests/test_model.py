@@ -415,6 +415,37 @@ def test_an_empty_list_of_reals_is_refused_naming_the_field():
             assert str(err.value) == f"{field}: expected a non-empty list"
 
 
+# every refusal of an empty table, row or list of ints: a call, the error
+# class and the message, which names the field
+EMPTY_SITES = {
+    "MdmParams": (lambda: MdmParams((), PAIR_PARAMS.model), ParameterError,
+                  "row_sums: expected a non-empty list"),
+    "CountTable": (lambda: CountTable(()), TableError,
+                   "counts: expected a non-empty list"),
+    "CountTable.row": (lambda: CountTable(((), ())), TableError,
+                       "a table needs at least one allele column"),
+    "SubsetSpec": (lambda: SubsetSpec(()), ParameterError,
+                   "indices: expected a non-empty list"),
+    "enumerate_tables": (lambda: next(enumerate_tables((), 3)), TableError,
+                         "row_sums: expected a non-empty list"),
+    "enumerate_tables_with_margins.row_sums": (
+        lambda: next(enumerate_tables_with_margins((), (2, 2))), TableError,
+        "row_sums: expected a non-empty list"),
+    "enumerate_tables_with_margins.col_sums": (
+        lambda: next(enumerate_tables_with_margins((2, 2), ())), TableError,
+        "col_sums: expected a non-empty list"),
+}
+
+
+@pytest.mark.parametrize("site", EMPTY_SITES)
+def test_an_empty_table_or_list_of_ints_is_refused(site):
+    call, error, message = EMPTY_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 # every site that takes a caller's list: value -> a call with the value in
 # the list's place, the error class, the field as named and the kind of its
 # entries

@@ -48,18 +48,35 @@ def _wider_alphas(fn, by=1e-8):
     return perturbed
 
 
-@pytest.mark.parametrize("suite, module, name, perturb", [
-    ("normalization", mdmix.oracle, "mdm_log_pmf", _shifted),
-    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _shifted),
-    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _nan),
+def _without_first(fn):
+    return lambda *args: fn(*args)[1:]
+
+
+def _reciprocal(fn):
+    # exactly 1 where the step is 1, at theta = 0; below 1 where it is above
+    return lambda *args: 1.0 / fn(*args)
+
+
+@pytest.mark.parametrize("suite, module, name, perturb, note", [
+    ("normalization", mdmix.oracle, "mdm_log_pmf", _shifted, ""),
+    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _shifted,
+     ""),
+    ("chain-equivalence", mdmix.validation, "mdm_chain_log_pmf", _nan, ""),
     ("marginal-conditional", mdmix.validation, "conditional_over_profiles",
-     _wider_alphas),
-    ("hypergeometric", mdmix.validation, "hypergeometric_log_pmf", _shifted),
-    ("moment-oracle", mdmix.validation, "factorial_moment", _scaled),
-    ("woe-properties", mdmix.validation, "pair_ratio_via_steps", _nan),
+     _wider_alphas, ""),
+    ("hypergeometric", mdmix.validation, "hypergeometric_log_pmf", _shifted,
+     ""),
+    ("moment-oracle", mdmix.validation, "factorial_moment", _scaled, ""),
+    ("woe-properties", mdmix.validation, "pair_ratio_via_steps", _nan, ""),
+    ("woe-properties", mdmix.validation, "woe_margin_grid", _without_first,
+     "grid sizes 14/3"),
+    ("woe-properties", mdmix.validation, "woe_step", _scaled,
+     "theta = 0 step not exactly 1"),
+    ("woe-properties", mdmix.validation, "woe_step", _reciprocal,
+     "single-count step below 1"),
 ])
 def test_validate_catches_a_perturbed_closed_form(monkeypatch, suite, module,
-                                                  name, perturb):
+                                                  name, perturb, note):
     # a fresh support cache, so the oracle sees the perturbation and keeps
     # no perturbed probabilities once the test ends
     monkeypatch.setattr(mdmix.oracle, "_support_and_probs", lru_cache(
@@ -67,6 +84,7 @@ def test_validate_catches_a_perturbed_closed_form(monkeypatch, suite, module,
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     results = {r.name: r for r in mdmix.validation.run_all_suites()}
     assert not results[suite].passed
+    assert results[suite].note == note
 
 
 @pytest.mark.parametrize("suite, name, perturb", [
