@@ -27,6 +27,7 @@ from .model import (
     MdmixError,
     ParameterError,
     TableError,
+    _MAX_TOTAL,
     _as_count,
     _as_counts,
     _as_real,
@@ -143,27 +144,39 @@ def parse_theta_grid(spec: str | list) -> tuple[float, ...]:
     return grid
 
 
+def _cell_count(cell: str, where: str) -> int:
+    """The count in a table cell: ASCII digits, with whitespace around
+    them; a leading minus sign is read only to refuse the count."""
+    text = cell.strip()
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise TableError(f"{where}: counts must be integers")
+    digits = digits.lstrip("0") or "0"
+    if digits != "0" and text[0] == "-":
+        raise TableError(f"{where}: count -{digits} is negative")
+    # more digits than 10**300 has, and than the 4,300 that int() reads
+    if len(digits) > 301:
+        raise TableError(f"{where}: the table's total is above 10**300")
+    return int(digits)
+
+
 def read_table_csv(path) -> tuple[tuple[str, ...], CountTable]:
-    """Parse a profile,allele_1..allele_A table of integers >= 0."""
+    """Parse a profile,allele_1..allele_A table of integers >= 0 whose
+    total is at most 10**300."""
     def header(width):
         return ("profile",) + tuple(f"allele_{k}"
                                     for k in range(1, max(width, 2)))
 
     ids = []
     rows = []
+    total = 0
     for lineno, row in _read_csv(path, TableError, header):
+        where = f"{path}: line {lineno}"
         ids.append(row[0].strip())
-        try:
-            counts = tuple(map(int, row[1:]))
-        except ValueError:
-            raise TableError(
-                f"{path}: line {lineno}: counts must be integers"
-            ) from None
-        if min(counts) < 0:
-            raise TableError(
-                f"{path}: line {lineno}: count {min(counts)} is negative"
-            )
-        rows.append(counts)
+        rows.append(tuple(_cell_count(cell, where) for cell in row[1:]))
+        total += sum(rows[-1])
+        if total > _MAX_TOTAL:
+            raise TableError(f"{where}: the table's total is above 10**300")
     return tuple(ids), CountTable(tuple(rows))
 
 

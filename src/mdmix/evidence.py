@@ -36,7 +36,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .mdm import MdmParams, _suffix_sums, mdm_log_pmf
+from .mdm import MdmParams, mdm_log_pmf
 from .model import (
     AlleleFrequencies,
     CountTable,
@@ -48,6 +48,7 @@ from .model import (
     _as_items,
     _as_real,
     _pool_mass,
+    _suffix_sums,
     _type_error,
     theta_to_alpha,
 )

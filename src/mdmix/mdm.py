@@ -26,10 +26,12 @@ one step is the private kernel _log_step, and mdm_chain_log_pmf is their
 sum.  A step over an empty column is the chance that none of the free
 draws lands in it, which leaves three terms.  What a step needs of q and
 a. (log Q_a, log(1 - Q_a) and a memo of L for each of its three Dirichlet
-masses) is built once per MdmParams, on the first chain call, with one
-memo per mass: step a's tail mass suffix[a+1] a. is step a+1's pool mass,
-so the two steps share that memo, and each L term is computed once per
-MdmParams and count while its memo keeps fewer than _MEMO_SIZE counts.
+masses) is built once per DispersionModel, on the first chain call, with
+one memo per mass: step a's tail mass suffix[a+1] a. is step a+1's pool
+mass, so the two steps share that memo, and a step's memo at q_a a. is
+the direct pmf's.  So each L term is computed once per model and count,
+for every MdmParams over the model, while its memo keeps fewer than
+logspace._MEMO_SIZE counts.
 
 Marginalizing rows, conditioning on rows, and collapsing columns all stay
 inside the family; the helpers here return the transformed parameter sets.
@@ -40,10 +42,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress
 
-from .logspace import log_binomial, log_factorial, log_scaled_rising
+from .logspace import log_binomial, log_factorial
 from .model import (
     CountTable,
     DispersionModel,
@@ -93,14 +94,6 @@ class MdmParams:
     def n_categories(self) -> int:
         return self.model.freqs.n_categories
 
-    @cached_property
-    def _steps(self) -> tuple:
-        """The _chain_steps records, for the chain; built on first use, so
-        the direct pmf never pays for them, and kept with their 2A - 1
-        memos for every later chain call on these params."""
-        return _chain_steps(self.model.freqs.extended_probs,
-                            self.model.alpha_total)
-
 
 def _check_table(table: CountTable, params: MdmParams,
                  name: str = "table") -> None:
@@ -113,29 +106,21 @@ def _check_table(table: CountTable, params: MdmParams,
                          f"params {params.row_sums}")
 
 
-def _suffix_sums(values) -> list[float]:
-    """suffix[a] = values[a] + ... + values[-1], and suffix[len] = 0.0."""
-    suffix = [0.0] * (len(values) + 1)
-    for a in range(len(values) - 1, -1, -1):
-        suffix[a] = suffix[a + 1] + values[a]
-    return suffix
-
-
 def _dirichlet_terms(model: DispersionModel, cols, total: int) -> list:
     """Log terms of the Dirichlet moment prod_a (alpha_a)_{c_a} / (a.)_total
     with total = sum_a c_a: c_a log q_a + L(q_a a., c_a) per nonzero column,
     and -L(a., total), for mdm_log_pmf and moments.factorial_moment to add
-    their own terms to.  A zero column adds only exact zeros, and both sum
-    with the exactly rounded fsum, so it gets no terms."""
-    freqs = model.freqs
-    a_total = model.alpha_total
+    their own terms to.  Each L is read from the model's memo at its mass,
+    which holds the value log_scaled_rising gives.  A zero column adds only
+    exact zeros, and both sum with the exactly rounded fsum, so it gets no
+    terms."""
+    memos = model._memos
     counts = list(filter(None, cols))
-    terms = [-log_scaled_rising(a_total, total)]
+    terms = [-memos[-1][total]]
     terms += map(operator.mul, counts,
-                 compress(freqs.log_extended_probs, cols))
-    terms += map(log_scaled_rising,
-                 map(a_total.__mul__, compress(freqs.extended_probs, cols)),
-                 counts)
+                 compress(model.freqs.log_extended_probs, cols))
+    # the last memo, at a., is past the columns, so compress never picks it
+    terms += map(operator.getitem, compress(memos, cols), counts)
     return terms
 
 
@@ -148,47 +133,6 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     terms += map(operator.neg, map(log_factorial, filter(
         None, chain.from_iterable(table.counts))))
     return math.fsum(terms)
-
-
-# The most counts a memo keeps for one Dirichlet mass; a table of total N
-# meets at most N + 1, and the simulation benchmark's largest total is 180.
-# Past the cap a memo computes L afresh, so a step computes L(pool a., rem)
-# again after the step before computed it as its L(q_tail a., rem - n).
-# An MdmParams over A categories holds 2A - 1 memos, about 23 KB each when
-# full, so at most 1.9 MB at A = 41.
-_MEMO_SIZE = 256
-
-
-class _Memo(dict):
-    """L(x, n) by n for one x, filled on first use.  A value is stored only
-    while fewer than _MEMO_SIZE are, and it is the pure L value, so threads
-    that share a memo can at worst compute a value twice, or each store one
-    past the cap when they race at it."""
-
-    __slots__ = ("x",)
-
-    def __init__(self, x: float):
-        self.x = x
-
-    def __missing__(self, n: int) -> float:
-        value = log_scaled_rising(self.x, n)
-        if len(self) < _MEMO_SIZE:
-            self[n] = value
-        return value
-
-
-def _chain_steps(q, scale: float) -> tuple:
-    """The record of the chain step into each category a but the last:
-    (log Q, log(1 - Q), and the _Memo of L at q[a] scale, suffix[a+1]
-    scale and pool scale) with pool = suffix[a] and Q = q[a] / pool.
-    suffix[a] is suffix[a+1] + q[a], the float q[a] + suffix[a+1], so
-    step a's pool memo is step a-1's tail memo: 2A - 1 memos in all."""
-    suffix = _suffix_sums(q)
-    memos = [_Memo(x * scale) for x in suffix[:-1]]
-    return tuple((math.log(q[a] / suffix[a]),
-                  math.log(suffix[a + 1] / suffix[a]),
-                  _Memo(q[a] * scale), memos[a + 1], memos[a])
-                 for a in range(len(q) - 1))
 
 
 def _log_step(step: tuple, col, n: int, free, rem: int) -> float:
@@ -229,7 +173,7 @@ def mdm_chain_log_pmf(table: CountTable, params: MdmParams) -> float:
     free = table.row_sums
     rem = table.total
     terms = []
-    for step, col, n in zip(params._steps, zip(*table.counts),
+    for step, col, n in zip(params.model._steps, zip(*table.counts),
                             table.col_sums):
         if not rem:
             break

@@ -20,7 +20,10 @@ A refusal is an MdmixError naming the field and, in a list, the index:
 "seed: expected an int >= 0, got True".  Range checks stay with each site.
 
 Everything in this module is immutable after construction and safe to
-share across threads.
+share across threads, but for two caches of pure values: the models that
+theta_to_alpha keeps on a frequency set, and the L memos that a model
+builds on first use.  Threads that share them get the same values and bits
+as one thread would.
 """
 
 from __future__ import annotations
@@ -28,8 +31,12 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from .logspace import _Memo
 
 __all__ = [
     "AlleleFrequencies", "CountTable", "DispersionModel",
@@ -143,7 +150,8 @@ class AlleleFrequencies:
     when that is at most 1e-12; the rest class behaves as an ordinary
     (A+1)-th category everywhere.  rest_mass, extended_probs (the named
     probabilities plus the rest class when it carries mass), their logs and
-    n_categories are computed on construction.
+    n_categories are computed on construction; _models is theta_to_alpha's
+    cache of the models over these frequencies.
     """
 
     probs: tuple[float, ...]
@@ -153,6 +161,7 @@ class AlleleFrequencies:
     log_extended_probs: tuple[float, ...] = field(init=False, repr=False,
                                                   compare=False)
     n_categories: int = field(init=False, repr=False, compare=False)
+    _models: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = _as_positives(self.probs, "probs")
@@ -167,6 +176,7 @@ class AlleleFrequencies:
         object.__setattr__(self, "log_extended_probs",
                            tuple(map(math.log, extended)))
         object.__setattr__(self, "n_categories", len(extended))
+        object.__setattr__(self, "_models", {})
 
 
 def _pool_mass(theta: float, tail_mass: float = 1.0) -> float:
@@ -188,7 +198,9 @@ class DispersionModel:
 
     The Dirichlet parameters over the extended categories are
     q_a alpha_total.  A theta whose q_a alpha_total underflows to 0 is a
-    ParameterError; theta = -0.0 is stored as 0.0.
+    ParameterError; theta = -0.0 is stored as 0.0.  The L memos of the
+    direct pmf and of the chain belong to the model, outside its fields,
+    so every MdmParams over it, whatever its row sums, shares them.
     """
 
     theta: float
@@ -220,6 +232,50 @@ class DispersionModel:
         """q_a alpha_total per extended category; all inf at theta = 0."""
         return tuple(map(self.alpha_total.__mul__, self.freqs.extended_probs))
 
+    @cached_property
+    def _memos(self) -> tuple[_Memo, ...]:
+        """The _Memo of L at q_a alpha_total for each extended category a,
+        then the one at alpha_total: the Dirichlet terms of the direct pmf
+        and of factorial_moment.  Built on first use, so a model that is
+        never scored holds none."""
+        a_total = self.alpha_total
+        return (*(_Memo(q * a_total) for q in self.freqs.extended_probs),
+                _Memo(a_total))
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The _chain_steps records, for the chain; built on first use over
+        the category memos of _memos, so the chain and the direct pmf
+        compute each L once: 2A memos in all."""
+        return _chain_steps(self.freqs.extended_probs, self.alpha_total,
+                            self._memos[:-1])
+
+
+def _suffix_sums(values) -> list[float]:
+    """suffix[a] = values[a] + ... + values[-1], and suffix[len] = 0.0."""
+    suffix = [0.0] * (len(values) + 1)
+    for a in range(len(values) - 1, -1, -1):
+        suffix[a] = suffix[a + 1] + values[a]
+    return suffix
+
+
+def _chain_steps(q, scale: float, memos=None) -> tuple:
+    """The record of the chain step into each category a but the last:
+    (log Q, log(1 - Q), and the _Memo of L at q[a] scale, suffix[a+1]
+    scale and pool scale) with pool = suffix[a] and Q = q[a] / pool.
+    memos[a] is the memo at q[a] scale, built here unless given.
+    suffix[a] is suffix[a+1] + q[a], the float q[a] + suffix[a+1], so
+    step a's pool memo is step a-1's tail memo, and the last tail mass,
+    suffix[A-1] = q[A-1], is read from memos[A-1]: 2A - 1 memos in all."""
+    suffix = _suffix_sums(q)
+    if memos is None:
+        memos = [_Memo(x * scale) for x in q]
+    pools = [_Memo(x * scale) for x in suffix[:-2]] + [memos[-1]]
+    return tuple((math.log(q[a] / suffix[a]),
+                  math.log(suffix[a + 1] / suffix[a]),
+                  memos[a], pools[a + 1], pools[a])
+                 for a in range(len(q) - 1))
+
 
 def _scaled_model(probs, alpha_total: float,
                   theta: float | None = None) -> DispersionModel:
@@ -237,11 +293,33 @@ def _scaled_model(probs, alpha_total: float,
     return model
 
 
+# the thetas whose models each frequency set keeps, as the curve builders
+# keep their grids: casework reads one database at a few thetas
+_MODEL_CACHE_SIZE = 4
+_MODEL_CACHE_LOCK = threading.Lock()
+
+
 def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     """Map (q, theta) to alpha_total = (1-theta)/theta; theta = 0 maps to
     alpha_total = inf, the multinomial limit.
+
+    For a theta of type float the model, with its L memos, comes from the
+    cache on freqs of the _MODEL_CACHE_SIZE thetas added last, so repeated
+    calls share it.  Any other theta is checked afresh on every call:
+    False and np.False_ equal 0.0 and hash alike, so a lookup would take
+    them for 0.0, though _as_real refuses them.  An error is never cached.
     """
-    return DispersionModel(theta, freqs)
+    if type(theta) is not float or not isinstance(freqs, AlleleFrequencies):
+        return DispersionModel(theta, freqs)
+    models = freqs._models
+    model = models.get(theta)
+    if model is None:
+        model = DispersionModel(theta, freqs)
+        with _MODEL_CACHE_LOCK:  # readers take no lock; writers take turns
+            if theta not in models and len(models) >= _MODEL_CACHE_SIZE:
+                del models[next(iter(models))]
+            model = models.setdefault(theta, model)
+    return model
 
 
 # The largest total of a CountTable: log (10**300)! is 6.9e302, so every
@@ -378,8 +456,10 @@ class LocusFrequencies:
 
 def _read_csv(path, error, header) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row after the header of the
-    UTF-8 CSV file at path; a row's number is the physical line it starts
-    on, so a quoted field that spans lines does not shift later numbers.
+    UTF-8 CSV file at path, which may start with the byte-order mark that
+    spreadsheet programs write; a row's number is the physical line it
+    starts on, so a quoted field that spans lines does not shift later
+    numbers.
     header(width) gives the lower-case fields that a first line of width
     fields must match once stripped, and every row has as many fields.  An
     empty, undecodable or malformed file, another header, a row of another
@@ -387,7 +467,7 @@ def _read_csv(path, error, header) -> list[tuple[int, list[str]]]:
     and, where there is one, the line; so does a path that holds a NUL,
     which open refuses with a ValueError."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except ValueError as err:
         raise error(f"{path!r}: {err}") from None
     rows = []
@@ -423,9 +503,10 @@ _FREQ_HEADER = ("locus", "allele", "frequency")
 def read_frequency_csv(path) -> dict[str, LocusFrequencies]:
     """Parse an allele-frequency CSV with header locus,allele,frequency.
 
-    Rows are grouped by locus in file order.  Frequencies must be strictly
-    positive; a locus whose frequencies sum to s < 1 gets a rest class of
-    mass 1 - s.  Parse and domain errors carry the offending line number.
+    Rows are grouped by locus in file order.  A frequency is an ASCII
+    number that float() reads, with no '_', and must be strictly positive;
+    a locus whose frequencies sum to s < 1 gets a rest class of mass 1 - s.
+    Parse and domain errors carry the offending line number.
     """
     per_locus: dict[str, dict[str, float]] = {}
     for lineno, row in _read_csv(path, FrequencyFileError,
@@ -438,9 +519,12 @@ def read_frequency_csv(path) -> dict[str, LocusFrequencies]:
         try:
             freq = float(raw)
         except ValueError:
+            freq = None
+        # float() also reads digit groups, 0.2_5, and other scripts' digits
+        if freq is None or "_" in raw or not raw.isascii():
             raise FrequencyFileError(
                 f"{path}: line {lineno}: frequency {raw!r} is not a number"
-            ) from None
+            )
         if not math.isfinite(freq) or freq <= 0.0:
             raise FrequencyFileError(
                 f"{path}: line {lineno}: frequency {freq} is not "

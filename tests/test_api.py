@@ -166,8 +166,8 @@ LIBM_SITES = [
     "logspace",
     "logspace.log_factorial",
     *["logspace.log_scaled_rising"] * 6,
-    *["mdm._chain_steps"] * 2,
     "model.AlleleFrequencies.__post_init__",
+    *["model._chain_steps"] * 2,
     *["moments.factorial_moment"] * 2,
     "oracle._support_and_probs",
     *["validation.suite_hypergeometric"] * 3,

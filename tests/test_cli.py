@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import mdmix
 from mdmix import (AlleleFrequencies, CountTable, MdmParams, ParameterError,
-                   TableError, mdm_log_pmf, theta_to_alpha)
+                   TableError, mdm_log_pmf, read_frequency_csv,
+                   theta_to_alpha)
 from mdmix.cli import (COMMANDS, MAX_MOMENT_CELLS, MAX_SAMPLE_SIZE,
                        MAX_THETA_GRID_POINTS, MAX_WOE_CONTRIBUTORS, OPTIONS,
                        main, parse_theta_grid, read_table_csv)
@@ -182,6 +183,25 @@ def test_read_table_csv_names_a_path_that_holds_a_nul():
     assert str(err.value) == "'a\\x00b': embedded null byte"
 
 
+@pytest.mark.parametrize("kind", ["freqs", "table"])
+def test_a_file_that_starts_with_a_byte_order_mark_reads_the_same(
+        tmp_path, capsys, freq_file, table_file, kind):
+    # spreadsheet programs save "CSV UTF-8" with a leading U+FEFF
+    text = {"freqs": FREQ_CSV, "table": TABLE_CSV}[kind]
+    marked = tmp_path / "bom.csv"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes()[:4] == b"\xef\xbb\xbf" + text[:1].encode()
+    plain = {"freqs": freq_file, "table": table_file}
+    read = {"freqs": read_frequency_csv, "table": read_table_csv}[kind]
+    assert read(str(marked)) == read(plain[kind])
+    outputs = []
+    for files in (plain, {**plain, kind: str(marked)}):
+        assert main(["pmf", "--freqs", files["freqs"], "--table",
+                     files["table"], "--locus", "D1", "--theta", "0.03"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 # ---------------------------------------------------------------------------
 # pmf
 
@@ -220,15 +240,16 @@ def test_pmf_width_mismatch_is_a_usage_error(capsys, freq_file, table_file):
 def test_pmf_with_a_count_past_the_cap_is_a_usage_error(tmp_path, capsys,
                                                         freq_file, big):
     # these ended in a traceback: log_factorial's math range error at
-    # 10**306 and the float conversion's OverflowError at 10**400
+    # 10**306 and the float conversion's OverflowError at 10**400; the
+    # reader refuses them at their line
     table = tmp_path / "big.csv"
     table.write_text(TABLE_CSV.replace("suspect,2,", f"suspect,{big},"))
     assert main(["pmf", "--freqs", freq_file, "--table", str(table),
                  "--locus", "D1", "--theta", "0.03"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("mdmix pmf: error: counts: the table's total is "
-                            "above 10**300\n")
+    assert captured.err == (f"mdmix pmf: error: {table}: line 2: the "
+                            "table's total is above 10**300\n")
 
 
 def test_pmf_missing_required_option(capsys, freq_file, table_file):
@@ -660,11 +681,31 @@ FREQ_HEADER = "locus,allele,frequency\n"
                  "line 3: counts must be integers", id="count-not-an-int"),
     pytest.param("table", TABLE_CSV.replace("unknown,1,1,", "unknown,1,-1,"),
                  "line 3: count -1 is negative", id="negative-count"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,0.2_5\n",
+                 "line 2: frequency '0.2_5' is not a number",
+                 id="frequency-digit-group"),
+    pytest.param("freqs", FREQ_HEADER + "D1,10,\u0660.\u0665\n",
+                 "line 2: frequency '\u0660.\u0665' is not a number",
+                 id="frequency-other-digits"),
+    pytest.param("table", TABLE_CSV + "x,1_0,0,0,0,0,0\n",
+                 "line 4: counts must be integers", id="count-digit-group"),
+    pytest.param("table", TABLE_CSV + "x,1,0,+2,0,0,0\n",
+                 "line 4: counts must be integers", id="count-plus-sign"),
+    pytest.param("table", TABLE_CSV + "x,1,0,\u0662,0,0,0\n",
+                 "line 4: counts must be integers", id="count-other-digits"),
+    pytest.param("table", TABLE_CSV.replace("unknown,1,",
+                                            f"unknown,{'9' * 4301},"),
+                 "line 3: the table's total is above 10**300",
+                 id="count-of-4301-digits"),
+    pytest.param("table", TABLE_CSV.replace("suspect,2,",
+                                            f"suspect,{10 ** 300},"),
+                 "line 3: the table's total is above 10**300",
+                 id="total-past-the-cap"),
 ])
 def test_a_bad_input_file_exits_2_naming_the_file_and_line(
         tmp_path, capsys, freq_file, table_file, kind, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     files = {"freqs": freq_file, "table": table_file, kind: str(bad)}
     assert main(["pmf", "--freqs", files["freqs"], "--table", files["table"],
                  "--locus", "D1", "--theta", "0.03"]) == 2

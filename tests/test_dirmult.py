@@ -13,7 +13,8 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    MdmParams, ParameterError, SubsetSpec, TableError,
                    marginal_over_alleles, mdm_chain_log_pmf, mdm_log_pmf,
                    theta_to_alpha)
-from mdmix.mdm import _chain_steps, _log_step
+from mdmix.mdm import _log_step
+from mdmix.model import _chain_steps
 
 
 def compositions(total, parts):

@@ -24,7 +24,8 @@ from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
                    pair_ratio_via_steps, theta_to_alpha, woe_curve,
                    woe_margin_grid, woe_step)
 from mdmix.evidence import MarginState, enumerate_genotype_pairs
-from mdmix.mdm import _chain_steps, _log_step
+from mdmix.mdm import _log_step
+from mdmix.model import _chain_steps
 
 # a six-category reference panel: five named alleles and a rest class
 PANEL = AlleleFrequencies((0.025, 0.05, 0.1, 0.2, 0.4))

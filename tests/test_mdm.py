@@ -22,8 +22,9 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    theta_to_alpha)
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
-from mdmix.logspace import log_binomial, log_scaled_rising
-from mdmix.mdm import _MEMO_SIZE, _chain_steps, _log_step
+from mdmix.logspace import _MEMO_SIZE, log_binomial, log_scaled_rising
+from mdmix.mdm import _log_step
+from mdmix.model import _chain_steps
 from mdmix.moments import factorial_moment
 from mdmix.oracle import (MdmSampler, enumerate_tables,
                           enumerate_tables_with_margins,
@@ -365,7 +366,7 @@ def test_chain_keeps_the_bits_with_one_params_over_many_large_tables(theta):
     # rows above 170 draws take log_binomial's lgamma branch, and the step
     # records built on the first chain call, with their memos of L, are
     # read again by the rest and by a second pass over the same tables on
-    # the warm params, also on params derived from these; the direct pmf
+    # the warm model, also on models derived from this one; the direct pmf
     # does not build them
     freqs = AlleleFrequencies((0.3, 0.02, 0.25, 0.1, 0.05, 0.2))
     params = MdmParams((400, 171, 3, 0), theta_to_alpha(freqs, theta))
@@ -378,15 +379,15 @@ def test_chain_keeps_the_bits_with_one_params_over_many_large_tables(theta):
         tables = [sampler.draw() for _ in range(40)]
         assert len(set(tables)) > 1
         mdm_log_pmf(tables[0], sub)
-        assert "_steps" not in vars(sub)
+        assert "_steps" not in vars(sub.model)
         for table in tables + tables:
             assert mdm_chain_log_pmf(table, sub).hex() == \
                 _reference_chain(table, sub).hex()
 
 
-def _memos(params):
+def _chain_memos(model):
     # each memo once: step a's tail memo is step a+1's pool memo
-    return list({id(memo): memo for step in params._steps
+    return list({id(memo): memo for step in model._steps
                  for memo in step[2:]}.values())
 
 
@@ -403,12 +404,12 @@ def test_a_capped_memo_changes_no_bit_and_not_the_params(theta):
     # kernel called per (n, rem) as a forward pass would reads the second
     # step's pool memo, the first step's full tail memo, past the cap and
     # fills its own tail memo: each memo keeps at most the cap, and every
-    # value keeps the reference bits.  The memos live outside the fields,
-    # so a warm params equals a cold one, hashes alike and prints alike,
-    # and the direct pmf builds none
+    # value keeps the reference bits.  The memos live on the model outside
+    # its fields, so a warm model equals a cold one, hashes alike and
+    # prints alike, and the direct pmf builds no step records
     freqs = AlleleFrequencies((0.4, 0.1))
     params = MdmParams((600,), theta_to_alpha(freqs, theta))
-    cold = MdmParams((600,), theta_to_alpha(freqs, theta))
+    cold = MdmParams((600,), DispersionModel(theta, freqs))
     tables = _one_row_sweep()
     for table in tables + tables[::-1]:
         assert mdm_chain_log_pmf(table, params).hex() == \
@@ -416,15 +417,17 @@ def test_a_capped_memo_changes_no_bit_and_not_the_params(theta):
     q, scale = params.model.freqs.extended_probs, params.model.alpha_total
     for rem in range(0, 600, 2):
         for n in (0, rem // 3, rem):
-            got = _log_step(params._steps[1], (n,), n, (rem,), rem)
+            got = _log_step(params.model._steps[1], (n,), n, (rem,), rem)
             assert got.hex() == _reference_step(
                 q[1], q[2], (n,), (rem,), scale).hex()
-    sizes = [len(memo) for memo in _memos(params)]
+    sizes = [len(memo) for memo in _chain_memos(params.model)]
     assert max(sizes) == _MEMO_SIZE and sizes.count(_MEMO_SIZE) >= 3
     mdm_log_pmf(tables[5], cold)
-    assert "_steps" not in vars(cold)
+    assert "_steps" not in vars(cold.model) and "_memos" in vars(cold.model)
+    assert params.model is not cold.model
     assert params == cold and hash(params) == hash(cold)
     assert repr(params) == repr(cold)
+    assert vars(params) == vars(cold)
 
 
 def test_threads_sharing_one_params_get_the_reference_bits():
@@ -455,7 +458,7 @@ def test_threads_sharing_one_params_get_the_reference_bits():
     assert not any(thread.is_alive() for thread in threads)
     for k in range(n_threads):
         assert got[k] == want[k * 150:] + want[:k * 150]
-    sizes = [len(memo) for memo in _memos(params)]
+    sizes = [len(memo) for memo in _chain_memos(params.model)]
     assert _MEMO_SIZE <= max(sizes) <= _MEMO_SIZE + n_threads - 1
 
 
@@ -476,29 +479,45 @@ def _sharing_params():
 def test_adjacent_steps_share_one_memo_and_each_l_is_computed_once(
         k, monkeypatch):
     # step a's tail mass suffix[a+1] a. is step a+1's pool mass: one memo
-    # holds it, 2A - 1 memos in all, and a forward-pass sweep of direct
-    # kernel calls over every step and 0 <= n <= rem < 200 computes each
+    # holds it, 2A - 1 memos in all, and a step's memo at q_a a. is the
+    # direct pmf's, which adds one at a.: 2A on the model.  A forward-pass
+    # sweep of direct kernel calls over every step and 0 <= n <= rem < 200,
+    # then the direct pmf, the chain and factorial_moment on these params
+    # and on params with other row sums over the same model, compute each
     # (mass, count) once
     params = _sharing_params()[k]
-    steps = params._steps
+    model = params.model
+    steps = model._steps
     for step, after in zip(steps, steps[1:]):
         assert step[3] is after[4]
-    memos = _memos(params)
+    memos = _chain_memos(model)
     assert len(memos) == 2 * params.n_categories - 1
-    assert len({memo.x for memo in memos}) == len(memos)
+    assert [step[2] for step in steps] == list(model._memos[:len(steps)])
+    assert steps[-1][3] is model._memos[-2]
+    every = {id(memo): memo for memo in memos + list(model._memos)}
+    assert len(every) == 2 * params.n_categories
+    assert len({memo.x for memo in every.values()}) == len(every)
     calls = collections.Counter()
 
     def counted(x, n):
         calls[x, n] += 1
         return log_scaled_rising(x, n)
 
-    monkeypatch.setattr("mdmix.mdm.log_scaled_rising", counted)
+    monkeypatch.setattr("mdmix.logspace.log_scaled_rising", counted)
     for step in steps:
         for rem in range(200):
             for n in range(rem + 1):
                 _log_step(step, (n,), n, (rem,), rem)
+    other = MdmParams(tuple(2 * r + 1 for r in params.row_sums), model)
+    for sub in (params, other, MdmParams(params.row_sums, model)):
+        for seed in range(5):
+            table = MdmSampler(sub, seed).draw()
+            for _ in range(2):
+                mdm_log_pmf(table, sub)
+                mdm_chain_log_pmf(table, sub)
+                factorial_moment(table, sub)
     assert calls and set(calls.values()) == {1}
-    assert {x for x, _ in calls} == {memo.x for memo in memos}
+    assert {x for x, _ in calls} == {memo.x for memo in every.values()}
 
 
 @pytest.mark.parametrize("theta", CHAIN_THETAS)

@@ -4,7 +4,11 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,11 +19,12 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    FrequencyFileError, GenotypePair, MdmParams, MdmSampler,
                    MultiplicityClass, ParameterError, ProfileCounts,
                    SubsetSpec, TableError, covariance_matrix,
-                   genotype_from_alleles, pair_ratio, pair_ratio_curves,
-                   read_frequency_csv, theta_to_alpha, woe_curve,
-                   woe_margin_grid, woe_step)
+                   genotype_from_alleles, mdm_chain_log_pmf, mdm_log_pmf,
+                   pair_ratio, pair_ratio_curves, read_frequency_csv,
+                   theta_to_alpha, woe_curve, woe_margin_grid, woe_step)
 from mdmix.cli import _build_parser, _merge
 from mdmix.evidence import MarginState
+from mdmix.model import _MODEL_CACHE_SIZE
 from mdmix.oracle import (count_tables, enumerate_tables,
                           enumerate_tables_with_margins)
 
@@ -160,6 +165,106 @@ def test_negative_zero_theta_is_zero_however_the_model_is_built():
         assert math.copysign(1.0, model.theta) == 1.0
         cov = covariance_matrix(MdmParams((2, 2), model))
         assert math.copysign(1.0, cov[0, 2]) == 1.0
+
+
+def test_a_float_theta_shares_one_model_per_frequency_set():
+    # a repeated float theta gives the identical model, with its L memos,
+    # from the frequency set's cache; it equals a fresh model, hashes and
+    # prints alike, and -0.0 finds the model of theta = 0.0.  The cache is
+    # no field: a set built afresh equals this one and keeps its own models
+    f = AlleleFrequencies((0.1, 0.2, 0.3))
+    for theta in (0.0, 0.01, 0.03, 1e-300):
+        model = theta_to_alpha(f, theta)
+        assert theta_to_alpha(f, theta) is model
+        fresh = DispersionModel(theta, f)
+        assert model == fresh and hash(model) == hash(fresh)
+        assert repr(model) == repr(fresh)
+    zero = theta_to_alpha(f, -0.0)
+    assert zero is theta_to_alpha(f, 0.0) and repr(zero.theta) == "0.0"
+    other = AlleleFrequencies((0.1, 0.2, 0.3))
+    assert other == f and hash(other) == hash(f) and repr(other) == repr(f)
+    assert theta_to_alpha(other, 0.01) is not theta_to_alpha(f, 0.01)
+
+
+def test_a_theta_that_is_not_a_float_never_meets_the_cache():
+    # False and np.False_ equal 0.0 and hash alike, but are refused after
+    # a 0.0 model is cached; an int or a numpy float gets an equal model
+    # checked afresh; a bad theta raises on every call and is not kept
+    f = AlleleFrequencies((0.5, 0.5))
+    zero = theta_to_alpha(f, 0.0)
+    for bad in (False, np.False_, "0.0"):
+        with pytest.raises(ParameterError, match="theta: expected float"):
+            theta_to_alpha(f, bad)
+    for number in (0, np.float64(0.0)):
+        model = theta_to_alpha(f, number)
+        assert model == zero and model is not zero
+    tiny = AlleleFrequencies((1e-310, 1.0 - 1e-310))
+    for freqs, bad in ((f, 1.0), (f, -0.5), (f, math.nan), (f, math.inf),
+                       (tiny, 0.9999999999999999)):
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                theta_to_alpha(freqs, bad)
+    assert list(f._models) == [0.0] and not tiny._models
+
+
+def test_a_frequency_set_keeps_the_models_of_its_last_four_thetas():
+    f = AlleleFrequencies((0.25, 0.75))
+    thetas = [k / 100 for k in range(10)]
+    models = [theta_to_alpha(f, theta) for theta in thetas]
+    assert _MODEL_CACHE_SIZE == 4 and list(f._models) == thetas[-4:]
+    for theta, model in zip(thetas[-4:], models[-4:]):
+        assert theta_to_alpha(f, theta) is model
+    again = theta_to_alpha(f, thetas[0])
+    assert again == models[0] and again is not models[0]
+    assert len(f._models) == _MODEL_CACHE_SIZE
+
+
+def test_threads_sharing_one_frequency_set_get_the_reference_bits():
+    # more threads than cores, a short switch interval and more thetas than
+    # the cache keeps: each thread scores tables, direct and by the chain,
+    # on models that the others evict and rebuild.  Every value has the
+    # bits of a fresh model, and the cache never holds more than its bound
+    f = AlleleFrequencies((0.3, 0.2, 0.1, 0.25))
+    thetas = (0.0, 1e-300, 0.01, 0.03, 0.1, 0.5)
+    tables = [CountTable(((2, 0, 0, 0, 0), (1, 1, 0, 0, 0))),
+              CountTable(((0, 1, 0, 1, 0), (0, 0, 0, 0, 2))),
+              CountTable(((3, 0, 0, 1, 4), (0, 2, 1, 0, 5)))]
+    want = {}
+    for theta in thetas:
+        for table in tables:
+            params = MdmParams(table.row_sums, DispersionModel(theta, f))
+            want[theta, table] = (mdm_log_pmf(table, params).hex(),
+                                  mdm_chain_log_pmf(table, params).hex())
+    n_threads = min(4 * (os.cpu_count() or 1), 16)
+    bad, sizes, rounds = [], [], [0] * n_threads
+    deadline = time.monotonic() + 1.5
+
+    def score(k):
+        while time.monotonic() < deadline:
+            for i, theta in enumerate(thetas[k % 2::2] + thetas[1 - k % 2::2]):
+                table = tables[(i + k) % len(tables)]
+                params = MdmParams(table.row_sums, theta_to_alpha(f, theta))
+                got = (mdm_log_pmf(table, params).hex(),
+                       mdm_chain_log_pmf(table, params).hex())
+                if got != want[theta, table]:
+                    bad.append((theta, table, got))
+                sizes.append(len(f._models))
+            rounds[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(k,))
+                   for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert min(rounds) > 0 and not bad
+    assert max(sizes) <= _MODEL_CACHE_SIZE == len(f._models)
 
 
 def test_from_alpha_refuses_a_total_that_is_not_finite():
