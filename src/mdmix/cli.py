@@ -154,9 +154,11 @@ def _cell_count(cell: str, where: str) -> int:
     digits = digits.lstrip("0") or "0"
     if digits != "0" and text[0] == "-":
         raise TableError(f"{where}: count -{digits} is negative")
-    # more digits than 10**300 has, and than the 4,300 that int() reads
-    if len(digits) > 301:
-        raise TableError(f"{where}: the table's total is above 10**300")
+    # int() reads at most 4,300 digits; a count of more digits than
+    # _MAX_TOTAL has is past the cap whatever it is, so it stands as
+    # _MAX_TOTAL + 1 for read_table_csv's one check of the total
+    if len(digits) > len(str(_MAX_TOTAL)):
+        return _MAX_TOTAL + 1
     return int(digits)
 
 

@@ -259,17 +259,15 @@ def _suffix_sums(values) -> list[float]:
     return suffix
 
 
-def _chain_steps(q, scale: float, memos=None) -> tuple:
+def _chain_steps(q, scale: float, memos) -> tuple:
     """The record of the chain step into each category a but the last:
     (log Q, log(1 - Q), and the _Memo of L at q[a] scale, suffix[a+1]
     scale and pool scale) with pool = suffix[a] and Q = q[a] / pool.
-    memos[a] is the memo at q[a] scale, built here unless given.
+    memos[a] is the memo at q[a] scale.
     suffix[a] is suffix[a+1] + q[a], the float q[a] + suffix[a+1], so
     step a's pool memo is step a-1's tail memo, and the last tail mass,
     suffix[A-1] = q[A-1], is read from memos[A-1]: 2A - 1 memos in all."""
     suffix = _suffix_sums(q)
-    if memos is None:
-        memos = [_Memo(x * scale) for x in q]
     pools = [_Memo(x * scale) for x in suffix[:-2]] + [memos[-1]]
     return tuple((math.log(q[a] / suffix[a]),
                   math.log(suffix[a + 1] / suffix[a]),
@@ -293,8 +291,9 @@ def _scaled_model(probs, alpha_total: float,
     return model
 
 
-# the thetas whose models each frequency set keeps, as the curve builders
-# keep their grids: casework reads one database at a few thetas
+# the thetas whose models each frequency set keeps: casework reads each of
+# its 20 frequency sets at 3 thetas (0, 0.01, 0.03) and simulation at most
+# 2, so one more theta per set still finds each model cached
 _MODEL_CACHE_SIZE = 4
 _MODEL_CACHE_LOCK = threading.Lock()
 
@@ -308,6 +307,9 @@ def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     calls share it.  Any other theta is checked afresh on every call:
     False and np.False_ equal 0.0 and hash alike, so a lookup would take
     them for 0.0, though _as_real refuses them.  An error is never cached.
+    A cached model and its memos live as long as freqs does; freqs and
+    its models refer to each other, so a dropped frequency set is freed by
+    the cycle collector, not when its last reference goes.
     """
     if type(theta) is not float or not isinstance(freqs, AlleleFrequencies):
         return DispersionModel(theta, freqs)

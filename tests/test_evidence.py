@@ -24,6 +24,7 @@ from mdmix import (AlleleFrequencies, CountTable, GenotypePair, MdmParams,
                    pair_ratio_via_steps, theta_to_alpha, woe_curve,
                    woe_margin_grid, woe_step)
 from mdmix.evidence import MarginState, enumerate_genotype_pairs
+from mdmix.logspace import _Memo
 from mdmix.mdm import _log_step
 from mdmix.model import _chain_steps
 
@@ -107,6 +108,8 @@ def test_woe_step_matches_split_enumeration():
     def split_ratios(n, s, q, theta):
         a_pool = (1.0 - theta) / theta
         a_step, a_tail = q * a_pool, (1.0 - q) * a_pool
+        record = _chain_steps((a_step, a_tail), 1.0,
+                              (_Memo(a_step), _Memo(a_tail)))[0]
         out = []
         for n_i in range(min(n, 2) + 1):
             for s_i in range(min(s, 2) + 1):
@@ -120,8 +123,7 @@ def test_woe_step_matches_split_enumeration():
                        * math.comb(2 - s_j, n_j) * q ** n_j
                        * (1 - q) ** (2 - s_j - n_j))
                 den = math.exp(_log_step(
-                    _chain_steps((a_step, a_tail), 1.0)[0], (n_i, n_j), n,
-                    (2 - s_i, 2 - s_j), 4 - s))
+                    record, (n_i, n_j), n, (2 - s_i, 2 - s_j), 4 - s))
                 out.append(num / den)
         return out
 

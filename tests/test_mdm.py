@@ -22,7 +22,8 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    theta_to_alpha)
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
-from mdmix.logspace import _MEMO_SIZE, log_binomial, log_scaled_rising
+from mdmix.logspace import (_MEMO_SIZE, _Memo, log_binomial,
+                            log_scaled_rising)
 from mdmix.mdm import _log_step
 from mdmix.model import _chain_steps
 from mdmix.moments import factorial_moment
@@ -217,8 +218,9 @@ def test_a_table_at_the_cap_has_a_finite_pmf(theta):
 
 def step_mass(alpha_a, alpha_tail, col, free):
     # one step's log mass, alpha_a against alpha_tail at scale 1
-    return _log_step(_chain_steps((alpha_a, alpha_tail), 1.0)[0], col,
-                     sum(col), free, sum(free))
+    steps = _chain_steps((alpha_a, alpha_tail), 1.0,
+                         (_Memo(alpha_a), _Memo(alpha_tail)))
+    return _log_step(steps[0], col, sum(col), free, sum(free))
 
 
 def test_joint_step_closed_form():
