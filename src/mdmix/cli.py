@@ -224,7 +224,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     command's required options."""
     file_cfg = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 file_cfg = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as err:

@@ -7,7 +7,10 @@ rising kernel L = log_scaled_rising, which keeps its precision as
 x = q(1-theta)/theta grows without bound (theta -> 0+) and is exactly 0 in
 the limit x = inf (theta = 0); integer factorials come from a table of
 exactly rounded logs up to 170!, the largest factorial representable in a
-double.  _Memo keeps the L values of one x by count.
+double.  _factorial_reader(largest) is the one choice of how to read log n!
+for many n at most largest: by a plain list read of that table when it
+holds them all, else by log_factorial.  _Memo keeps the L values of one x
+by count.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from math import inf, lgamma, log, log1p
 LOG_ZERO = float("-inf")
 
 _MAX_TABLED = 170
+# a plain list, not a dict whose __missing__ gives lgamma past 170: CPython
+# specialises the list subscript of log_binomial, run in every chain step
 _LOG_FACTORIAL = [0.0] * (_MAX_TABLED + 1)
 for _n in range(2, _MAX_TABLED + 1):
     _LOG_FACTORIAL[_n] = math.log(math.factorial(_n))
@@ -30,6 +35,16 @@ def log_factorial(n: int) -> float:
     if n <= _MAX_TABLED:
         return _LOG_FACTORIAL[n]
     return lgamma(n + 1.0)
+
+
+_read_tabled = _LOG_FACTORIAL.__getitem__
+
+
+def _factorial_reader(largest: int):
+    """The function that gives log n! of every n in 0..largest: the table's
+    own read when largest fits the table, so no call of log_factorial per
+    term, else log_factorial; both give the same bits below 171."""
+    return _read_tabled if largest <= _MAX_TABLED else log_factorial
 
 
 def log_binomial(n: int, k: int) -> float:

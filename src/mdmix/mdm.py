@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .logspace import log_binomial, log_factorial
+from .logspace import _factorial_reader, log_binomial
 from .model import (
     CountTable,
     DispersionModel,
@@ -128,9 +128,11 @@ def mdm_log_pmf(table: CountTable, params: MdmParams) -> float:
     """Log pmf of the joint table; independent multinomials at theta = 0."""
     _check_table(table, params)
     terms = _dirichlet_terms(params.model, table.col_sums, table.total)
-    terms += map(log_factorial, table.row_sums)
+    # no cell is above its row's sum
+    log_fact = _factorial_reader(max(table.row_sums))
+    terms += map(log_fact, table.row_sums)
     # a zero cell adds log 0! = 0.0, so it gets no term either
-    terms += map(operator.neg, map(log_factorial, filter(
+    terms += map(operator.neg, map(log_fact, filter(
         None, chain.from_iterable(table.counts))))
     return math.fsum(terms)
 
@@ -269,9 +271,11 @@ def hypergeometric_log_pmf(table: CountTable) -> float:
 
     P(n | rows, cols) = prod_i n_i.! prod_a n.a! / (n..! prod_ia n_ia!).
     """
-    terms = [-log_factorial(table.total)]
-    terms += map(log_factorial, chain(table.row_sums, table.col_sums))
+    # no margin or cell is above the total
+    log_fact = _factorial_reader(table.total)
+    terms = [-log_fact(table.total)]
+    terms += map(log_fact, chain(table.row_sums, table.col_sums))
     # a zero cell adds -log 0! = -0.0, so it gets no term either
-    terms += map(operator.neg, map(log_factorial, filter(
+    terms += map(operator.neg, map(log_fact, filter(
         None, chain.from_iterable(table.counts))))
     return math.fsum(terms)

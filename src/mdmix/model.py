@@ -34,7 +34,7 @@ import operator
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 from .logspace import _Memo
 
@@ -324,6 +324,36 @@ def theta_to_alpha(freqs: AlleleFrequencies, theta: float) -> DispersionModel:
     return model
 
 
+def _checked_rows(rows: tuple) -> tuple[tuple[int, ...], ...]:
+    """CountTable's rows by the row-by-row rule: each row's cells by
+    _as_counts, then its width; an empty table is refused last."""
+    counts = []
+    for i, row in enumerate(rows):
+        counts.append(_as_counts(row, f"counts[{i}]"))
+        width = len(counts[0])
+        if width == 0:
+            raise TableError("a table needs at least one allele column")
+        if len(counts[i]) != width:
+            raise TableError(f"row {i} has {len(counts[i])} entries, "
+                             f"expected {width}")
+    if not counts:
+        raise TableError("counts: expected a non-empty list")
+    return tuple(counts)
+
+
+# Up to this many rows, column sums are one chain of maps, the fastest for
+# the few rows of a casework table; past it, zip and sum are, and a chain
+# as deep as 100,000 rows would overflow the C stack.
+_MAP_SUM_ROWS = 4
+
+
+def _col_sums(counts) -> tuple[int, ...]:
+    """The column sums of a non-empty tuple of equally long rows of ints."""
+    if len(counts) <= _MAP_SUM_ROWS:
+        return tuple(reduce(partial(map, operator.add), counts))
+    return tuple(map(sum, zip(*counts)))
+
+
 # The largest total of a CountTable: log (10**300)! is 6.9e302, so every
 # log factorial and log pmf of its cells and margins stays a finite double.
 _MAX_TOTAL = 10 ** 300
@@ -343,28 +373,23 @@ class CountTable:
     total: int = field(init=False)
 
     def __post_init__(self):
-        # row by row: its cells in order, then its width
-        counts = []
-        for i, row in enumerate(_as_items(self.counts, "counts",
-                                          "lists of int", TableError)):
-            counts.append(_as_counts(row, f"counts[{i}]"))
-            width = len(counts[0])
-            if width == 0:
-                raise TableError("a table needs at least one allele column")
-            if len(counts[i]) != width:
-                raise TableError(f"row {i} has {len(counts[i])} entries, "
-                                 f"expected {width}")
-        if not counts:
-            raise TableError("counts: expected a non-empty list")
-        counts = tuple(counts)
+        counts = _as_items(self.counts, "counts", "lists of int", TableError)
+        # the fast test: tuples of exact ints >= 0, each as wide as a first
+        # row that is not empty, are taken as they are; any other input
+        # goes row by row from row 0, to convert it or to name its fault.
+        # Without such a first row the test meets None, and fails at once
+        width = len(counts[0]) if counts and type(counts[0]) is tuple else 0
+        for row in counts if width else (None,):
+            if (type(row) is not tuple or len(row) != width
+                    or not _INT.issuperset(map(type, row)) or min(row) < 0):
+                counts = _checked_rows(counts)
+                break
         row_sums = tuple(map(sum, counts))
         total = sum(row_sums)
         if total > _MAX_TOTAL:
             raise TableError("counts: the table's total is above 10**300")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "row_sums", row_sums)
-        object.__setattr__(self, "col_sums", tuple(map(sum, zip(*counts))))
-        object.__setattr__(self, "total", total)
+        vars(self).update(counts=counts, row_sums=row_sums,
+                          col_sums=_col_sums(counts), total=total)
 
     @property
     def n_profiles(self) -> int:
@@ -392,7 +417,7 @@ def _built_table(counts, row_sums, total: int,
     row_sums and total, and col_sums when given.  Sets the fields without
     CountTable's checks and computes only col_sums, when not given."""
     if col_sums is None:
-        col_sums = tuple(map(sum, zip(*counts)))
+        col_sums = _col_sums(counts)
     table = object.__new__(CountTable)
     vars(table).update(counts=counts, row_sums=row_sums, col_sums=col_sums,
                        total=total)

@@ -536,6 +536,23 @@ def test_config_must_be_a_json_object(tmp_path, capsys, freq_file):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_a_config_that_starts_with_a_byte_order_mark_reads_the_same(
+        tmp_path, freq_file):
+    text = json.dumps({"freqs": freq_file, "locus": "D1", "theta": 0.03,
+                       "rows": [2, 2]})
+    outputs = []
+    for name, mark in (("plain.json", ""), ("bom.json", "\ufeff")):
+        cfg = tmp_path / name
+        cfg.write_text(mark + text, encoding="utf-8")
+        run = subprocess.run([sys.executable, "-m", "mdmix.cli", "moments",
+                              "--config", str(cfg)], env=_env_with_src(),
+                             capture_output=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert cfg.read_bytes()[:4] == b"\xef\xbb\xbf{"
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 @pytest.mark.parametrize("command, field, value", [
     ("moments", "theta", "abc"),
     ("moments", "theta", [0.1]),

@@ -22,9 +22,9 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    theta_to_alpha)
 from mdmix.evidence import (GenotypePair, MarginState, genotype_from_alleles,
                             pair_ratio, woe_step)
-from mdmix.logspace import (_MEMO_SIZE, _Memo, log_binomial,
+from mdmix.logspace import (_MEMO_SIZE, _Memo, log_binomial, log_factorial,
                             log_scaled_rising)
-from mdmix.mdm import _log_step
+from mdmix.mdm import _dirichlet_terms, _log_step
 from mdmix.model import _chain_steps
 from mdmix.moments import factorial_moment
 from mdmix.oracle import (MdmSampler, enumerate_tables,
@@ -646,6 +646,31 @@ def test_profile_chain_rule_holds():
 def test_hypergeometric_balanced_table():
     assert math.exp(hypergeometric_log_pmf(CountTable(((1, 1), (1, 1))))) == \
         pytest.approx(2.0 / 3.0, abs=1e-13)
+
+
+# at the edge of the log-factorial table, which holds 0! to 170!: a row sum
+# of 170, a total of 171 whose rows are at most 170, a row sum of 171 and a
+# single cell of 171
+EDGE_TABLES = [((100, 70),), ((100, 70), (1, 0)), ((100, 71), (1, 2)),
+               ((171, 0), (0, 3)), ((0, 171),)]
+
+
+@pytest.mark.parametrize("counts", EDGE_TABLES)
+@pytest.mark.parametrize("theta", [0.0, 0.03])
+def test_both_pmfs_keep_the_bits_of_one_log_factorial_per_term(counts,
+                                                                theta):
+    table = CountTable(counts)
+    model = theta_to_alpha(AlleleFrequencies((0.3, 0.7)), theta)
+    cells = [n for row in counts for n in row if n]
+    terms = _dirichlet_terms(model, table.col_sums, table.total)
+    terms += [log_factorial(n) for n in table.row_sums]
+    terms += [-log_factorial(n) for n in cells]
+    got = mdm_log_pmf(table, MdmParams(table.row_sums, model))
+    assert got.hex() == math.fsum(terms).hex()
+    terms = [-log_factorial(table.total)]
+    terms += [log_factorial(n) for n in table.row_sums + table.col_sums]
+    terms += [-log_factorial(n) for n in cells]
+    assert hypergeometric_log_pmf(table).hex() == math.fsum(terms).hex()
 
 
 def test_margin_conditional_is_free_of_alpha():

@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    theta_to_alpha, woe_curve, woe_margin_grid, woe_step)
 from mdmix.cli import _build_parser, _merge
 from mdmix.evidence import MarginState
-from mdmix.model import _MODEL_CACHE_SIZE
+from mdmix.model import (_MAX_TOTAL, _MODEL_CACHE_SIZE, _as_counts,
+                         _as_items)
 from mdmix.oracle import (count_tables, enumerate_tables,
                           enumerate_tables_with_margins)
 
@@ -338,6 +339,100 @@ def test_count_table_coerces_integer_like_values():
         with pytest.raises(TableError) as err:
             CountTable(counts)
         assert str(err.value) == message
+
+
+def _row_by_row_table(counts):
+    """CountTable's fields by the row-by-row rule alone, the reference of
+    its one-pass test of tuples of exact ints."""
+    rows = []
+    for i, row in enumerate(_as_items(counts, "counts", "lists of int",
+                                      TableError)):
+        rows.append(_as_counts(row, f"counts[{i}]"))
+        width = len(rows[0])
+        if width == 0:
+            raise TableError("a table needs at least one allele column")
+        if len(rows[i]) != width:
+            raise TableError(f"row {i} has {len(rows[i])} entries, "
+                             f"expected {width}")
+    if not rows:
+        raise TableError("counts: expected a non-empty list")
+    rows = tuple(rows)
+    row_sums = tuple(map(sum, rows))
+    if sum(row_sums) > _MAX_TOTAL:
+        raise TableError("counts: the table's total is above 10**300")
+    return rows, row_sums, tuple(map(sum, zip(*rows))), sum(row_sums)
+
+
+# a cell that is not an exact int >= 0
+_OTHER_CELL = st.one_of(st.integers(0, 9).map(np.int64), st.just(True),
+                        st.floats(0, 9), st.text(max_size=1), st.none(),
+                        st.integers(-3, -1))
+
+
+@st.composite
+def _tables(draw):
+    """A table as a caller may give it: rows of exact ints from 0 to 9, all
+    of one width but in a ragged table; in half the tables one or two cells
+    of another kind; each row and the table a list or a tuple.  The width
+    and the row count may be 0."""
+    # widths and row counts of 0 come first in their lists, as shrinking
+    # prefers, but are drawn once in six
+    width = draw(st.sampled_from((0, 1, 2, 3, 4, 5)))
+    ragged = not draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.sampled_from((0, 1, 2, 3, 4, 6)))):
+        size = draw(st.integers(0, width + 1)) if ragged else width
+        rows.append(draw(st.lists(st.integers(0, 9), min_size=size,
+                                  max_size=size)))
+    cells = [(i, k) for i, row in enumerate(rows) for k in range(len(row))]
+    if cells and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            i, k = draw(st.sampled_from(cells))
+            rows[i][k] = draw(_OTHER_CELL)
+    lists = not draw(st.integers(0, 3))
+    rows = [row if lists and draw(st.booleans()) else tuple(row)
+            for row in rows]
+    return rows if lists and draw(st.booleans()) else tuple(rows)
+
+
+@given(_tables())
+@example(((1, 0), (0, -1)))
+@example(((1, 2), (3,)))
+@example(((1, 2), (3,), (0, -1)))
+@example(((), ()))
+@example(())
+@example([(1, 2), [0, 1]])
+@example(((1, np.int64(2)), (True, 0)))
+@example((5, (1,)))
+@example(("ab",))
+def test_differential_count_table_is_the_row_by_row_rule(counts):
+    try:
+        want = _row_by_row_table(counts)
+    except TableError as err:
+        with pytest.raises(TableError) as got:
+            CountTable(counts)
+        assert type(got.value) is TableError
+        assert str(got.value) == str(err)
+        return
+    t = CountTable(counts)
+    assert (t.counts, t.row_sums, t.col_sums, t.total) == want
+    assert type(t.counts) is tuple
+    assert all(type(row) is tuple and set(map(type, row)) == {int}
+               for row in t.counts)
+    assert set(map(type, t.row_sums + t.col_sums + (t.total,))) == {int}
+    if all(type(row) is tuple and set(map(type, row)) <= {int}
+           for row in counts):
+        # a row that passes the one-pass test is kept as it is
+        assert all(kept is row for kept, row in zip(t.counts, counts))
+
+
+def test_a_table_of_many_rows_has_its_column_sums():
+    # column sums over more than a few rows are not one chain of maps, which
+    # at this depth would overflow the C stack
+    rows = ((1, 0, 2),) * 100_000
+    t = CountTable(rows)
+    assert t.col_sums == (100_000, 0, 200_000)
+    assert t.total == 300_000
 
 
 # ---------------------------------------------------------------------------
