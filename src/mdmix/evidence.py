@@ -185,6 +185,8 @@ def woe_step(margin: MarginState, q_scaled: float, theta: float,
     Q^n (1-Q)^(rem-n) cancels against the rising products factor by factor,
     so nothing cancels numerically as a_pool = (1-theta)/theta grows.
     """
+    if not isinstance(margin, MarginState):
+        raise _type_error(margin, MarginState, "margin")
     q_scaled = _as_real(q_scaled, "Q")
     tail_mass = _as_real(tail_mass, "tail_mass")
     a_pool = _woe_pool(q_scaled, theta, tail_mass)
@@ -228,6 +230,9 @@ def woe_margin_grid(n_contributors: int = 2):
 # block of columns at a time, so a block stays in cache and no temporary
 # grows with the grid
 _WOE_BLOCK_CELLS = 2 ** 16
+# factor cells per group in a block up to which woe_curve forms every
+# factor in one divide: there, fewer calls save more than it costs
+_ONE_DIVIDE_CELLS = 2 ** 10
 
 # the fields of a MarginState, which fix its row in woe_curve
 _MARGIN_FIELDS = operator.attrgetter("n_col", "s_prev", "n_contributors")
@@ -248,10 +253,9 @@ def _woe_layout(keys):
     rows for t = 1) by one factor, (a_tail + (1-Q) m) / (a_tail + t - 1)
     with m = n + t - 1.
 
-    Returns each state's row, n_steps, the column 0, 1, 2, ... that k, m
-    and t - 1 are read from, for each group the rows it extends, its own
-    rows and its m (slices where they are consecutive), and the number of
-    rows."""
+    Returns n_steps, each state's row, whether each factor from row 2 is a
+    tail factor, what it adds above and below (k, k or m, t - 1), a column
+    0, 1, ..., each group's (extended rows, own rows, m) and the row count."""
     runs = [(n, GENOTYPE_SIZE * contribs - s_prev - n)
             for n, s_prev, contribs in keys]
     longest = {}  # column count -> its longest run of tail factors
@@ -261,19 +265,26 @@ def _woe_layout(keys):
     n_steps = max(2, max(counts) + 1)  # rows step(0), step(1), ...
     firsts = [0, n_steps]  # the first row of each group
     prev = counts  # the rows that group t extends: step(n) is row n
+    numers, denoms = list(range(1, n_steps - 1)), list(range(1, n_steps - 1))
     groups = []
     for t in range(1, longest[counts[0]] + 1):
         size = sum(run >= t for run in longest.values())
         here = slice(firsts[-1], firsts[-1] + size)
-        groups.append((_as_slice(prev[:size]), here,
-                       _as_slice([n + t - 1 for n in counts[:size]])))
+        m = [n + t - 1 for n in counts[:size]]
+        groups.append((_as_slice(prev[:size]), here, _as_slice(m)))
+        numers += m
+        denoms += [t - 1] * size
         prev = range(here.start, here.stop)
         firsts.append(here.stop)
     order = {n: i for i, n in enumerate(counts)}
     picks = [firsts[t] + order[n] if t else n for n, t in runs]
-    return (np.array(picks, dtype=np.intp), n_steps,
-            np.arange(max(n + t for n, t in runs) + 2, dtype=float)[:, None],
-            groups, firsts[-1])
+    arrays = [np.array(picks, dtype=np.intp),
+              np.arange(len(numers))[:, None] >= n_steps - 2,
+              *(np.array(c, dtype=float)[:, None] for c in (
+                  numers, denoms, range(max(n + t for n, t in runs) + 2)))]
+    for array in arrays:
+        array.flags.writeable = False
+    return n_steps, *arrays, groups, firsts[-1]
 
 
 def _as_slice(rows):
@@ -301,10 +312,12 @@ def _per_grid(build, grid, *args):
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _woe_pools(grid, tail_mass):
-    """woe_curve's pooled mass a. at each theta, read-only."""
+    """woe_curve's read-only a. at each theta, its least value (inf for no
+    theta) and the read-only mask where a. = inf, or None for nowhere."""
     a_pool = np.array(list(map(_pool_mass, grid, repeat(tail_mass))))
-    a_pool.flags.writeable = False
-    return a_pool
+    limit = a_pool == math.inf  # theta = 0, or (1 - theta) / theta overflows
+    a_pool.flags.writeable = limit.flags.writeable = False
+    return a_pool, a_pool.min(initial=math.inf), limit if limit.any() else None
 
 
 def woe_curve(states, q_scaled: float, theta_grid,
@@ -313,68 +326,76 @@ def woe_curve(states, q_scaled: float, theta_grid,
 
     The grid is checked through _pool_mass, with one test of the tail mass
     for underflow; only if a check fails are woe_step's checks rerun theta
-    by theta, so bad input raises the error woe_step raises at the first
-    theta where it would fail.  The pooled masses a. are formed through
-    _pool_mass once per distinct grid and tail mass, when every theta is
-    an exact float, and a cache keeps those of the last 4 (80 KB each at
-    10,001 points, and the grid, which it keeps alive).  Then, a block of
-    grid columns at a time, a few whole-array passes form woe_step's
-    products: the step factors in one broadcast and their running products
-    in one accumulate, the tail factors' numerators and denominators in one
-    broadcast each, then the running products of all column counts
-    together, one tail factor on at a time.  States with the same column
-    count share them.  Each product is formed left to right as in woe_step,
-    and numpy's arithmetic is correctly rounded, so the values are
-    woe_step's bit for bit.  Beyond the output and the cache, memory stays
-    bounded whatever the grid.
+    by theta, so bad input raises woe_step's error at the first theta where
+    it would fail; Q and tail_mass are checked even with no state or theta.
+    a. is formed once per distinct grid and tail mass, when every theta is
+    an exact float: a cache keeps the a. of the last 4, their least value
+    and the mask of a. = inf (90 KB at 10,001 points, and the grid).  Then,
+    a block of grid columns at a time, every step and tail factor comes
+    from one product of a. with Q or 1 - Q, two adds of the layout's
+    constants and one divide (in a wide block, each group's tail factors
+    come from the distinct m), then the running products: one accumulate
+    of the step factors, then one tail factor on at a time.  Each product
+    is formed left to right as in woe_step with correctly rounded numpy
+    arithmetic, so the values are woe_step's bit for bit.  Memory beyond
+    the output and the cache stays bounded whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
         if not isinstance(state, MarginState):
             raise _type_error(state, MarginState, f"states[{k}]")
     grid = _as_items(theta_grid, "theta_grid", "float")
-    out = np.empty((len(states), len(grid)))
-    if not out.size:
-        return out
     q_scaled = _as_real(q_scaled, "Q")
     tail_mass = _as_real(tail_mass, "tail_mass")
     try:
-        a_pool = _per_grid(_woe_pools, grid, tail_mass)
+        a_pool, least, limit = _per_grid(_woe_pools, grid, tail_mass)
         checked = (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0
-                   and (1.0 - q_scaled) * a_pool.min() != 0.0)
+                   and (1.0 - q_scaled) * least != 0.0)
     except Exception:  # raised again below, unless an earlier check fails
         checked = False
     if not checked:
-        for theta in grid:
+        # theta = 0 stands in for an empty grid: it checks Q and tail_mass
+        for theta in grid or (0.0,):
             _woe_pool(q_scaled, theta, tail_mass)
-    picks, n_steps, column, groups, n_rows = _woe_layout(
-        tuple(map(_MARGIN_FIELDS, states)))
-    k = column[1:n_steps - 1]
-    q_k = q_scaled * k
-    q_m = (1.0 - q_scaled) * column
+    out = np.empty((len(states), len(grid)))
+    if not out.size:
+        return out
+    (n_steps, picks, tail, numers, denoms, column, groups,
+     n_rows) = _woe_layout(tuple(map(_MARGIN_FIELDS, states)))
+    scale = np.where(tail, 1.0 - q_scaled, q_scaled)  # a. to a_tail, a_step
+    numers = scale * numers
     width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + n_rows
                                         + len(states)))
+    one_divide = (len(tail) * min(width, len(grid))
+                  <= _ONE_DIVIDE_CELLS * len(groups))
     # Python floats never warn, so neither does this: a subnormal a_tail
     # can overflow a factor to inf in woe_step as here, and the columns
     # where a_pool = inf (the ratio is 1 there) are nan until set below
     with np.errstate(all="ignore"):
-        a_step = q_scaled * a_pool
-        a_tail = (1.0 - q_scaled) * a_pool
         for lo in range(0, len(grid), width):
             cols = slice(lo, lo + width)
             rows = np.empty((n_rows, len(a_pool[cols])))
             rows[:2] = 1.0
-            np.divide(a_step[cols] + q_k, a_step[cols] + k,
-                      out=rows[2:n_steps])
+            if one_divide:
+                pools = scale * a_pool[cols]
+                numer = pools + numers
+                np.divide(numer, np.add(pools, denoms, out=pools),
+                          out=rows[2:])
+            else:  # the step factors, then each group's over the distinct m
+                a_step, steps = q_scaled * a_pool[cols], slice(n_steps - 2)
+                np.divide(a_step + numers[steps], a_step + denoms[steps],
+                          out=rows[2:n_steps])
+                a_tail = (1.0 - q_scaled) * a_pool[cols]
+                numer = a_tail + (1.0 - q_scaled) * column
+                for den, (_, here, m) in zip(a_tail + column, groups):
+                    np.divide(numer[m], den, out=rows[here])
             np.multiply.accumulate(rows[:n_steps], axis=0,
                                    out=rows[:n_steps])
-            numer = a_tail[cols] + q_m
-            denom = a_tail[cols] + column[:len(groups)]
-            for den, (prev, here, m) in zip(denom, groups):
-                np.divide(numer[m], den, out=rows[here])
+            for prev, here, _ in groups:
                 rows[here] *= rows[prev]
             out[:, cols] = rows[picks]
-    np.copyto(out, 1.0, where=a_pool == math.inf)
+    if limit is not None:
+        np.copyto(out, 1.0, where=limit)
     return out
 
 
@@ -481,13 +502,14 @@ def _log_column(values, k):
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _ratio_grid(grid):
     """pair_ratio_curves' columns that depend on the grid alone: the
-    positions of the thetas where a. is finite, a. there, and log(a. + k)
-    for k < 4 there."""
+    positions of the thetas where a. is finite, a. there, log a. there and
+    -log(a. + k) for k < 4 there."""
     pools = list(map(_pool_mass, grid))
     live = tuple(k for k, a_total in enumerate(pools) if a_total != math.inf)
     pools = tuple(pools[k] for k in live)
-    return live, pools, tuple(tuple(_log_column(pools, k))
-                              for k in range(2 * GENOTYPE_SIZE))
+    logs = [_log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
+    neg = tuple(tuple(map(operator.neg, log)) for log in logs)
+    return live, pools, tuple(logs[0]), neg
 
 
 def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
@@ -501,49 +523,47 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
 
     The values are pair_ratio's bit for bit.  A theta outside [0, 1), and
     then one where q_a a. underflows, raises pair_ratio's error at the
-    first such theta.  Each of pair_ratio's terms is built as a column over
-    the grid.  The columns log(a. + k) for k < 4, with a. and the positions
-    where it is finite, are formed once per distinct grid when every theta
-    is an exact float, and a cache keeps those of the last 4 grids (1.9 MB
-    each at 10,001 points, and the grid, which it keeps alive).  The
-    columns -log a., and -log(q_a a. + k) per allele some class counts
-    twice, are formed once per call.  Each value is exp of math.fsum over
-    the same multiset, less one log a. and one singleton's -log a., whose
-    sum is exactly 0: fsum is exactly rounded, so neither that pair nor the
-    order of the terms changes a bit.  The curves are the rows of one
-    array, written in one assignment.
+    first such theta.  Each of pair_ratio's terms is built, negated, as a
+    column over the grid: -log(a. + k) for k < 4 and log a., with a. and
+    where it is finite, once per distinct grid of exact floats (a cache
+    keeps the last 4, 2.3 MB each at 10,001 points, and the grid), and
+    log(q_a a. + k), per allele some class counts twice, once per call.
+    Each value is exp(-s), s the fsum of the negated multiset less one
+    -log a. and one singleton's log a., which sum to exactly 0: fsum is
+    exactly rounded and odd, so s is -fsum of pair_ratio's terms to the
+    bit, in any order.  The curves are the rows of one array.
     """
+    if not isinstance(freqs, AlleleFrequencies):
+        raise _type_error(freqs, AlleleFrequencies, "freqs")
     grid = _as_items(theta_grid, "theta_grid", "float")
-    live, pools, head = _per_grid(_ratio_grid, grid)
+    live, pools, log_pool, neg_head = _per_grid(_ratio_grid, grid)
     # alleles a canonical pair does not carry add nothing to pair_ratio's
     # sum; its last allele is its largest
     classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
                if carried[-1][0] < freqs.n_categories]
-    neg_log_pool = list(map(operator.neg, head[0]))
     most = {}  # allele -> its largest count >= 2 in any class
     for _, carried in classes:
         for a, c in carried:
             if c >= 2:
                 most[a] = max(c, most.get(a, 0))
-    neg_log_step = {}  # allele -> columns -log(q_a a. + k) for k < most
+    log_step = {}  # allele -> columns log(q_a a. + k) for k < most
     # least q_a first: if any q_a a. underflows to 0, the least one does
     for a in sorted(most, key=freqs.extended_probs.__getitem__):
         alpha = list(map(freqs.extended_probs[a].__mul__, pools))
         if 0.0 in alpha:
             raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
                                  "makes alpha 0")
-        neg_log_step[a] = [list(map(operator.neg, _log_column(alpha, k)))
-                           for k in range(most[a])]
+        log_step[a] = [_log_column(alpha, k) for k in range(most[a])]
     values = []
     for _, carried in classes:
         singletons = sum(c == 1 for _, c in carried)
-        columns = (list(head[1:]) + [neg_log_pool] * (singletons - 1)
-                   if singletons else list(head))
+        columns = (list(neg_head[1:]) + [log_pool] * (singletons - 1)
+                   if singletons else list(neg_head))
         for a, c in carried:
             if c >= 2:
-                columns.append(repeat(c * freqs.log_extended_probs[a]))
-                columns += neg_log_step[a][:c]
-        values.append(list(map(math.exp, map(math.fsum, zip(*columns)))))
+                columns.append(repeat(-c * freqs.log_extended_probs[a]))
+                columns += log_step[a][:c]
+        values.append([math.exp(-math.fsum(terms)) for terms in zip(*columns)])
     curves = np.ones((len(classes), len(grid)))
     curves[:, live] = values
     return dict(zip([cls for cls, _ in classes], curves))

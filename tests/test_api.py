@@ -129,8 +129,8 @@ THETA_ZERO_SITES = ["model._pool_mass"]
 # functions' exact 1, the kernel's exact 0 and the sampler's fixed urn
 INF_LIMIT_SITES = [
     "evidence._ratio_grid",
+    "evidence._woe_pools",
     "evidence.pair_ratio",
-    "evidence.woe_curve",
     "evidence.woe_step",
     "logspace.log_scaled_rising",
     "oracle.MdmSampler.__init__",

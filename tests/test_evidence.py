@@ -207,6 +207,10 @@ def test_woe_curve_shape():
                          for s in states])
         assert curve.tobytes() == want.tobytes()
         assert np.isinf(curve).any() == (mass == 1e-300)
+    # a grid of two wide blocks, whose tail factors come a group at a time
+    grid = [k / 4000 for k in range(2001)]
+    want = np.array([[woe_step(s, 0.3, t) for t in grid] for s in states])
+    assert woe_curve(states, 0.3, grid).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q, grid, mass", [
@@ -233,6 +237,37 @@ def test_woe_curve_raises_the_error_of_woe_step(q, grid, mass):
     with pytest.raises(ParameterError) as got:
         woe_curve(states, q, grid, tail_mass=mass)
     assert str(got.value) == str(want.value)
+
+
+_STATES = [s for s, _ in woe_margin_grid()]
+
+
+@pytest.mark.parametrize("states, q, grid, mass, message", [
+    # no state: each theta is still checked, after Q and before tail_mass
+    ([], 2.0, [0.1], 1.0, "Q = 2.0 outside (0, 1)"),
+    ([], 0.1, [0.1, 2.0], 1.0, "theta = 2.0 outside [0, 1)"),
+    ([], 0.1, [0.1, 2.0], 5.0, "tail_mass = 5.0 outside (0, 1]"),
+    ([], 0.1, [float("nan")], 5.0, "theta = nan outside [0, 1)"),
+    ([], 1.0 - 1e-16, [0.5, 0.9999999999999999], 1e-300,
+     "tail_mass = 1e-300 underflows at theta = 0.9999999999999999"),
+    # no theta: Q and tail_mass are still converted and checked
+    (_STATES, "x", [], 1.0, "Q: expected float, got 'x'"),
+    (_STATES, 2.0, [], 5.0, "Q = 2.0 outside (0, 1)"),
+    (_STATES, 0.1, [], 5.0, "tail_mass = 5.0 outside (0, 1]"),
+    (_STATES, 0.1, (), "y", "tail_mass: expected float, got 'y'"),
+    ([], 0.0, [], 1.0, "Q = 0.0 outside (0, 1)"),
+])
+def test_woe_curve_checks_its_values_where_its_output_is_empty(
+        states, q, grid, mass, message):
+    with pytest.raises(ParameterError) as err:
+        woe_curve(states, q, grid, tail_mass=mass)
+    assert str(err.value) == message
+    # woe_step's error, at the first theta where it fails (any theta where
+    # the grid is empty, since none of these errors is about a theta)
+    with pytest.raises(ParameterError) as want:
+        for theta in grid or [0.3]:
+            woe_step(_STATES[0], q, theta, tail_mass=mass)
+    assert str(want.value) == message
 
 
 @pytest.mark.parametrize("states, message", [
@@ -466,7 +501,13 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
         bits(grid)
     assert evidence._woe_pools.cache_info().currsize == 2
     assert evidence._ratio_grid.cache_info().currsize == 1
-    assert not evidence._woe_pools(floats, 0.5).flags.writeable
+    # every array the cache holds is read-only: a. and the mask of a. = inf
+    # (None for a grid where a. is finite throughout)
+    arrays = [x for x in evidence._woe_pools(floats, 0.5)
+              if isinstance(x, np.ndarray)]
+    assert len(arrays) == 2
+    assert not any(array.flags.writeable for array in arrays)
+    assert evidence._woe_pools((0.25, 0.5), 0.5)[2] is None
     for bad in (False, np.False_):
         assert refusals((bad,) + floats[1:]) == [
             f"theta: expected float, got {bad!r}"] * 2
@@ -580,6 +621,12 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     # the second call reads the grid's cached pooled masses
     again = woe_curve(states, q, grid, tail_mass=mass)
     assert again.tobytes() == want.tobytes()
+    # a block this narrow forms every factor in one divide; a wide one forms
+    # each group's tail factors from the numerators of the distinct m
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mdmix.evidence, "_ONE_DIVIDE_CELLS", 0)
+        wide = woe_curve(states, q, grid, tail_mass=mass)
+    assert wide.tobytes() == want.tobytes()
 
 
 def test_woe_curve_holds_little_beyond_its_output():

@@ -706,6 +706,10 @@ COMPONENT_SITES = {
                           "params: expected a MdmParams"),
     "woe_curve.states": (lambda v: woe_curve([STATE, v], 0.3, [0.1]),
                          r"states\[1\]: expected a MarginState"),
+    "woe_step.margin": (lambda v: woe_step(v, 0.3, 0.1),
+                        "margin: expected a MarginState"),
+    "pair_ratio_curves.freqs": (lambda v: pair_ratio_curves(v, [0.1]),
+                                "freqs: expected an AlleleFrequencies"),
 }
 
 
@@ -727,7 +731,9 @@ def test_a_component_of_another_package_type_is_refused():
                         ("theta_to_alpha.freqs", PAIR_PARAMS),
                         ("MdmParams.model", model.freqs),
                         ("MdmSampler.params", model),
-                        ("woe_curve.states", QUAD)):
+                        ("woe_curve.states", QUAD),
+                        ("woe_step.margin", QUAD),
+                        ("pair_ratio_curves.freqs", STATE)):
         call, message = COMPONENT_SITES[site]
         with pytest.raises(ParameterError, match=rf"^{message}, got "
                            rf"{type(value).__name__}\("):
