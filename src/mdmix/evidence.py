@@ -230,9 +230,6 @@ def woe_margin_grid(n_contributors: int = 2):
 # block of columns at a time, so a block stays in cache and no temporary
 # grows with the grid
 _WOE_BLOCK_CELLS = 2 ** 16
-# factor cells per group in a block up to which woe_curve forms every
-# factor in one divide: there, fewer calls save more than it costs
-_ONE_DIVIDE_CELLS = 2 ** 10
 
 # the fields of a MarginState, which fix its row in woe_curve
 _MARGIN_FIELDS = operator.attrgetter("n_col", "s_prev", "n_contributors")
@@ -253,9 +250,11 @@ def _woe_layout(keys):
     rows for t = 1) by one factor, (a_tail + (1-Q) m) / (a_tail + t - 1)
     with m = n + t - 1.
 
-    Returns n_steps, each state's row, whether each factor from row 2 is a
-    tail factor, what it adds above and below (k, k or m, t - 1), a column
-    0, 1, ..., each group's (extended rows, own rows, m) and the row count."""
+    Returns each state's row and n_steps; the column 0, 1, 2, ... that k,
+    m and t - 1 are read from, up to the last m, and how many of its rows
+    the denominators read, up to the last k or t - 1; for each group the
+    rows it extends, its own rows and its m (slices where they are
+    consecutive); and the number of rows.  The arrays are read-only."""
     runs = [(n, GENOTYPE_SIZE * contribs - s_prev - n)
             for n, s_prev, contribs in keys]
     longest = {}  # column count -> its longest run of tail factors
@@ -265,26 +264,21 @@ def _woe_layout(keys):
     n_steps = max(2, max(counts) + 1)  # rows step(0), step(1), ...
     firsts = [0, n_steps]  # the first row of each group
     prev = counts  # the rows that group t extends: step(n) is row n
-    numers, denoms = list(range(1, n_steps - 1)), list(range(1, n_steps - 1))
     groups = []
     for t in range(1, longest[counts[0]] + 1):
         size = sum(run >= t for run in longest.values())
         here = slice(firsts[-1], firsts[-1] + size)
-        m = [n + t - 1 for n in counts[:size]]
-        groups.append((_as_slice(prev[:size]), here, _as_slice(m)))
-        numers += m
-        denoms += [t - 1] * size
+        groups.append((_as_slice(prev[:size]), here,
+                       _as_slice([n + t - 1 for n in counts[:size]])))
         prev = range(here.start, here.stop)
         firsts.append(here.stop)
     order = {n: i for i, n in enumerate(counts)}
     picks = [firsts[t] + order[n] if t else n for n, t in runs]
-    arrays = [np.array(picks, dtype=np.intp),
-              np.arange(len(numers))[:, None] >= n_steps - 2,
-              *(np.array(c, dtype=float)[:, None] for c in (
-                  numers, denoms, range(max(n + t for n, t in runs) + 2)))]
-    for array in arrays:
-        array.flags.writeable = False
-    return n_steps, *arrays, groups, firsts[-1]
+    picks = np.array(picks, dtype=np.intp)
+    column = np.arange(max(n + t for n, t in runs), dtype=float)[:, None]
+    picks.flags.writeable = column.flags.writeable = False  # shared by calls
+    return (picks, n_steps, column, max(n_steps - 1, len(groups)), groups,
+            firsts[-1])
 
 
 def _as_slice(rows):
@@ -331,14 +325,15 @@ def woe_curve(states, q_scaled: float, theta_grid,
     a. is formed once per distinct grid and tail mass, when every theta is
     an exact float: a cache keeps the a. of the last 4, their least value
     and the mask of a. = inf (90 KB at 10,001 points, and the grid).  Then,
-    a block of grid columns at a time, every step and tail factor comes
-    from one product of a. with Q or 1 - Q, two adds of the layout's
-    constants and one divide (in a wide block, each group's tail factors
-    come from the distinct m), then the running products: one accumulate
-    of the step factors, then one tail factor on at a time.  Each product
-    is formed left to right as in woe_step with correctly rounded numpy
-    arithmetic, so the values are woe_step's bit for bit.  Memory beyond
-    the output and the cache stays bounded whatever the grid.
+    a block of grid columns at a time, one product forms a_step and a_tail
+    from a., one add their numerators over each k and distinct m and one
+    their denominators; one divide forms the step factors and one
+    accumulate their running products, then each group of tail factors
+    takes one divide of its numerators by its denominator and one product
+    on.  Each product is formed left to right as in woe_step with
+    correctly rounded numpy arithmetic, so the values are woe_step's bit
+    for bit.  Memory beyond the output and the cache stays bounded
+    whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
@@ -360,14 +355,13 @@ def woe_curve(states, q_scaled: float, theta_grid,
     out = np.empty((len(states), len(grid)))
     if not out.size:
         return out
-    (n_steps, picks, tail, numers, denoms, column, groups,
-     n_rows) = _woe_layout(tuple(map(_MARGIN_FIELDS, states)))
-    scale = np.where(tail, 1.0 - q_scaled, q_scaled)  # a. to a_tail, a_step
-    numers = scale * numers
+    picks, n_steps, column, n_den, groups, n_rows = _woe_layout(
+        tuple(map(_MARGIN_FIELDS, states)))
+    # a. times scale is the rows a_step and a_tail; scaled is q k, (1-Q) m
+    scale = np.array([[[q_scaled]], [[1.0 - q_scaled]]])
+    scaled, steps = scale * column, slice(1, n_steps - 1)
     width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + n_rows
                                         + len(states)))
-    one_divide = (len(tail) * min(width, len(grid))
-                  <= _ONE_DIVIDE_CELLS * len(groups))
     # Python floats never warn, so neither does this: a subnormal a_tail
     # can overflow a factor to inf in woe_step as here, and the columns
     # where a_pool = inf (the ratio is 1 there) are nan until set below
@@ -376,22 +370,14 @@ def woe_curve(states, q_scaled: float, theta_grid,
             cols = slice(lo, lo + width)
             rows = np.empty((n_rows, len(a_pool[cols])))
             rows[:2] = 1.0
-            if one_divide:
-                pools = scale * a_pool[cols]
-                numer = pools + numers
-                np.divide(numer, np.add(pools, denoms, out=pools),
-                          out=rows[2:])
-            else:  # the step factors, then each group's over the distinct m
-                a_step, steps = q_scaled * a_pool[cols], slice(n_steps - 2)
-                np.divide(a_step + numers[steps], a_step + denoms[steps],
-                          out=rows[2:n_steps])
-                a_tail = (1.0 - q_scaled) * a_pool[cols]
-                numer = a_tail + (1.0 - q_scaled) * column
-                for den, (_, here, m) in zip(a_tail + column, groups):
-                    np.divide(numer[m], den, out=rows[here])
+            pools = scale * a_pool[cols]
+            numer = pools + scaled
+            denom = pools + column[:n_den]
+            np.divide(numer[0, steps], denom[0, steps], out=rows[2:n_steps])
             np.multiply.accumulate(rows[:n_steps], axis=0,
                                    out=rows[:n_steps])
-            for prev, here, _ in groups:
+            for den, (prev, here, m) in zip(denom[1], groups):
+                np.divide(numer[1, m], den, out=rows[here])
                 rows[here] *= rows[prev]
             out[:, cols] = rows[picks]
     if limit is not None:

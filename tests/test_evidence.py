@@ -207,7 +207,7 @@ def test_woe_curve_shape():
                          for s in states])
         assert curve.tobytes() == want.tobytes()
         assert np.isinf(curve).any() == (mass == 1e-300)
-    # a grid of two wide blocks, whose tail factors come a group at a time
+    # a grid of two blocks
     grid = [k / 4000 for k in range(2001)]
     want = np.array([[woe_step(s, 0.3, t) for t in grid] for s in states])
     assert woe_curve(states, 0.3, grid).tobytes() == want.tobytes()
@@ -621,12 +621,6 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     # the second call reads the grid's cached pooled masses
     again = woe_curve(states, q, grid, tail_mass=mass)
     assert again.tobytes() == want.tobytes()
-    # a block this narrow forms every factor in one divide; a wide one forms
-    # each group's tail factors from the numerators of the distinct m
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mdmix.evidence, "_ONE_DIVIDE_CELLS", 0)
-        wide = woe_curve(states, q, grid, tail_mass=mass)
-    assert wide.tobytes() == want.tobytes()
 
 
 def test_woe_curve_holds_little_beyond_its_output():
