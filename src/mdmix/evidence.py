@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import compress, repeat
 
 import numpy as np
@@ -72,6 +72,8 @@ class GenotypePair:
 
     def __post_init__(self):
         for name, prof in (("first", self.first), ("second", self.second)):
+            if not isinstance(prof, ProfileCounts):
+                raise _type_error(prof, ProfileCounts, name)
             if prof.n_total != GENOTYPE_SIZE:
                 raise ParameterError(
                     f"{name} profile has {prof.n_total} alleles, a genotype "
@@ -134,11 +136,15 @@ class MultiplicityClass:
 class MarginState:
     """A pooled chain margin: column count n_col after s_prev earlier draws
     by n_contributors diploid profiles, so the capacity is 2 n_contributors.
+
+    key is (n_col, s_prev, n_contributors), formed once for woe_curve's
+    layout cache.
     """
 
     n_col: int
     s_prev: int
     n_contributors: int
+    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_col = _as_count(self.n_col, "n_col", error=ParameterError)
@@ -153,6 +159,7 @@ class MarginState:
         object.__setattr__(self, "n_col", n_col)
         object.__setattr__(self, "s_prev", s_prev)
         object.__setattr__(self, "n_contributors", contribs)
+        object.__setattr__(self, "key", (n_col, s_prev, contribs))
 
     @property
     def remaining(self) -> int:
@@ -231,8 +238,9 @@ def woe_margin_grid(n_contributors: int = 2):
 # grows with the grid
 _WOE_BLOCK_CELLS = 2 ** 16
 
-# the fields of a MarginState, which fix its row in woe_curve
-_MARGIN_FIELDS = operator.attrgetter("n_col", "s_prev", "n_contributors")
+# the (n_col, s_prev, n_contributors) of a MarginState, which fix its row in
+# woe_curve
+_MARGIN_KEY = operator.attrgetter("key")
 
 
 # cached: callers pass the same states again and again, one call per Q
@@ -294,17 +302,44 @@ def _as_slice(rows):
 _GRID_CACHE_SIZE = 4
 
 
-def _per_grid(build, grid, *args):
-    """build(grid, *args), from build's cache for a grid of exact floats
-    only: False and np.False_ equal 0.0 and hash alike, so a lookup would
-    take them for 0.0, though _as_real refuses them.  An error is never
-    cached, so a bad grid raises it again on every call."""
-    if _FLOAT.issuperset(map(type, grid)):
-        return build(grid, *args)
-    return build.__wrapped__(grid, *args)
+def _per_grid(build):
+    """build(grid, *args), cached for a grid tuple of exact floats only:
+    False and np.False_ equal 0.0 and hash alike, so a lookup would take
+    them for 0.0, though _as_real refuses them.  An error is never cached,
+    so a bad grid raises it again on every call.
+
+    An LRU cache keeps the last _GRID_CACHE_SIZE results.  In front of it
+    a slot keeps the last cached grid itself, its args and its result, so
+    a call with that very tuple skips the type scan, the hash of the grid
+    and the lookup; the slot holds the tuple, so no other object can take
+    its identity.  cache_clear empties both."""
+    cached = lru_cache(maxsize=_GRID_CACHE_SIZE)(build)
+    last = None, None, None  # grid, args, result
+
+    @wraps(build)
+    def per_grid(grid, *args):
+        nonlocal last
+        last_grid, last_args, result = last
+        if grid is last_grid and args == last_args:
+            return result
+        if not _FLOAT.issuperset(map(type, grid)):
+            return build(grid, *args)
+        result = cached(grid, *args)
+        last = grid, args, result
+        return result
+
+    def cache_clear():
+        nonlocal last
+        last = None, None, None
+        cached.cache_clear()
+
+    per_grid.cache_clear = cache_clear
+    per_grid.cache_info = cached.cache_info
+    per_grid.cache_parameters = cached.cache_parameters
+    return per_grid
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
+@_per_grid
 def _woe_pools(grid, tail_mass):
     """woe_curve's read-only a. at each theta, its least value (inf for no
     theta) and the read-only mask where a. = inf, or None for nowhere."""
@@ -324,7 +359,9 @@ def woe_curve(states, q_scaled: float, theta_grid,
     it would fail; Q and tail_mass are checked even with no state or theta.
     a. is formed once per distinct grid and tail mass, when every theta is
     an exact float: a cache keeps the a. of the last 4, their least value
-    and the mask of a. = inf (90 KB at 10,001 points, and the grid).  Then,
+    and the mask of a. = inf (90 KB at 10,001 points, and the grid), and a
+    slot the last of them, found again by the identity of the grid tuple
+    alone (a list is a new tuple each call).  Then,
     a block of grid columns at a time, one product forms a_step and a_tail
     from a., one add their numerators over each k and distinct m and one
     their denominators; one divide forms the step factors and one
@@ -343,7 +380,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
     q_scaled = _as_real(q_scaled, "Q")
     tail_mass = _as_real(tail_mass, "tail_mass")
     try:
-        a_pool, least, limit = _per_grid(_woe_pools, grid, tail_mass)
+        a_pool, least, limit = _woe_pools(grid, tail_mass)
         checked = (0.0 < q_scaled < 1.0 and 0.0 < tail_mass <= 1.0
                    and (1.0 - q_scaled) * least != 0.0)
     except Exception:  # raised again below, unless an earlier check fails
@@ -356,15 +393,17 @@ def woe_curve(states, q_scaled: float, theta_grid,
     if not out.size:
         return out
     picks, n_steps, column, n_den, groups, n_rows = _woe_layout(
-        tuple(map(_MARGIN_FIELDS, states)))
+        tuple(map(_MARGIN_KEY, states)))
     # a. times scale is the rows a_step and a_tail; scaled is q k, (1-Q) m
-    scale = np.array([[[q_scaled]], [[1.0 - q_scaled]]])
+    scale = np.array((q_scaled, 1.0 - q_scaled)).reshape(2, 1, 1)
     scaled, steps = scale * column, slice(1, n_steps - 1)
     width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + n_rows
                                         + len(states)))
     # Python floats never warn, so neither does this: a subnormal a_tail
     # can overflow a factor to inf in woe_step as here, and the columns
-    # where a_pool = inf (the ratio is 1 there) are nan until set below
+    # where a_pool = inf (the ratio is 1 there) are nan until set below.  A
+    # with per call, not errstate as a decorator: numpy before 2.0 keeps
+    # the decorator's saved state on its one instance, which threads share
     with np.errstate(all="ignore"):
         for lo in range(0, len(grid), width):
             cols = slice(lo, lo + width)
@@ -386,6 +425,11 @@ def woe_curve(states, q_scaled: float, theta_grid,
 
 
 def _check_pair_width(pair: GenotypePair, freqs: AlleleFrequencies) -> None:
+    """The ratio functions' checks of their pair and frequencies."""
+    if not isinstance(pair, GenotypePair):
+        raise _type_error(pair, GenotypePair, "pair")
+    if not isinstance(freqs, AlleleFrequencies):
+        raise _type_error(freqs, AlleleFrequencies, "freqs")
     if pair.n_categories != freqs.n_categories:
         raise ParameterError(
             f"pair spans {pair.n_categories} categories, frequencies have "
@@ -482,10 +526,11 @@ _CANONICAL_PAIRS = tuple(
 
 def _log_column(values, k):
     """[log(v + k) for v in values]"""
-    return list(map(math.log, map(float(k).__add__, values)))
+    k = float(k)
+    return [math.log(v + k) for v in values]
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
+@_per_grid
 def _ratio_grid(grid):
     """pair_ratio_curves' columns that depend on the grid alone: the
     positions of the thetas where a. is finite, a. there, log a. there and
@@ -512,7 +557,8 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     first such theta.  Each of pair_ratio's terms is built, negated, as a
     column over the grid: -log(a. + k) for k < 4 and log a., with a. and
     where it is finite, once per distinct grid of exact floats (a cache
-    keeps the last 4, 2.3 MB each at 10,001 points, and the grid), and
+    keeps the last 4, 2.3 MB each at 10,001 points, and the grid, and a
+    slot the last, found again by the grid tuple's identity), and
     log(q_a a. + k), per allele some class counts twice, once per call.
     Each value is exp(-s), s the fsum of the negated multiset less one
     -log a. and one singleton's log a., which sum to exactly 0: fsum is
@@ -522,7 +568,7 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     if not isinstance(freqs, AlleleFrequencies):
         raise _type_error(freqs, AlleleFrequencies, "freqs")
     grid = _as_items(theta_grid, "theta_grid", "float")
-    live, pools, log_pool, neg_head = _per_grid(_ratio_grid, grid)
+    live, pools, log_pool, neg_head = _ratio_grid(grid)
     # alleles a canonical pair does not carry add nothing to pair_ratio's
     # sum; its last allele is its largest
     classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
@@ -549,7 +595,8 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
             if c >= 2:
                 columns.append(repeat(-c * freqs.log_extended_probs[a]))
                 columns += log_step[a][:c]
-        values.append([math.exp(-math.fsum(terms)) for terms in zip(*columns)])
+        values.append(list(map(math.exp, map(operator.neg,
+                                              map(math.fsum, zip(*columns))))))
     curves = np.ones((len(classes), len(grid)))
     curves[:, live] = values
     return dict(zip([cls for cls, _ in classes], curves))

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -185,6 +189,24 @@ def test_margin_grid_size_and_flags():
 def test_margin_grid_is_ordered():
     keys = [(s.n_col, s.s_prev) for s, _ in woe_margin_grid()]
     assert keys == sorted(keys)
+
+
+def test_a_margin_states_key_is_derived():
+    # key is the converted fields, formed once; equality, hash and repr see
+    # the three fields only
+    for state, _ in woe_margin_grid(3):
+        assert state.key == (state.n_col, state.s_prev, state.n_contributors)
+        assert type(state.key) is tuple
+        assert all(type(x) is int for x in state.key)
+        twin = MarginState(np.int64(state.n_col), state.s_prev,
+                           state.n_contributors)
+        assert twin == state and hash(twin) == hash(state)
+        assert twin.key == state.key
+        assert repr(state) == (
+            f"MarginState(n_col={state.n_col}, s_prev={state.s_prev}, "
+            f"n_contributors={state.n_contributors})")
+    assert [f.name for f in fields(MarginState) if f.compare] == [
+        "n_col", "s_prev", "n_contributors"]
 
 
 def test_woe_curve_shape():
@@ -463,9 +485,11 @@ def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
 
 
 def test_a_warm_grid_cache_changes_no_value_and_no_error():
-    # each builder keeps the work of its last 4 grids of exact floats; a
-    # grid that equals a cached one but holds a bool, an int or -0.0, or is
-    # a list, must give what the scalar functions give
+    # each builder keeps the work of its last 4 grids of exact floats, and
+    # the last of them by the grid tuple's identity; the same tuple again,
+    # at alternating tail masses, an equal copy, a grid that equals a
+    # cached one but holds a bool, an int or -0.0, or a list, must give
+    # what the scalar functions give
     evidence = mdmix.evidence
     for build in (evidence._woe_pools, evidence._ratio_grid):
         assert build.cache_parameters()["maxsize"] == 4
@@ -474,7 +498,7 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
     floats = (0.0, 0.25, 1e-320, 0.5)
 
     def bits(grid):
-        # a. is cached per grid and tail mass
+        # a. is cached per grid and tail mass: the tail mass alternates
         for mass in (0.5, 1.0):
             want = np.array([[woe_step(s, 0.2, t, tail_mass=mass)
                               for t in grid] for s in states])
@@ -496,8 +520,8 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
             errors.append(str(err.value))
         return errors
 
-    for grid in (floats, floats, (-0.0,) + floats[1:], (0,) + floats[1:],
-                 list(floats)):
+    for grid in (floats, floats, tuple(list(floats)), (-0.0,) + floats[1:],
+                 (0,) + floats[1:], list(floats)):
         bits(grid)
     assert evidence._woe_pools.cache_info().currsize == 2
     assert evidence._ratio_grid.cache_info().currsize == 1
@@ -508,9 +532,18 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
     assert len(arrays) == 2
     assert not any(array.flags.writeable for array in arrays)
     assert evidence._woe_pools((0.25, 0.5), 0.5)[2] is None
+    # the slot is emptied with the cache: the grid is looked up again, and
+    # then found in the slot, past the cache
+    evidence._woe_pools.cache_clear()
+    for _ in ("cold", "slot"):
+        evidence._woe_pools(floats, 0.5)
+        assert evidence._woe_pools.cache_info()[:2] == (0, 1)  # hits, misses
+    # a grid that equals a cached float grid, right after it, is refused
     for bad in (False, np.False_):
-        assert refusals((bad,) + floats[1:]) == [
-            f"theta: expected float, got {bad!r}"] * 2
+        for grid in ((0.0,), floats):
+            bits(grid)
+            assert refusals((bad,) + grid[1:]) == [
+                f"theta: expected float, got {bad!r}"] * 2
     # True equals 1.0, which is refused, so no grid that equals it is cached
     for last, message in ((1.0, "theta = 1.0 outside [0, 1)"),
                           (True, "theta: expected float, got True")):
@@ -521,6 +554,53 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
     for values in bits(floats).values():
         values[:] = 7.0
     bits(floats)
+
+
+def test_threads_sharing_the_grid_slots_get_the_reference_bits():
+    # more threads than cores and a short switch interval: each thread
+    # reads the per-grid work of grids and tail masses that the others put
+    # in the builders' last-grid slots in between, and builds curves on
+    # them; every value keeps its bits
+    evidence = mdmix.evidence
+    states = [s for s, _ in woe_margin_grid(2)]
+    grids = (THETA_GRID, THETA_GRID[:7], (0.5, 1e-320, 0.0, 0.25))
+    jobs = [(grid, mass) for grid in grids for mass in (0.5, 1.0)]
+
+    def build(grid, mass):
+        pools = [evidence._woe_pools(grid, mass)[0].tobytes()
+                 for _ in range(20)]
+        heads = [evidence._ratio_grid(grid) for _ in range(20)]
+        curves = pair_ratio_curves(PANEL, grid)
+        return (woe_curve(states, 0.2, grid, tail_mass=mass).tobytes(),
+                [values.tobytes() for values in curves.values()],
+                set(pools), set(map(repr, heads)))
+
+    want = [build(*job) for job in jobs]
+    n_threads = min(4 * (os.cpu_count() or 1), 16)
+    bad, rounds = [], [0] * n_threads
+    deadline = time.monotonic() + 1.0
+
+    def run(k):
+        while time.monotonic() < deadline:
+            for i in range(len(jobs)):
+                i = (i + k) % len(jobs)
+                if build(*jobs[i]) != want[i]:
+                    bad.append(jobs[i])
+            rounds[k] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert min(rounds) > 0 and not bad
 
 
 def test_pair_ratio_is_one_where_the_pool_overflows():

@@ -20,8 +20,9 @@ from mdmix import (AlleleFrequencies, CountTable, DispersionModel,
                    MultiplicityClass, ParameterError, ProfileCounts,
                    SubsetSpec, TableError, covariance_matrix,
                    genotype_from_alleles, mdm_chain_log_pmf, mdm_log_pmf,
-                   pair_ratio, pair_ratio_curves, read_frequency_csv,
-                   theta_to_alpha, woe_curve, woe_margin_grid, woe_step)
+                   pair_ratio, pair_ratio_curves, pair_ratio_via_pmfs,
+                   pair_ratio_via_steps, read_frequency_csv, theta_to_alpha,
+                   woe_curve, woe_margin_grid, woe_step)
 from mdmix.cli import _build_parser, _merge
 from mdmix.evidence import MarginState
 from mdmix.model import (_MAX_TOTAL, _MODEL_CACHE_SIZE, _as_counts,
@@ -110,6 +111,8 @@ def test_theta_outside_unit_interval_rejected():
 
 QUAD = AlleleFrequencies((0.1, 0.2, 0.3, 0.4))
 STATE = MarginState(n_col=2, s_prev=0, n_contributors=2)
+GENOTYPE = genotype_from_alleles((0, 1), QUAD.n_categories)
+PAIR = GenotypePair(GENOTYPE, GENOTYPE)
 # each entry point that takes a caller's theta, as theta -> a value whose
 # float bits show in its repr
 THETA_TAKERS = {
@@ -710,6 +713,25 @@ COMPONENT_SITES = {
                         "margin: expected a MarginState"),
     "pair_ratio_curves.freqs": (lambda v: pair_ratio_curves(v, [0.1]),
                                 "freqs: expected an AlleleFrequencies"),
+    "GenotypePair.first": (lambda v: GenotypePair(v, GENOTYPE),
+                           "first: expected a ProfileCounts"),
+    "GenotypePair.second": (lambda v: GenotypePair(GENOTYPE, v),
+                            "second: expected a ProfileCounts"),
+    "pair_ratio.pair": (lambda v: pair_ratio(v, QUAD, 0.1),
+                        "pair: expected a GenotypePair"),
+    "pair_ratio.freqs": (lambda v: pair_ratio(PAIR, v, 0.1),
+                         "freqs: expected an AlleleFrequencies"),
+    "pair_ratio_via_pmfs.pair": (lambda v: pair_ratio_via_pmfs(v, QUAD, 0.1),
+                                 "pair: expected a GenotypePair"),
+    "pair_ratio_via_pmfs.freqs": (
+        lambda v: pair_ratio_via_pmfs(PAIR, v, 0.1),
+        "freqs: expected an AlleleFrequencies"),
+    "pair_ratio_via_steps.pair": (
+        lambda v: pair_ratio_via_steps(v, QUAD, 0.1),
+        "pair: expected a GenotypePair"),
+    "pair_ratio_via_steps.freqs": (
+        lambda v: pair_ratio_via_steps(PAIR, v, 0.1),
+        "freqs: expected an AlleleFrequencies"),
 }
 
 
@@ -733,7 +755,15 @@ def test_a_component_of_another_package_type_is_refused():
                         ("MdmSampler.params", model),
                         ("woe_curve.states", QUAD),
                         ("woe_step.margin", QUAD),
-                        ("pair_ratio_curves.freqs", STATE)):
+                        ("pair_ratio_curves.freqs", STATE),
+                        ("GenotypePair.first", STATE),
+                        ("GenotypePair.second", QUAD),
+                        ("pair_ratio.pair", GENOTYPE),
+                        ("pair_ratio.freqs", model),
+                        ("pair_ratio_via_pmfs.pair", GENOTYPE),
+                        ("pair_ratio_via_pmfs.freqs", PAIR),
+                        ("pair_ratio_via_steps.pair", STATE),
+                        ("pair_ratio_via_steps.freqs", PAIR_PARAMS)):
         call, message = COMPONENT_SITES[site]
         with pytest.raises(ParameterError, match=rf"^{message}, got "
                            rf"{type(value).__name__}\("):
