@@ -21,9 +21,10 @@ that reach 2, together with which alleles carry them.
 
 The curve builders woe_curve and pair_ratio_curves evaluate woe_step and
 pair_ratio over a theta grid.  Each computes a term that its points or
-states share once per call, in whole arrays over the grid, and a term that
-depends on the grid alone once per distinct grid; each gives the scalar
-values bit for bit.
+states share once per call, in whole arrays over the grid, and keeps the
+work that depends on the grid alone for its last grid tuple of exact
+floats, which a call with that very tuple reads again; each gives the
+scalar values bit for bit.
 """
 
 from __future__ import annotations
@@ -297,23 +298,16 @@ def _as_slice(rows):
     return np.array(rows, dtype=np.intp)
 
 
-# the distinct grids whose own work each curve builder keeps: the callers
-# seen build every curve of a process on one grid
-_GRID_CACHE_SIZE = 4
-
-
 def _per_grid(build):
-    """build(grid, *args), cached for a grid tuple of exact floats only:
-    False and np.False_ equal 0.0 and hash alike, so a lookup would take
-    them for 0.0, though _as_real refuses them.  An error is never cached,
-    so a bad grid raises it again on every call.
+    """build(grid, *args), kept in one slot: the last grid tuple, its args
+    and its result.  A call with that very tuple and equal args returns the
+    kept result; the slot holds the tuple, so no other object can take its
+    identity.  One slot serves the callers seen, which build every curve
+    on one grid.
 
-    An LRU cache keeps the last _GRID_CACHE_SIZE results.  In front of it
-    a slot keeps the last cached grid itself, its args and its result, so
-    a call with that very tuple skips the type scan, the hash of the grid
-    and the lookup; the slot holds the tuple, so no other object can take
-    its identity.  cache_clear empties both."""
-    cached = lru_cache(maxsize=_GRID_CACHE_SIZE)(build)
+    A result is kept only for a grid of exact floats, which nothing can
+    change in place, as it can a 0-d array.  An error is never kept, so a
+    bad grid raises it again on every call."""
     last = None, None, None  # grid, args, result
 
     @wraps(build)
@@ -322,20 +316,11 @@ def _per_grid(build):
         last_grid, last_args, result = last
         if grid is last_grid and args == last_args:
             return result
-        if not _FLOAT.issuperset(map(type, grid)):
-            return build(grid, *args)
-        result = cached(grid, *args)
-        last = grid, args, result
+        result = build(grid, *args)
+        if _FLOAT.issuperset(map(type, grid)):
+            last = grid, args, result
         return result
 
-    def cache_clear():
-        nonlocal last
-        last = None, None, None
-        cached.cache_clear()
-
-    per_grid.cache_clear = cache_clear
-    per_grid.cache_info = cached.cache_info
-    per_grid.cache_parameters = cached.cache_parameters
     return per_grid
 
 
@@ -357,11 +342,10 @@ def woe_curve(states, q_scaled: float, theta_grid,
     for underflow; only if a check fails are woe_step's checks rerun theta
     by theta, so bad input raises woe_step's error at the first theta where
     it would fail; Q and tail_mass are checked even with no state or theta.
-    a. is formed once per distinct grid and tail mass, when every theta is
-    an exact float: a cache keeps the a. of the last 4, their least value
-    and the mask of a. = inf (90 KB at 10,001 points, and the grid), and a
-    slot the last of them, found again by the identity of the grid tuple
-    alone (a list is a new tuple each call).  Then,
+    A slot keeps a., its least value and the mask of a. = inf for the last
+    grid tuple of exact floats and its tail mass (90 KB at 10,001 points,
+    and the grid), read again by a call with that very tuple and tail mass
+    (a list is a new tuple each call).  Then,
     a block of grid columns at a time, one product forms a_step and a_tail
     from a., one add their numerators over each k and distinct m and one
     their denominators; one divide forms the step factors and one
@@ -369,7 +353,7 @@ def woe_curve(states, q_scaled: float, theta_grid,
     takes one divide of its numerators by its denominator and one product
     on.  Each product is formed left to right as in woe_step with
     correctly rounded numpy arithmetic, so the values are woe_step's bit
-    for bit.  Memory beyond the output and the cache stays bounded
+    for bit.  Memory beyond the output and the slot stays bounded
     whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
@@ -556,10 +540,10 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     then one where q_a a. underflows, raises pair_ratio's error at the
     first such theta.  Each of pair_ratio's terms is built, negated, as a
     column over the grid: -log(a. + k) for k < 4 and log a., with a. and
-    where it is finite, once per distinct grid of exact floats (a cache
-    keeps the last 4, 2.3 MB each at 10,001 points, and the grid, and a
-    slot the last, found again by the grid tuple's identity), and
-    log(q_a a. + k), per allele some class counts twice, once per call.
+    where it is finite, kept in a slot for the last grid tuple of exact
+    floats (2.3 MB at 10,001 points, and the grid) and read again by a call
+    with that very tuple, and log(q_a a. + k), per allele some class counts
+    twice, once per call.
     Each value is exp(-s), s the fsum of the negated multiset less one
     -log a. and one singleton's log a., which sum to exactly 0: fsum is
     exactly rounded and odd, so s is -fsum of pair_ratio's terms to the

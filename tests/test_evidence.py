@@ -460,7 +460,7 @@ def test_pair_ratio_curves_cover_all_classes():
 def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
     # the curves share their logs across classes, whatever the width: 10
     # per nonzero grid point on a cold grid (4 head columns, 4 for allele 0
-    # and 2 for allele 1), and 6 once the grid's head columns are cached
+    # and 2 for allele 1), and 6 once the grid's head columns are kept
     counts = []
     for width in (6, 40):
         calls = []
@@ -474,10 +474,10 @@ def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
                                                "log": counting_log}))
         weights = tuple(range(1, width + 1))
         freqs = AlleleFrequencies(tuple(w / sum(weights) for w in weights))
-        mdmix.evidence._ratio_grid.cache_clear()
+        grid = tuple(list(THETA_GRID))  # a new tuple: the slot misses
         for _ in ("cold", "warm"):
             calls.clear()
-            assert len(pair_ratio_curves(freqs, THETA_GRID)) == 5
+            assert len(pair_ratio_curves(freqs, grid)) == 5
             counts.append(len(calls))
         monkeypatch.undo()
     points = len(THETA_GRID) - 1
@@ -485,21 +485,19 @@ def test_pair_ratio_curves_evaluate_one_pair_per_class(monkeypatch):
 
 
 def test_a_warm_grid_cache_changes_no_value_and_no_error():
-    # each builder keeps the work of its last 4 grids of exact floats, and
-    # the last of them by the grid tuple's identity; the same tuple again,
-    # at alternating tail masses, an equal copy, a grid that equals a
-    # cached one but holds a bool, an int or -0.0, or a list, must give
-    # what the scalar functions give
+    # each builder keeps the work of its last grid tuple of exact floats,
+    # found again by the tuple's identity; the same tuple again, at
+    # alternating tail masses, an equal copy, a grid that equals a kept one
+    # but holds a bool, an int or -0.0, a list, another grid in between,
+    # or a 0-d array changed in place must give what the scalar functions
+    # give
     evidence = mdmix.evidence
-    for build in (evidence._woe_pools, evidence._ratio_grid):
-        assert build.cache_parameters()["maxsize"] == 4
-        build.cache_clear()
     states = [s for s, _ in woe_margin_grid(2)]
     floats = (0.0, 0.25, 1e-320, 0.5)
 
-    def bits(grid):
-        # a. is cached per grid and tail mass: the tail mass alternates
-        for mass in (0.5, 1.0):
+    def bits(grid, masses=(0.5, 1.0)):
+        # a. is kept per grid and tail mass: the tail mass alternates
+        for mass in masses:
             want = np.array([[woe_step(s, 0.2, t, tail_mass=mass)
                               for t in grid] for s in states])
             assert (woe_curve(states, 0.2, grid, tail_mass=mass).tobytes()
@@ -520,31 +518,35 @@ def test_a_warm_grid_cache_changes_no_value_and_no_error():
             errors.append(str(err.value))
         return errors
 
+    other = (0.5, 0.0, 0.125)
     for grid in (floats, floats, tuple(list(floats)), (-0.0,) + floats[1:],
-                 (0,) + floats[1:], list(floats)):
+                 (0,) + floats[1:], list(floats), floats, other, floats):
         bits(grid)
-    assert evidence._woe_pools.cache_info().currsize == 2
-    assert evidence._ratio_grid.cache_info().currsize == 1
-    # every array the cache holds is read-only: a. and the mask of a. = inf
-    # (None for a grid where a. is finite throughout)
+    # the same tuple and tail mass read the kept work
+    pools = evidence._woe_pools(floats, 0.5)
+    assert evidence._woe_pools(floats, 0.5) is pools
+    assert evidence._ratio_grid(other) is evidence._ratio_grid(other)
+    # a 0-d array in the grid can change in place between two calls with
+    # the same tuple, at the same tail mass
+    theta = np.array(0.25)
+    live = (0.0, theta, 0.5)
+    bits(live, masses=(1.0,))
+    theta[()] = 0.75
+    bits(live, masses=(1.0,))
+    # every array kept is read-only: a. and the mask of a. = inf (None for
+    # a grid where a. is finite throughout)
     arrays = [x for x in evidence._woe_pools(floats, 0.5)
               if isinstance(x, np.ndarray)]
     assert len(arrays) == 2
     assert not any(array.flags.writeable for array in arrays)
     assert evidence._woe_pools((0.25, 0.5), 0.5)[2] is None
-    # the slot is emptied with the cache: the grid is looked up again, and
-    # then found in the slot, past the cache
-    evidence._woe_pools.cache_clear()
-    for _ in ("cold", "slot"):
-        evidence._woe_pools(floats, 0.5)
-        assert evidence._woe_pools.cache_info()[:2] == (0, 1)  # hits, misses
-    # a grid that equals a cached float grid, right after it, is refused
+    # a grid that equals a kept float grid, right after it, is refused
     for bad in (False, np.False_):
         for grid in ((0.0,), floats):
             bits(grid)
             assert refusals((bad,) + grid[1:]) == [
                 f"theta: expected float, got {bad!r}"] * 2
-    # True equals 1.0, which is refused, so no grid that equals it is cached
+    # True equals 1.0, which is refused, so no grid that equals it is kept
     for last, message in ((1.0, "theta = 1.0 outside [0, 1)"),
                           (True, "theta: expected float, got True")):
         for _ in ("cold", "again"):
@@ -657,6 +659,7 @@ def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
     freqs = AlleleFrequencies(tuple(w / math.fsum(weights) for w in weights))
     grid = list(thetas) + list(_EDGE_THETAS)
     rnd.shuffle(grid)
+    grid = tuple(grid)  # one tuple for both calls
     width = freqs.n_categories
     curves = pair_ratio_curves(freqs, grid)
     assert {cls.label for cls in curves} == {
@@ -666,7 +669,7 @@ def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
         pair = pair_of(*CANONICAL[cls.label], width=width)
         want = np.array([pair_ratio(pair, freqs, t) for t in grid])
         assert values.tobytes() == want.tobytes()
-    # the second call reads the grid's cached columns
+    # the second call, with the same tuple, reads the grid's kept columns
     again = pair_ratio_curves(freqs, grid)
     assert all(again[cls].tobytes() == curves[cls].tobytes() for cls in curves)
 
@@ -694,11 +697,13 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     rnd.shuffle(grid)
     for theta in (0.0, -0.0, 1e-320):
         grid.insert(rnd.randint(1, len(grid) - 1), theta)
+    grid = tuple(grid)  # one tuple for both calls
     curve = woe_curve(states, q, grid, tail_mass=mass)
     want = np.array([[woe_step(s, q, t, tail_mass=mass) for t in grid]
                      for s in states])
     assert curve.tobytes() == want.tobytes()
-    # the second call reads the grid's cached pooled masses
+    # the second call, with the same tuple, reads the grid's kept pooled
+    # masses
     again = woe_curve(states, q, grid, tail_mass=mass)
     assert again.tobytes() == want.tobytes()
 
