@@ -33,7 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -248,54 +248,29 @@ _MARGIN_KEY = operator.attrgetter("key")
 @lru_cache(maxsize=64)
 def _woe_layout(keys):
     """The layout of woe_curve's rows for the (n_col, s_prev,
-    n_contributors) keys of its states.
+    n_contributors) keys of its states: a triangle fixed by top, the
+    largest column count, and cap, the most draws any state has left.
 
-    Rows 0 to n_steps - 1 hold step(0), step(1), ...: the running products
-    of the step factors.  Groups t = 1, 2, ... follow, and row (n, t) holds
-    step(n) times the first t tail factors of column count n; a state of
-    count n and rem draws reads row (n, rem - n), or row n where rem = n.
-    In each group the counts with the longest runs of tail factors come
-    first, so group t extends the first rows of group t - 1 (of the step
-    rows for t = 1) by one factor, (a_tail + (1-Q) m) / (a_tail + t - 1)
-    with m = n + t - 1.
+    Group 0 holds step(0), ..., step(top): the running products of the
+    step factors.  Group t = 1, ..., cap holds rows n = 0, ..., min(top,
+    cap - t), and row (n, t) is step(n) times the first t tail factors of
+    column count n: row (n, t - 1) of the group before, times (a_tail +
+    (1-Q) m) / (a_tail + t - 1) with m = n + t - 1.  A state of count n
+    and rem draws reads row (n, rem - n).
 
-    Returns each state's row and n_steps; the column 0, 1, 2, ... that k,
-    m and t - 1 are read from, up to the last m, and how many of its rows
-    the denominators read, up to the last k or t - 1; for each group the
-    rows it extends, its own rows and its m (slices where they are
-    consecutive); and the number of rows.  The arrays are read-only."""
-    runs = [(n, GENOTYPE_SIZE * contribs - s_prev - n)
+    Returns each state's row, top, the column 0, 1, ..., cap - 1 that k,
+    m and t - 1 are read from, and the first row of each group followed by
+    the number of rows.  The arrays are read-only."""
+    runs = [(n, GENOTYPE_SIZE * contribs - s_prev)
             for n, s_prev, contribs in keys]
-    longest = {}  # column count -> its longest run of tail factors
-    for n, t in runs:
-        longest[n] = max(t, longest.get(n, 0))
-    counts = sorted(longest, key=longest.__getitem__, reverse=True)
-    n_steps = max(2, max(counts) + 1)  # rows step(0), step(1), ...
-    firsts = [0, n_steps]  # the first row of each group
-    prev = counts  # the rows that group t extends: step(n) is row n
-    groups = []
-    for t in range(1, longest[counts[0]] + 1):
-        size = sum(run >= t for run in longest.values())
-        here = slice(firsts[-1], firsts[-1] + size)
-        groups.append((_as_slice(prev[:size]), here,
-                       _as_slice([n + t - 1 for n in counts[:size]])))
-        prev = range(here.start, here.stop)
-        firsts.append(here.stop)
-    order = {n: i for i, n in enumerate(counts)}
-    picks = [firsts[t] + order[n] if t else n for n, t in runs]
-    picks = np.array(picks, dtype=np.intp)
-    column = np.arange(max(n + t for n, t in runs), dtype=float)[:, None]
+    top = max(n for n, _ in runs)
+    cap = max(rem for _, rem in runs)  # at least top: no state has n > rem
+    firsts = list(accumulate((min(top, cap - t) + 1 for t in range(cap + 1)),
+                             initial=0))
+    picks = np.array([firsts[rem - n] + n for n, rem in runs], dtype=np.intp)
+    column = np.arange(cap, dtype=float)[:, None]
     picks.flags.writeable = column.flags.writeable = False  # shared by calls
-    return (picks, n_steps, column, max(n_steps - 1, len(groups)), groups,
-            firsts[-1])
-
-
-def _as_slice(rows):
-    """rows as a slice where they are consecutive and ascending."""
-    rows = list(rows)
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    return np.array(rows, dtype=np.intp)
+    return picks, top, column, firsts
 
 
 def _per_grid(build):
@@ -346,15 +321,17 @@ def woe_curve(states, q_scaled: float, theta_grid,
     grid tuple of exact floats and its tail mass (90 KB at 10,001 points,
     and the grid), read again by a call with that very tuple and tail mass
     (a list is a new tuple each call).  Then,
-    a block of grid columns at a time, one product forms a_step and a_tail
-    from a., one add their numerators over each k and distinct m and one
-    their denominators; one divide forms the step factors and one
-    accumulate their running products, then each group of tail factors
-    takes one divide of its numerators by its denominator and one product
-    on.  Each product is formed left to right as in woe_step with
-    correctly rounded numpy arithmetic, so the values are woe_step's bit
-    for bit.  Memory beyond the output and the slot stays bounded
-    whatever the grid.
+    a block of grid columns at a time, the rows of _woe_layout's triangle
+    are formed in slices of one array: one product forms a_step and a_tail
+    from a., one add their numerators over k, m < cap and one their
+    denominators; one divide forms the step factors and one accumulate
+    their running products, then each group of tail factors takes one
+    divide of its numerators by its denominator and one product with the
+    first rows of the group before.  Each product is formed left to right
+    as in woe_step with correctly rounded numpy arithmetic, so the values
+    are woe_step's bit for bit.  Any list of states costs the rows of the
+    triangle of its top and cap, whichever of them it reads; memory beyond
+    the output and the slot stays bounded by the block whatever the grid.
     """
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
@@ -376,12 +353,11 @@ def woe_curve(states, q_scaled: float, theta_grid,
     out = np.empty((len(states), len(grid)))
     if not out.size:
         return out
-    picks, n_steps, column, n_den, groups, n_rows = _woe_layout(
-        tuple(map(_MARGIN_KEY, states)))
+    picks, top, column, firsts = _woe_layout(tuple(map(_MARGIN_KEY, states)))
     # a. times scale is the rows a_step and a_tail; scaled is q k, (1-Q) m
     scale = np.array((q_scaled, 1.0 - q_scaled)).reshape(2, 1, 1)
-    scaled, steps = scale * column, slice(1, n_steps - 1)
-    width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + n_rows
+    scaled = scale * column
+    width = max(1, _WOE_BLOCK_CELLS // (2 * len(column) + firsts[-1]
                                         + len(states)))
     # Python floats never warn, so neither does this: a subnormal a_tail
     # can overflow a factor to inf in woe_step as here, and the columns
@@ -391,17 +367,21 @@ def woe_curve(states, q_scaled: float, theta_grid,
     with np.errstate(all="ignore"):
         for lo in range(0, len(grid), width):
             cols = slice(lo, lo + width)
-            rows = np.empty((n_rows, len(a_pool[cols])))
+            rows = np.empty((firsts[-1], len(a_pool[cols])))
+            # step(0) and step(1); where top = 0, row 1 is group 1's
             rows[:2] = 1.0
             pools = scale * a_pool[cols]
             numer = pools + scaled
-            denom = pools + column[:n_den]
-            np.divide(numer[0, steps], denom[0, steps], out=rows[2:n_steps])
-            np.multiply.accumulate(rows[:n_steps], axis=0,
-                                   out=rows[:n_steps])
-            for den, (prev, here, m) in zip(denom[1], groups):
-                np.divide(numer[1, m], den, out=rows[here])
-                rows[here] *= rows[prev]
+            denom = pools + column
+            np.divide(numer[0, 1:top], denom[0, 1:top], out=rows[2:top + 1])
+            np.multiply.accumulate(rows[:top + 1], axis=0,
+                                   out=rows[:top + 1])
+            # group t = m + 1 extends the first rows of the group before
+            for m, (prev, here, stop) in enumerate(zip(firsts, firsts[1:],
+                                                       firsts[2:])):
+                group, size = rows[here:stop], stop - here
+                np.divide(numer[1, m:m + size], denom[1, m], out=group)
+                group *= rows[prev:prev + size]
             out[:, cols] = rows[picks]
     if limit is not None:
         np.copyto(out, 1.0, where=limit)

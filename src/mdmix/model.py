@@ -34,7 +34,7 @@ import operator
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property
 
 from .logspace import _Memo
 
@@ -341,16 +341,8 @@ def _checked_rows(rows: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(counts)
 
 
-# Up to this many rows, column sums are one chain of maps, the fastest for
-# the few rows of a casework table; past it, zip and sum are, and a chain
-# as deep as 100,000 rows would overflow the C stack.
-_MAP_SUM_ROWS = 4
-
-
 def _col_sums(counts) -> tuple[int, ...]:
     """The column sums of a non-empty tuple of equally long rows of ints."""
-    if len(counts) <= _MAP_SUM_ROWS:
-        return tuple(reduce(partial(map, operator.add), counts))
     return tuple(map(sum, zip(*counts)))
 
 

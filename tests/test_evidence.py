@@ -14,6 +14,7 @@ import warnings
 from dataclasses import fields
 from itertools import compress
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,17 @@ def test_woe_curve_shape():
     grid = [k / 4000 for k in range(2001)]
     want = np.array([[woe_step(s, 0.3, t) for t in grid] for s in states])
     assert woe_curve(states, 0.3, grid).tobytes() == want.tobytes()
+    # 401 points at 10 contributors, up to 4 blocks: one state, whose rows
+    # are one column count; top and cap from different states, so most
+    # rows of the triangle are never read; the whole margin grid reversed,
+    # with repeats
+    ten = [s for s, _ in woe_margin_grid(10)]
+    grid = [k / 800 for k in range(401)]
+    for states in ([MarginState(0, 0, 10)],
+                   [MarginState(20, 0, 10), MarginState(0, 0, 10)],
+                   ten[::-1] + ten[::7]):
+        want = np.array([[woe_step(s, 0.3, t) for t in grid] for s in states])
+        assert woe_curve(states, 0.3, grid).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("q, grid, mass", [
@@ -706,6 +718,10 @@ def test_woe_curve_is_woe_step_bit_for_bit(specs, q, mass, thetas, rnd):
     # masses
     again = woe_curve(states, q, grid, tail_mass=mass)
     assert again.tobytes() == want.tobytes()
+    # each column its own block, so the rows cross every block edge
+    with mock.patch.object(mdmix.evidence, "_WOE_BLOCK_CELLS", 1):
+        blocks = woe_curve(states, q, grid, tail_mass=mass)
+    assert blocks.tobytes() == want.tobytes()
 
 
 def test_woe_curve_holds_little_beyond_its_output():

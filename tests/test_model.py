@@ -430,8 +430,8 @@ def test_differential_count_table_is_the_row_by_row_rule(counts):
 
 
 def test_a_table_of_many_rows_has_its_column_sums():
-    # column sums over more than a few rows are not one chain of maps, which
-    # at this depth would overflow the C stack
+    # column sums hold for a table far taller than any casework table, with
+    # no recursion or nesting that grows with the number of rows
     rows = ((1, 0, 2),) * 100_000
     t = CountTable(rows)
     assert t.col_sums == (100_000, 0, 200_000)
