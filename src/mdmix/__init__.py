@@ -12,8 +12,10 @@ in mdmix.oracle and the log-domain helpers in mdmix.logspace.
 Each public name is declared once: in model.__all__, in mdm.__all__, or
 in the table _LAZY below for the names of mdmix.evidence, mdmix.moments
 and mdmix.oracle; __all__ is their union.  The _LAZY names, and those
-three modules themselves, load on first use, because each imports numpy:
-a program that uses only the pmf, such as `mdmix pmf`, runs without it.
+three modules themselves, load on first use: moments and oracle import
+numpy, and evidence imports it inside the functions that build arrays, so
+a program that uses only the pmf, such as `mdmix pmf`, neither loads
+numpy nor compiles evidence, and `mdmix ratio-curve` runs without numpy.
 """
 
 from importlib import import_module
@@ -24,7 +26,7 @@ from .model import *
 
 __version__ = "0.1.0"
 
-# exported name -> the numpy-backed module that defines it
+# exported name -> the module, loaded on first use, that defines it
 _LAZY = {
     **dict.fromkeys((
         "GenotypePair", "MultiplicityClass", "genotype_from_alleles",

@@ -5,8 +5,8 @@ Outputs are CSV with floats at 17 significant digits and a fixed row
 order, so repeated runs are byte-identical.  Option precedence is
 command-line flag, then --config JSON file, then built-in default.
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
-Each command imports the numpy-backed modules it calls inside its own
-function, so `pmf` starts without numpy.
+Each command imports the modules it calls inside its own function, so
+`pmf` and `ratio-curve` start without numpy.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def cmd_pmf(cfg: argparse.Namespace) -> int:
 
 
 def cmd_moments(cfg: argparse.Namespace) -> int:
-    from .moments import covariance_matrix, mean_matrix
+    from .moments import _MAX_ROW_SUM, covariance_matrix, mean_matrix
 
     entry = _select_locus(cfg)
     n_cells = len(cfg.rows) * entry.freqs.n_categories
@@ -297,11 +297,11 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
         raise ParameterError(f"rows: {len(cfg.rows)} profiles x "
                              f"{entry.freqs.n_categories} categories is "
                              f"{n_cells} cells, at most {MAX_MOMENT_CELLS}")
-    if max(cfg.rows) > 2 ** 511:  # n_i. n_j., so each covariance, is finite
+    if max(cfg.rows) > _MAX_ROW_SUM:
         raise ParameterError(f"rows: at most 2**511, got {max(cfg.rows)}")
     params = MdmParams(row_sums=cfg.rows,
                        model=theta_to_alpha(entry.freqs, cfg.theta))
-    means = mean_matrix(params).ravel()
+    means = mean_matrix(params).ravel().tolist()
     cov = covariance_matrix(params)
     # cell (i, a) of the table is entry i * A + a of means and cov
     cells = [(str(i + 1), str(a + 1)) for i in range(params.n_profiles)
@@ -309,8 +309,9 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     # cells^2 covariance rows: streamed to the writer, never held
     out_rows = chain(
         (("mean", *cell, "", "", _fmt(m)) for cell, m in zip(cells, means)),
-        (("cov", *cell, *other, _fmt(cov[x, y]))
-         for x, cell in enumerate(cells) for y, other in enumerate(cells)))
+        (("cov", *cell, *other, _fmt(value))
+         for cell, row in zip(cells, cov)
+         for other, value in zip(cells, row.tolist())))
     _write_csv(cfg.out,
                ("kind", "profile", "allele", "profile2", "allele2", "value"),
                out_rows)
@@ -346,10 +347,11 @@ def cmd_woe_curve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_ratio_curve(cfg: argparse.Namespace) -> int:
-    from .evidence import pair_ratio_curves
+    # pair_ratio_curves' values as lists of floats, formed without numpy
+    from .evidence import _ratio_curves
 
     entry = _select_locus(cfg)
-    curves = pair_ratio_curves(entry.freqs, cfg.theta_grid)
+    curves = _ratio_curves(entry.freqs, cfg.theta_grid)
     rows = []
     for cls in sorted(curves, key=lambda c: c.multiplicities):
         for theta, value in zip(cfg.theta_grid, curves[cls]):

@@ -25,6 +25,12 @@ states share once per call, in whole arrays over the grid, and keeps the
 work that depends on the grid alone for its last grid tuple of exact
 floats, which a call with that very tuple reads again; each gives the
 scalar values bit for bit.
+
+numpy is imported inside the functions that build arrays (woe_curve, its
+layout and pools, and pair_ratio_curves), so importing this module loads
+none.  pair_ratio_curves forms its curves as lists of floats in
+_ratio_curves, which `mdmix ratio-curve` writes as they are, so that
+command starts without numpy too.
 """
 
 from __future__ import annotations
@@ -34,8 +40,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import accumulate, compress, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mdm import MdmParams, mdm_log_pmf
 from .model import (
@@ -53,6 +58,9 @@ from .model import (
     _type_error,
     theta_to_alpha,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENOTYPE_SIZE = 2
 
@@ -261,6 +269,8 @@ def _woe_layout(keys):
     Returns each state's row, top, the column 0, 1, ..., cap - 1 that k,
     m and t - 1 are read from, and the first row of each group followed by
     the number of rows.  The arrays are read-only."""
+    import numpy as np
+
     runs = [(n, GENOTYPE_SIZE * contribs - s_prev)
             for n, s_prev, contribs in keys]
     top = max(n for n, _ in runs)
@@ -303,6 +313,8 @@ def _per_grid(build):
 def _woe_pools(grid, tail_mass):
     """woe_curve's read-only a. at each theta, its least value (inf for no
     theta) and the read-only mask where a. = inf, or None for nowhere."""
+    import numpy as np
+
     a_pool = np.array(list(map(_pool_mass, grid, repeat(tail_mass))))
     limit = a_pool == math.inf  # theta = 0, or (1 - theta) / theta overflows
     a_pool.flags.writeable = limit.flags.writeable = False
@@ -333,6 +345,8 @@ def woe_curve(states, q_scaled: float, theta_grid,
     triangle of its top and cap, whichever of them it reads; memory beyond
     the output and the slot stays bounded by the block whatever the grid.
     """
+    import numpy as np
+
     states = _as_items(states, "states", "MarginState")
     for k, state in enumerate(states):
         if not isinstance(state, MarginState):
@@ -497,14 +511,61 @@ def _log_column(values, k):
 @_per_grid
 def _ratio_grid(grid):
     """pair_ratio_curves' columns that depend on the grid alone: the
-    positions of the thetas where a. is finite, a. there, log a. there and
-    -log(a. + k) for k < 4 there."""
+    positions of the thetas where a. is finite and of those where it is
+    inf, both ascending, and a. there, log a. there and -log(a. + k) for
+    k < 4 there."""
     pools = list(map(_pool_mass, grid))
-    live = tuple(k for k, a_total in enumerate(pools) if a_total != math.inf)
+    finite = [a_total != math.inf for a_total in pools]
+    live = tuple(compress(range(len(pools)), finite))
+    dead = tuple(compress(range(len(pools)), map(operator.not_, finite)))
     pools = tuple(pools[k] for k in live)
     logs = [_log_column(pools, k) for k in range(2 * GENOTYPE_SIZE)]
     neg = tuple(tuple(map(operator.neg, log)) for log in logs)
-    return live, pools, tuple(logs[0]), neg
+    return live, dead, pools, tuple(logs[0]), neg
+
+
+def _ratio_curves(freqs: AlleleFrequencies, theta_grid):
+    """pair_ratio_curves' checks and values: a dict from each class to its
+    curve as a list of floats, which `mdmix ratio-curve` writes without
+    numpy."""
+    if not isinstance(freqs, AlleleFrequencies):
+        raise _type_error(freqs, AlleleFrequencies, "freqs")
+    grid = _as_items(theta_grid, "theta_grid", "float")
+    live, dead, pools, log_pool, neg_head = _ratio_grid(grid)
+    # alleles a canonical pair does not carry add nothing to pair_ratio's
+    # sum; its last allele is its largest
+    classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
+               if carried[-1][0] < freqs.n_categories]
+    most = {}  # allele -> its largest count >= 2 in any class
+    for _, carried in classes:
+        for a, c in carried:
+            if c >= 2:
+                most[a] = max(c, most.get(a, 0))
+    log_step = {}  # allele -> columns log(q_a a. + k) for k < most
+    # least q_a first: if any q_a a. underflows to 0, the least one does
+    for a in sorted(most, key=freqs.extended_probs.__getitem__):
+        alpha = list(map(freqs.extended_probs[a].__mul__, pools))
+        if 0.0 in alpha:
+            raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
+                                 "makes alpha 0")
+        log_step[a] = [_log_column(alpha, k) for k in range(most[a])]
+    curves = {}
+    for cls, carried in classes:
+        singletons = sum(c == 1 for _, c in carried)
+        columns = (list(neg_head[1:]) + [log_pool] * (singletons - 1)
+                   if singletons else list(neg_head))
+        for a, c in carried:
+            if c >= 2:
+                columns.append(repeat(-c * freqs.log_extended_probs[a]))
+                columns += log_step[a][:c]
+        curve = list(map(math.exp, map(operator.neg,
+                                       map(math.fsum, zip(*columns)))))
+        # the ratio is exactly 1 where a. = inf; in ascending order, each
+        # position is in place once the ones before it are
+        for k in dead:
+            curve.insert(k, 1.0)
+        curves[cls] = curve
+    return curves
 
 
 def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
@@ -527,40 +588,10 @@ def pair_ratio_curves(freqs: AlleleFrequencies, theta_grid):
     Each value is exp(-s), s the fsum of the negated multiset less one
     -log a. and one singleton's log a., which sum to exactly 0: fsum is
     exactly rounded and odd, so s is -fsum of pair_ratio's terms to the
-    bit, in any order.  The curves are the rows of one array.
+    bit, in any order.  The curves are formed as lists of floats, with 1.0
+    put in where a. = inf, and become the rows of one array here.
     """
-    if not isinstance(freqs, AlleleFrequencies):
-        raise _type_error(freqs, AlleleFrequencies, "freqs")
-    grid = _as_items(theta_grid, "theta_grid", "float")
-    live, pools, log_pool, neg_head = _ratio_grid(grid)
-    # alleles a canonical pair does not carry add nothing to pair_ratio's
-    # sum; its last allele is its largest
-    classes = [(cls, carried) for cls, carried in _CANONICAL_PAIRS
-               if carried[-1][0] < freqs.n_categories]
-    most = {}  # allele -> its largest count >= 2 in any class
-    for _, carried in classes:
-        for a, c in carried:
-            if c >= 2:
-                most[a] = max(c, most.get(a, 0))
-    log_step = {}  # allele -> columns log(q_a a. + k) for k < most
-    # least q_a first: if any q_a a. underflows to 0, the least one does
-    for a in sorted(most, key=freqs.extended_probs.__getitem__):
-        alpha = list(map(freqs.extended_probs[a].__mul__, pools))
-        if 0.0 in alpha:
-            raise ParameterError(f"theta = {grid[live[alpha.index(0.0)]]} "
-                                 "makes alpha 0")
-        log_step[a] = [_log_column(alpha, k) for k in range(most[a])]
-    values = []
-    for _, carried in classes:
-        singletons = sum(c == 1 for _, c in carried)
-        columns = (list(neg_head[1:]) + [log_pool] * (singletons - 1)
-                   if singletons else list(neg_head))
-        for a, c in carried:
-            if c >= 2:
-                columns.append(repeat(-c * freqs.log_extended_probs[a]))
-                columns += log_step[a][:c]
-        values.append(list(map(math.exp, map(operator.neg,
-                                              map(math.fsum, zip(*columns))))))
-    curves = np.ones((len(classes), len(grid)))
-    curves[:, live] = values
-    return dict(zip([cls for cls, _ in classes], curves))
+    import numpy as np
+
+    curves = _ratio_curves(freqs, theta_grid)
+    return dict(zip(curves, np.array(list(curves.values()))))

@@ -23,6 +23,10 @@ import numpy as np
 from .mdm import MdmParams, _dirichlet_terms
 from .model import CountTable, ParameterError, _check_shape
 
+# the largest row sum covariance_matrix takes: n_i. n_j., so each
+# covariance, stays inside the double range
+_MAX_ROW_SUM = 2 ** 511
+
 
 def factorial_moment(order: CountTable, params: MdmParams) -> float:
     """E prod_ia n_ia^(r_ia), the orders r_ia a CountTable shaped like
@@ -67,8 +71,12 @@ def covariance_matrix(params: MdmParams) -> np.ndarray:
     subtracted from 0.0 where it is negated (+0.0, not -0.0, for a zero row
     sum).  The forms fill one preallocated matrix from the last to the
     first, each over the cells it shares with the ones before, so the peak
-    memory stays near the result's.
+    memory stays near the result's.  A row sum above 2**511 is a
+    ParameterError.
     """
+    if max(params.row_sums) > _MAX_ROW_SUM:
+        raise ParameterError(
+            f"row_sums: at most 2**511, got {max(params.row_sums)}")
     q = np.asarray(params.model.freqs.extended_probs)
     n = np.asarray(params.row_sums, dtype=float)
     theta = params.model.theta

@@ -160,8 +160,8 @@ FLOAT_SITES = [
 LIBM_SITES = [
     "cli.cmd_pmf",
     "evidence._log_column",
+    "evidence._ratio_curves",
     *["evidence.pair_ratio"] * 6,
-    "evidence.pair_ratio_curves",
     "evidence.pair_ratio_via_pmfs",
     "logspace",
     "logspace.log_factorial",

@@ -124,7 +124,7 @@ def _env_with_src():
     (["pmf", "--theta", "0.1"], False, False),
     (["moments", "--theta", "0.1", "--rows", "2"], False, True),
     (["sample", "--theta", "0.1", "--rows", "2"], False, True),
-    (["ratio-curve", "--theta-grid", "0.1"], False, True),
+    (["ratio-curve", "--theta-grid", "0.1"], False, False),
     (["woe-curve", "--theta-grid", "0.1", "--q-values", "0.1"], False, True),
     (["woe-curve", "--q-values", "0.1"], True, True),
     (["validate"], False, True),
@@ -134,7 +134,8 @@ def test_each_command_imports_only_the_modules_it_uses(freq_file, table_file,
                                                        numpy):
     # the commands start in a fresh interpreter, where the package imports
     # neither fractions nor numpy; a default range grid imports fractions,
-    # once parsed, and each command but pmf a module that imports numpy
+    # once parsed, and each command but pmf and ratio-curve a function that
+    # imports numpy
     if argv[0] in ("pmf", "moments", "sample", "ratio-curve"):
         argv = [*argv, "--freqs", freq_file, "--locus", "D1"]
     if argv[0] == "pmf":
@@ -149,11 +150,25 @@ def test_each_command_imports_only_the_modules_it_uses(freq_file, table_file,
 
 
 def test_importing_the_package_or_the_cli_loads_no_numpy():
-    code = ("import sys, mdmix; package = 'numpy' in sys.modules; "
-            "import mdmix.cli; print(package, 'numpy' in sys.modules)")
+    # evidence imports numpy only in the functions that build arrays: its
+    # scalar functions run without it, and woe_curve loads it
+    code = ("import sys, mdmix; loaded = ['numpy' in sys.modules]\n"
+            "import mdmix.cli; loaded.append('numpy' in sys.modules)\n"
+            "import mdmix.evidence as ev; "
+            "loaded.append('numpy' in sys.modules)\n"
+            "pair = ev.GenotypePair(ev.genotype_from_alleles((0, 1), 3), "
+            "ev.genotype_from_alleles((1, 1), 3))\n"
+            "ev.pair_ratio(pair, mdmix.AlleleFrequencies((0.2, 0.3, 0.5)), "
+            "0.1)\n"
+            "state = ev.MarginState(n_col=1, s_prev=0, n_contributors=2)\n"
+            "ev.woe_step(state, 0.2, 0.1); "
+            "loaded.append('numpy' in sys.modules)\n"
+            "ev.woe_curve([state], 0.2, [0.1]); "
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(*loaded)")
     run = subprocess.run([sys.executable, "-c", code], env=_env_with_src(),
                          capture_output=True, text=True, check=True)
-    assert run.stdout == "False False\n"
+    assert run.stdout == "False False False False True\n"
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

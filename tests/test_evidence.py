@@ -674,13 +674,18 @@ def test_pair_ratio_curves_are_pair_ratio_bit_for_bit(weights, thetas, rnd):
     grid = tuple(grid)  # one tuple for both calls
     width = freqs.n_categories
     curves = pair_ratio_curves(freqs, grid)
+    # the lists the CLI writes, with 1.0 put in where a. = inf: theta = 0,
+    # -0.0 and 1e-320 sit anywhere in the shuffled grid
+    lists = mdmix.evidence._ratio_curves(freqs, grid)
+    assert list(lists) == list(curves)
     assert {cls.label for cls in curves} == {
         label for label, alleles in CANONICAL.items()
         if max(map(max, alleles)) < width}
     for cls, values in curves.items():
         pair = pair_of(*CANONICAL[cls.label], width=width)
-        want = np.array([pair_ratio(pair, freqs, t) for t in grid])
-        assert values.tobytes() == want.tobytes()
+        want = [pair_ratio(pair, freqs, t) for t in grid]
+        assert list(map(float.hex, lists[cls])) == list(map(float.hex, want))
+        assert values.tobytes() == np.array(want).tobytes()
     # the second call, with the same tuple, reads the grid's kept columns
     again = pair_ratio_curves(freqs, grid)
     assert all(again[cls].tobytes() == curves[cls].tobytes() for cls in curves)

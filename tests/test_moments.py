@@ -205,6 +205,19 @@ def test_moments_at_the_total_cap_are_finite():
         pytest.approx(2.5e299, rel=1e-12))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_covariance_refuses_a_row_sum_above_2_to_the_511(theta):
+    # n_i. n_j. of a row sum above 2**511 leaves the double range: inf cells
+    # at theta > 0, and inf times theta = 0 a nan; at the cap all is finite
+    model = theta_to_alpha(AlleleFrequencies((0.25, 0.75)), theta)
+    for big in (2 ** 511 + 1, 2 ** 600):
+        with pytest.raises(ParameterError,
+                           match=rf"^row_sums: at most 2\*\*511, got {big}$"):
+            covariance_matrix(MdmParams((big, 2), model))
+    assert np.isfinite(covariance_matrix(MdmParams((2 ** 511, 2),
+                                                   model))).all()
+
+
 def test_order_dimensions_are_checked():
     params = MdmParams((2,), DispersionModel.from_alpha((1.0, 1.0)))
     with pytest.raises(ParameterError):
